@@ -16,11 +16,9 @@ residual deviation instead of demanding an exact match.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import reference
 from .errors import TinyAscError
-from .zoo import build_conv_mixer, build_conv_sep
+from .zoo import build_conv_mixer, build_conv_sep, layer_op
 
 MAX_PARAMS_BUDGET = 128_000
 MAX_MACS_BUDGET = 30_000_000
@@ -86,83 +84,23 @@ class ComplexityReport:
         return self.macs_budget - self.macs_total
 
 
-def _layer_params(layer, convention):
-    k = layer.kind
-    if k == "conv2d":
-        kh, kw, cin, cout = layer.weights["w"].shape
-        return kh * kw * cin * cout + (cout if "b" in layer.weights else 0)
-    if k == "depthwise_conv2d":
-        kh, kw, c = layer.weights["w"].shape
-        return kh * kw * c + (c if "b" in layer.weights else 0)
-    if k == "pointwise_conv2d":
-        _, _, cin, cout = layer.weights["w"].shape
-        return cin * cout + (cout if "b" in layer.weights else 0)
-    if k == "batch_norm":
-        return convention.bn_params_per_channel * layer.weights["gamma"].shape[0]
-    if k == "dense":
-        n, m = layer.weights["w"].shape
-        return n * m + m
-    if k in (
-        "elu",
-        "gelu",
-        "max_pool",
-        "global_avg_pool",
-        "dropout",
-        "softmax",
-        "residual_add_begin",
-        "residual_add_end",
-    ):
-        return 0
-    raise TinyAscError(f"unknown layer kind {k!r}")
-
-
-def _layer_macs(layer, convention):
-    k = layer.kind
-    out = layer.output_shape
-    if k == "conv2d":
-        kh, kw, cin, cout = layer.weights["w"].shape
-        hout, wout = out[0], out[1]
-        macs = kh * kw * cin * cout * hout * wout
-        if convention.count_bias_macs and "b" in layer.weights:
-            macs += cout * hout * wout
-        return macs
-    if k == "depthwise_conv2d":
-        kh, kw, c = layer.weights["w"].shape
-        hout, wout = out[0], out[1]
-        macs = kh * kw * c * hout * wout
-        if convention.count_bias_macs and "b" in layer.weights:
-            macs += c * hout * wout
-        return macs
-    if k == "pointwise_conv2d":
-        _, _, cin, cout = layer.weights["w"].shape
-        hout, wout = out[0], out[1]
-        macs = cin * cout * hout * wout
-        if convention.count_bias_macs and "b" in layer.weights:
-            macs += cout * hout * wout
-        return macs
-    if k == "dense":
-        n, m = layer.weights["w"].shape
-        return n * m + (m if convention.count_bias_macs else 0)
-    if k == "batch_norm":
-        if not convention.count_bn_macs:
-            return 0
-        shape = layer.output_shape
-        area = int(np.prod(shape[:-1])) if len(shape) > 1 else 1
-        return 2 * shape[-1] * area
-    return 0
-
-
 def count_params(model, convention=None):
     """Analytic per-layer parameter counts; returns (rows, total)."""
     convention = convention or Convention()
-    rows = [(layer.name, _layer_params(layer, convention)) for layer in model.layers]
+    rows = [
+        (layer.name, layer_op(layer, i).params(layer, convention))
+        for i, layer in enumerate(model.layers)
+    ]
     return rows, sum(p for _, p in rows)
 
 
 def count_macs(model, convention=None):
     """Analytic per-layer MAC counts for one forward pass; returns (rows, total)."""
     convention = convention or Convention()
-    rows = [(layer.name, _layer_macs(layer, convention)) for layer in model.layers]
+    rows = [
+        (layer.name, layer_op(layer, i).macs(layer, convention))
+        for i, layer in enumerate(model.layers)
+    ]
     return rows, sum(m for _, m in rows)
 
 
@@ -203,19 +141,12 @@ def check_budget(params_total, macs_total, max_params=MAX_PARAMS_BUDGET, max_mac
 def audit_model(model, convention=None, max_params=MAX_PARAMS_BUDGET, max_macs=MAX_MACS_BUDGET):
     """Assemble the full per-layer ComplexityReport for a model."""
     convention = convention or Convention()
-    rows = []
-    for layer in model.layers:
-        rows.append(
-            LayerCount(
-                name=layer.name,
-                kind=layer.kind,
-                output_shape=layer.output_shape,
-                params=_layer_params(layer, convention),
-                macs=_layer_macs(layer, convention),
-            )
-        )
-    params_total = sum(r.params for r in rows)
-    macs_total = sum(r.macs for r in rows)
+    param_rows, params_total = count_params(model, convention)
+    mac_rows, macs_total = count_macs(model, convention)
+    rows = [
+        LayerCount(layer.name, layer.kind, layer.output_shape, params, macs)
+        for layer, (_, params), (_, macs) in zip(model.layers, param_rows, mac_rows)
+    ]
     params_pass, macs_pass = check_budget(params_total, macs_total, max_params, max_macs)
     return ComplexityReport(
         rows=rows,

@@ -43,7 +43,7 @@ def evaluate(model, examples) -> EvalResult:
     """Inference-mode evaluation over (Spectrogram, label) pairs."""
     if not examples:
         raise TinyAscError("empty dataset")
-    xs = np.stack([np.asarray(s.data, dtype=model.dtype)[..., None] for s, _ in examples])
+    xs = zoo.stack_inputs(model, [spec for spec, _ in examples], model.dtype)
     ys = np.array([label for _, label in examples], dtype=np.int64)
     probs, _ = zoo.forward_batch(model, xs)
     probs = probs.astype(np.float64)

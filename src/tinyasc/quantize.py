@@ -15,15 +15,14 @@ constrained end to end by the float-agreement check rather than per-op.
 """
 
 import copy
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, zoo
-from .errors import QuantizationError
-
-INT_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense")
+from . import zoo
+from .errors import QuantizationError, ShapeError
 
 
 @dataclass
@@ -102,24 +101,15 @@ def calibrate(model, inputs):
     """
     if not inputs:
         raise QuantizationError("calibration needs at least one input")
-    in_lo = in_hi = None
     ranges = None
     for spec in inputs:
-        data = spec.data if hasattr(spec, "data") else np.asarray(spec)
-        x = data[None, ..., None].astype(model.dtype)
-        acts = []
-        zoo.run_graph(model, x, train=False, record_activations=acts)
-        lo, hi = float(x.min()), float(x.max())
-        in_lo = lo if in_lo is None else min(in_lo, lo)
-        in_hi = hi if in_hi is None else max(in_hi, hi)
-        if ranges is None:
-            ranges = [(float(a.min()), float(a.max())) for a in acts]
-        else:
-            ranges = [
-                (min(r[0], float(a.min())), max(r[1], float(a.max())))
-                for r, a in zip(ranges, acts)
-            ]
-    return Calibration(input_range=(in_lo, in_hi), layer_ranges=ranges)
+        acts = [zoo.stack_inputs(model, [spec], model.dtype)]
+        zoo.run_graph(model, acts[0], train=False, record_activations=acts)
+        seen = [(float(a.min()), float(a.max())) for a in acts]
+        if ranges is not None:
+            seen = [(min(r[0], s[0]), max(r[1], s[1])) for r, s in zip(ranges, seen)]
+        ranges = seen
+    return Calibration(input_range=ranges[0], layer_ranges=ranges[1:])
 
 
 def fold_batch_norm(model):
@@ -132,35 +122,20 @@ def fold_batch_norm(model):
     activations) are left in place.
     """
     folded = copy.deepcopy(model)
-    layers = folded.layers
-    out = []
-    i = 0
-    while i < len(layers):
-        layer = layers[i]
-        nxt = layers[i + 1] if i + 1 < len(layers) else None
-        if (
-            layer.kind in ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
-            and nxt is not None
-            and nxt.kind == "batch_norm"
-        ):
-            gamma = nxt.weights["gamma"].astype(np.float64)
-            beta = nxt.weights["beta"].astype(np.float64)
-            mean = nxt.weights["moving_mean"].astype(np.float64)
-            var = nxt.weights["moving_var"].astype(np.float64)
-            factor = gamma / np.sqrt(var + nxt.config["eps"])
-            w = layer.weights["w"].astype(np.float64)
-            b = layer.weights.get("b")
-            b = np.zeros(factor.shape[0]) if b is None else b.astype(np.float64)
-            # conv/pointwise kernels end in Cout; depthwise kernels end in C
-            layer.weights["w"] = (w * factor).astype(model.dtype)
-            layer.weights["b"] = ((b - mean) * factor + beta).astype(model.dtype)
-            layer.config["use_bias"] = True
-            out.append(layer)
-            i += 2
+    layers, folded.layers = folded.layers, []
+    for i, norm in enumerate(layers):
+        if norm.kind != "batch_norm" or i == 0 or not zoo.layer_op(layers[i - 1], i - 1).folds_norm:
+            folded.layers.append(norm)
             continue
-        out.append(layer)
-        i += 1
-    folded.layers = out
+        conv = layers[i - 1]
+        gamma, beta, mean, var = (norm.weights[n].astype(np.float64) for n in norm.weight_names())
+        factor = gamma / np.sqrt(var + norm.config["eps"])
+        b = conv.weights.get("b")
+        b = np.zeros(factor.shape[0]) if b is None else b.astype(np.float64)
+        # conv/pointwise kernels end in Cout; depthwise kernels end in C
+        conv.weights["w"] = (conv.weights["w"].astype(np.float64) * factor).astype(model.dtype)
+        conv.weights["b"] = ((b - mean) * factor + beta).astype(model.dtype)
+        conv.config["use_bias"] = True
     zoo.infer_shapes(folded)
     return folded
 
@@ -184,7 +159,7 @@ def quantize_model(model, calibration_inputs):
     payloads, wparams, floats = {}, {}, {}
     for i, layer in enumerate(folded.layers):
         for name in layer.weight_names():
-            if layer.kind in INT_KINDS and name == "w":
+            if name == "w":  # conv and dense kernels run on INT8 codes
                 q, p = quantize_tensor(layer.weights[name], "symmetric_weight")
                 payloads[(i, name)] = q
                 wparams[(i, name)] = p
@@ -201,82 +176,45 @@ def quantize_model(model, calibration_inputs):
     )
 
 
-def _integer_layer(layer, idx, x_float, in_params, qm):
-    """Requantize the incoming float tensor and run one integer-core layer."""
-    wq = qm.weight_payloads[(idx, "w")].astype(np.int32)
-    wp = qm.weight_params[(idx, "w")]
-    xq = quantize_array(x_float, in_params).astype(np.int32) - in_params.zero_point
-    bias = qm.float_weights.get((idx, "b"))
-    out_scale = in_params.scale * wp.scale
-    if layer.kind == "conv2d":
-        acc = kernels.conv2d(
-            xq,
-            wq,
-            None,
-            stride=layer.config.get("stride", 1),
-            padding=layer.config.get("padding", "same"),
-        )
-    elif layer.kind == "depthwise_conv2d":
-        acc = kernels.depthwise_conv2d(xq, wq, None)
-    elif layer.kind == "pointwise_conv2d":
-        acc = kernels.pointwise_conv2d(xq, wq, None)
-    else:
-        acc = xq @ wq
+def _integer_step(qm, layer, x, run):
+    """Requantize the incoming float tensor and run one conv or dense layer on
+    INT8 codes with an int32 accumulator; the bias joins at the accumulator's scale."""
+    i = run.i
+    in_params = qm.input_params if i == 0 else qm.activation_params[i - 1]
+    xq = quantize_array(x, in_params).astype(np.int32) - in_params.zero_point
+    out_scale = in_params.scale * qm.weight_params[(i, "w")].scale
+    bias = qm.float_weights.get((i, "b"))
     if bias is not None:
-        acc = acc + np.round(bias.astype(np.float64) / out_scale).astype(np.int32)
-    return acc.astype(np.float64) * out_scale
+        bias = np.round(bias.astype(np.float64) / out_scale).astype(np.int32)
+    acc = zoo.OPS[layer.kind].linear(layer, xq, qm.weight_payloads[(i, "w")].astype(np.int32), bias)
+    return acc.astype(np.float64) * out_scale, None
+
+
+def _norm_step(qm, layer, x, run):
+    """Inference batch norm in float64 from the stored float32 parameters."""
+    gamma, beta, mean, var = (qm.float_weights[(run.i, n)].astype(np.float64) for n in layer.weight_names())
+    return (x - mean) / np.sqrt(var + layer.config["eps"]) * gamma + beta, None
 
 
 def quantized_forward(qm: QuantizedModel, spec):
     """Integer-arithmetic inference; returns a float Prediction.
 
-    Convolutions and the dense layer run on INT8 codes with int32
-    accumulators; each one requantizes its input with the calibrated
-    affine params of the tensor feeding it. Everything else (pooling,
-    residual adds, nonlinearities, the remaining norms, softmax) runs in
-    float between the integer layers.
+    The float graph walk with its own steps for the convolutions and the
+    dense layer, which run on INT8 codes with int32 accumulators (each
+    requantizes its input with the calibrated affine params of the tensor
+    feeding it), and for the remaining norms, which run in float64.
+    Pooling, residual adds, nonlinearities and softmax run as in float.
     """
-    if qm.activation_params is None or not qm.activation_params:
+    if not qm.activation_params:
         raise QuantizationError("missing calibration: quantize with at least one input")
-    model = qm.graph
-    data = spec.data if hasattr(spec, "data") else np.asarray(spec)
-    if data.shape != model.input_shape[:2]:
-        raise QuantizationError(
-            f"input shape mismatch: expected {model.input_shape[:2]}, got {data.shape}"
-        )
-    x = data[None, ..., None].astype(np.float64)
-    skips = []
-    logits = None
-    for idx, layer in enumerate(model.layers):
-        k = layer.kind
-        if k in INT_KINDS:
-            in_params = qm.input_params if idx == 0 else qm.activation_params[idx - 1]
-            x = _integer_layer(layer, idx, x, in_params, qm)
-            if k == "dense":
-                logits = x
-        elif k == "batch_norm":
-            gamma = qm.float_weights[(idx, "gamma")].astype(np.float64)
-            beta = qm.float_weights[(idx, "beta")].astype(np.float64)
-            mean = qm.float_weights[(idx, "moving_mean")].astype(np.float64)
-            var = qm.float_weights[(idx, "moving_var")].astype(np.float64)
-            x = (x - mean) / np.sqrt(var + layer.config["eps"]) * gamma + beta
-        elif k == "elu":
-            x = kernels.elu(x)
-        elif k == "gelu":
-            x = kernels.gelu(x)
-        elif k == "max_pool":
-            x, _ = kernels.max_pool(x, layer.config["pool"])
-        elif k == "global_avg_pool":
-            x = kernels.global_avg_pool(x)
-        elif k == "dropout":
-            pass
-        elif k == "softmax":
-            x = kernels.softmax(x)
-        elif k == "residual_add_begin":
-            skips.append(x)
-        elif k == "residual_add_end":
-            x = x + skips.pop()
-    p = x[0]
+    try:
+        x = zoo.stack_inputs(qm.graph, [spec], np.float64)
+    except ShapeError as exc:
+        raise QuantizationError(str(exc)) from None
+    steps = {kind: functools.partial(_integer_step, qm) for kind, op in zoo.OPS.items() if op.linear}
+    steps["batch_norm"] = functools.partial(_norm_step, qm)
+    probs, logits = zoo.walk(qm.graph, x, zoo.Run(), steps)
+    p = probs[0]
     return zoo.Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
 
 
@@ -324,10 +262,7 @@ def save_quantized(qm: QuantizedModel, path):
                     p = qm.weight_params[(i, name)]
                     fh.write(struct.pack("<B", 1))
                     fh.write(struct.pack("<dh", p.scale, p.zero_point))
-                    fh.write(struct.pack("<B", arr.ndim))
-                    for d in arr.shape:
-                        fh.write(struct.pack("<I", d))
-                    fh.write(arr.tobytes())
+                    zoo._write_array(fh, arr, np.int8)
                 else:
                     fh.write(struct.pack("<B", 0))
                     zoo._write_array(fh, qm.float_weights[(i, name)])
@@ -339,40 +274,35 @@ def save_quantized(qm: QuantizedModel, path):
 
 def load_quantized(path) -> QuantizedModel:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        reader = zoo._Reader(fh, QuantizationError)
+        magic = reader.read(4)
         if magic != QMAGIC:
-            raise QuantizationError(f"not a quantized model file (magic {magic!r})")
-        header = zoo._read_header(fh)
-        graph = fold_batch_norm(zoo.rebuild_from_header(header))
-        (n_layers,) = struct.unpack("<H", fh.read(2))
+            reader.fail(f"not a quantized model file (magic {magic!r})")
+        graph = fold_batch_norm(zoo.rebuild_from_header(zoo._read_header(reader)))
+        (n_layers,) = reader.unpack("<H")
         if n_layers != len(graph.layers):
-            raise QuantizationError(
-                f"stored layer count {n_layers} != rebuilt graph {len(graph.layers)}"
-            )
+            reader.fail(f"stored layer count {n_layers} != rebuilt graph {len(graph.layers)}")
         payloads, wparams, floats = {}, {}, {}
         for i, layer in enumerate(graph.layers):
             names = layer.weight_names()
-            (count,) = struct.unpack("<B", fh.read(1))
+            (count,) = reader.unpack("<B")
             if count != len(names):
-                raise QuantizationError(f"layer {i}: {count} tensors stored, {len(names)} expected")
+                reader.fail(f"layer {i}: {count} tensors stored, {len(names)} expected")
             for name in names:
-                (tag,) = struct.unpack("<B", fh.read(1))
+                (tag,) = reader.unpack("<B")
+                expected, what = layer.weights[name].shape, f"layer {i} weight {name}"
                 if tag == 1:
-                    scale, zp = struct.unpack("<dh", fh.read(10))
-                    (ndim,) = struct.unpack("<B", fh.read(1))
-                    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                    n = int(np.prod(shape)) if shape else 1
-                    arr = np.frombuffer(fh.read(n), dtype=np.int8).reshape(shape).copy()
-                    payloads[(i, name)] = arr
+                    scale, zp = reader.unpack("<dh")
+                    payloads[(i, name)] = reader.array(expected, what, np.int8)
                     wparams[(i, name)] = QuantParams(scale, zp, "symmetric_weight")
                 else:
-                    floats[(i, name)] = zoo._read_array(fh)
-        in_scale, in_zp = struct.unpack("<dh", fh.read(10))
-        (n_acts,) = struct.unpack("<H", fh.read(2))
-        act_params = []
-        for _ in range(n_acts):
-            scale, zp = struct.unpack("<dh", fh.read(10))
-            act_params.append(QuantParams(scale, zp, "affine_activation"))
+                    floats[(i, name)] = reader.array(expected, what)
+        in_scale, in_zp = reader.unpack("<dh")
+        (n_acts,) = reader.unpack("<H")
+        if n_acts != len(graph.layers):
+            reader.fail(f"{n_acts} activation params stored, {len(graph.layers)} expected")
+        act_params = [QuantParams(*reader.unpack("<dh"), "affine_activation") for _ in range(n_acts)]
+        reader.end()
     return QuantizedModel(
         graph=graph,
         weight_payloads=payloads,

@@ -206,12 +206,6 @@ def validate_run_invariants(run: TrainRun, cfg: TrainingConfig = None):
     return True
 
 
-def _stack(examples, dtype):
-    xs = np.stack([np.asarray(s.data, dtype=dtype)[..., None] for s, _ in examples])
-    ys = np.array([label for _, label in examples], dtype=np.int64)
-    return xs, ys
-
-
 def _loss_grad(probs, labels, n_classes):
     """Mean cross-entropy over the batch and its gradient w.r.t. the probabilities."""
     n = probs.shape[0]
@@ -247,7 +241,8 @@ def train(model, examples, cfg: TrainingConfig = None):
     order = rng.permutation(len(examples))
     n_val = min(max(1, round(cfg.val_fraction * len(examples))), len(examples) - 1)
     val_idx, train_idx = order[:n_val], order[n_val:]
-    xs_all, ys_all = _stack(examples, model.dtype)
+    xs_all = zoo.stack_inputs(model, [spec for spec, _ in examples], model.dtype)
+    ys_all = np.array([label for _, label in examples], dtype=np.int64)
     xs_tr, ys_tr = xs_all[train_idx], ys_all[train_idx]
     xs_va, ys_va = xs_all[val_idx], ys_all[val_idx]
 

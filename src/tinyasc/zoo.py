@@ -26,38 +26,6 @@ from . import kernels
 from .errors import GraphBuildError, ShapeError
 from .frontend import Spectrogram
 
-LAYER_KINDS = (
-    "conv2d",
-    "depthwise_conv2d",
-    "pointwise_conv2d",
-    "batch_norm",
-    "elu",
-    "gelu",
-    "max_pool",
-    "global_avg_pool",
-    "dense",
-    "dropout",
-    "softmax",
-    "residual_add_begin",
-    "residual_add_end",
-)
-
-# deterministic weight order per kind, used by init, Adam state, and serialization
-WEIGHT_ORDER = {
-    "conv2d": ("w", "b"),
-    "depthwise_conv2d": ("w", "b"),
-    "pointwise_conv2d": ("w", "b"),
-    "batch_norm": ("gamma", "beta", "moving_mean", "moving_var"),
-    "dense": ("w", "b"),
-}
-TRAINABLE_WEIGHTS = {
-    "conv2d": ("w", "b"),
-    "depthwise_conv2d": ("w", "b"),
-    "pointwise_conv2d": ("w", "b"),
-    "batch_norm": ("gamma", "beta"),
-    "dense": ("w", "b"),
-}
-
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 DROPOUT_RATE = 0.3
@@ -71,12 +39,10 @@ class LayerSpec:
     name: str
     config: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
-    trainable: bool = False
-    input_shape: tuple = None
     output_shape: tuple = None
 
     def weight_names(self):
-        order = WEIGHT_ORDER.get(self.kind, ())
+        order = getattr(OPS.get(self.kind), "weights", ())
         return tuple(n for n in order if n in self.weights)
 
 
@@ -113,23 +79,21 @@ def _conv(name, kernel, cin, cout, use_bias, stride=1, padding="same", dtype=np.
     if use_bias:
         weights["b"] = np.zeros(cout, dtype=dtype)
     cfg = {"kernel": kernel, "stride": stride, "padding": padding, "use_bias": use_bias}
-    return LayerSpec("conv2d", name, cfg, weights, trainable=True)
+    return LayerSpec("conv2d", name, cfg, weights)
 
 
 def _depthwise(name, kernel, channels, use_bias, dtype=np.float32):
     weights = {"w": np.zeros((kernel, kernel, channels), dtype=dtype)}
     if use_bias:
         weights["b"] = np.zeros(channels, dtype=dtype)
-    return LayerSpec(
-        "depthwise_conv2d", name, {"kernel": kernel, "use_bias": use_bias}, weights, trainable=True
-    )
+    return LayerSpec("depthwise_conv2d", name, {"kernel": kernel, "use_bias": use_bias}, weights)
 
 
 def _pointwise(name, cin, cout, use_bias, dtype=np.float32):
     weights = {"w": np.zeros((1, 1, cin, cout), dtype=dtype)}
     if use_bias:
         weights["b"] = np.zeros(cout, dtype=dtype)
-    return LayerSpec("pointwise_conv2d", name, {"use_bias": use_bias}, weights, trainable=True)
+    return LayerSpec("pointwise_conv2d", name, {"use_bias": use_bias}, weights)
 
 
 def _batch_norm(name, channels, dtype=np.float32):
@@ -139,14 +103,12 @@ def _batch_norm(name, channels, dtype=np.float32):
         "moving_mean": np.zeros(channels, dtype=dtype),
         "moving_var": np.ones(channels, dtype=dtype),
     }
-    return LayerSpec(
-        "batch_norm", name, {"eps": BN_EPS, "momentum": BN_MOMENTUM}, weights, trainable=True
-    )
+    return LayerSpec("batch_norm", name, {"eps": BN_EPS, "momentum": BN_MOMENTUM}, weights)
 
 
 def _dense(name, n_in, n_out, dtype=np.float32):
     weights = {"w": np.zeros((n_in, n_out), dtype=dtype), "b": np.zeros(n_out, dtype=dtype)}
-    return LayerSpec("dense", name, {}, weights, trainable=True)
+    return LayerSpec("dense", name, {}, weights)
 
 
 def _simple(kind, name, **cfg):
@@ -271,8 +233,232 @@ def build_conv_mixer(
     return model
 
 
+# --- layer kinds -----------------------------------------------------------
+#
+# Everything the engine knows about a layer kind is its OPS entry. Steps look
+# kernels up as ``kernels.<name>`` when they run, so that a wrapper installed
+# on the kernels module (a tracer, a test counter) sees every call.
+
+
+@dataclass
+class Run:
+    """State of one walk: the mode, the dropout rng, the open residual skips,
+    and the index of the layer being run."""
+
+    train: bool = False
+    rng: object = None
+    skips: list = field(default_factory=list)
+    i: int = 0
+
+
+def _fail(where, problem):
+    raise GraphBuildError(f"{where}: {problem}")
+
+
+def _kernel_backward(layer, cache, g, run):
+    return getattr(kernels, f"{layer.kind}_backward")(cache, g), None
+
+
+@dataclass
+class Op:
+    """One layer kind.
+
+    forward(layer, x, run) -> (output, cache for backward)
+    backward(layer, cache, grad, run) -> (input grad, {weight: grad} or None)
+    shape(layer, shape, skips, where) -> output shape, or GraphBuildError
+    linear(layer, x, w, b) -> conv or dense output; INT8 runs it on codes
+    fans(*w.shape) -> Glorot (fan_in, fan_out)
+    params(layer, convention), macs(layer, convention) -> analytic counts
+    """
+
+    forward: object
+    backward: object = _kernel_backward  # kernels.<kind>_backward(cache, grad)
+    shape: object = lambda layer, shape, skips, where: shape
+    weights: tuple = ()  # storage order: init, Adam state, serialization
+    trainable: tuple = ()
+    linear: object = None
+    fans: object = None
+    params: object = lambda layer, convention: 0
+    macs: object = lambda layer, convention: 0
+    folds_norm: bool = False  # a batch norm right behind it folds into its kernel
+    logits: bool = False  # its output is the classifier's logits
+    needs_cache: bool = True
+
+
+def _conv_shape(layer, shape, skips, where):
+    """Kernels are (kh, kw, cin, cout), or (kh, kw, c) for depthwise."""
+    kernel = layer.weights["w"].shape
+    cin, cout = kernel[2], kernel[-1]
+    if cin != shape[2]:
+        _fail(where, f"expects {cin} channels, gets {shape[2]}")
+    if layer.config.get("padding", "same") == "same":
+        return (shape[0], shape[1], cout)
+    stride = layer.config.get("stride", 1)
+    h, w = (shape[0] - kernel[0]) // stride + 1, (shape[1] - kernel[1]) // stride + 1
+    if h < 1 or w < 1:
+        _fail(where, f"kernel exceeds input {shape[:2]}")
+    return (h, w, cout)
+
+
+def _dense_shape(layer, shape, skips, where):
+    n_in, n_out = layer.weights["w"].shape
+    return (n_out,) if shape == (n_in,) else _fail(where, f"expects ({n_in},), gets {shape}")
+
+
+def _norm_shape(layer, shape, skips, where):
+    c = layer.weights["gamma"].shape
+    return shape if c == (shape[-1],) else _fail(where, f"{c[0]} channels, gets {shape[-1]}")
+
+
+def _pool_shape(layer, shape, skips, where):
+    ph, pw = layer.config["pool"]
+    h, w = shape[0] // ph, shape[1] // pw
+    if h < 1 or w < 1:
+        _fail(where, f"pool ({ph},{pw}) exceeds input {shape[:2]}")
+    return (h, w, shape[2])
+
+
+def _gap_shape(layer, shape, skips, where):
+    return (shape[2],) if len(shape) == 3 else _fail(where, f"needs a spatial input, gets {shape}")
+
+
+def _skip_shape(layer, shape, skips, where):
+    skips.append(shape)
+    return shape
+
+
+def _add_shape(layer, shape, skips, where):
+    skip = skips.pop() if skips else _fail(where, "no matching residual_add_begin")
+    return shape if skip == shape else _fail(where, f"skip shape {skip} != main path {shape}")
+
+
+def _conv_args(layer):
+    return {"stride": layer.config.get("stride", 1), "padding": layer.config.get("padding", "same")}
+
+
+def _linear_op(linear, backward, fans, shape=_conv_shape, **flags):
+    """A conv or dense kind: ``linear(layer, x, w, b)`` is its kernel and
+    ``backward(layer, x, w, grad, with_bias)`` returns (gx, gw, gb)."""
+
+    def forward(layer, x, run):
+        return linear(layer, x, layer.weights["w"], layer.weights.get("b")), x
+
+    def grads(layer, x, g, run):
+        gx, gw, gb = backward(layer, x, layer.weights["w"], g, "b" in layer.weights)
+        return gx, ({"w": gw} if gb is None else {"w": gw, "b": gb})
+
+    def params(layer, convention):
+        kernel = layer.weights["w"].shape
+        return int(np.prod(kernel)) + (kernel[-1] if "b" in layer.weights else 0)
+
+    def macs(layer, convention):
+        # each output entry takes one multiply per kernel entry of its channel
+        cells = int(np.prod(layer.output_shape))
+        bias = cells if convention.count_bias_macs and "b" in layer.weights else 0
+        return int(np.prod(layer.weights["w"].shape[:-1])) * cells + bias
+
+    return Op(
+        forward, grads, shape, weights=("w", "b"), trainable=("w", "b"),
+        linear=linear, fans=fans, params=params, macs=macs, **flags,
+    )
+
+
+def _norm_forward(layer, x, run):
+    w, cfg = layer.weights, layer.config
+    y, cache, (mm, mv) = kernels.batch_norm(
+        x, *(w[n] for n in layer.weight_names()), eps=cfg["eps"], momentum=cfg["momentum"], train=run.train
+    )
+    if run.train:
+        w["moving_mean"], w["moving_var"] = mm.astype(y.dtype), mv.astype(y.dtype)
+    return y, cache
+
+
+def _norm_backward(layer, cache, g, run):
+    g, g_gamma, g_beta = kernels.batch_norm_backward(cache, g)
+    return g, {"gamma": g_gamma, "beta": g_beta}
+
+
+def _softmax_forward(layer, x, run):
+    probs = kernels.softmax(x)
+    return probs, probs
+
+
+def _push_skip(layer, x, run):
+    run.skips.append(x)
+    return x, None
+
+
+def _add_skip(layer, x, run):
+    return x + run.skips.pop(), None
+
+
+OPS = {
+    "conv2d": _linear_op(
+        lambda layer, x, w, b: kernels.conv2d(x, w, b, **_conv_args(layer)),
+        lambda layer, x, w, g, bias: kernels.conv2d_backward(x, w, g, with_bias=bias, **_conv_args(layer)),
+        fans=lambda kh, kw, cin, cout: (kh * kw * cin, kh * kw * cout),
+        folds_norm=True,
+    ),
+    "depthwise_conv2d": _linear_op(
+        lambda layer, x, w, b: kernels.depthwise_conv2d(x, w, b),
+        lambda layer, x, w, g, bias: kernels.depthwise_conv2d_backward(x, w, g, with_bias=bias),
+        fans=lambda kh, kw, c: (kh * kw * c, kh * kw),
+        folds_norm=True,
+    ),
+    "pointwise_conv2d": _linear_op(
+        lambda layer, x, w, b: kernels.pointwise_conv2d(x, w, b),
+        lambda layer, x, w, g, bias: kernels.pointwise_conv2d_backward(x, w, g, with_bias=bias),
+        fans=lambda kh, kw, cin, cout: (cin, cout),
+        folds_norm=True,
+    ),
+    "dense": _linear_op(
+        lambda layer, x, w, b: kernels.dense(x, w, b),
+        lambda layer, x, w, g, bias: kernels.dense_backward(x, w, g),
+        fans=lambda n, m: (n, m),
+        shape=_dense_shape,
+        logits=True,
+    ),
+    "batch_norm": Op(
+        _norm_forward,
+        _norm_backward,
+        _norm_shape,
+        weights=("gamma", "beta", "moving_mean", "moving_var"),
+        trainable=("gamma", "beta"),
+        params=lambda layer, convention: convention.bn_params_per_channel * layer.weights["gamma"].shape[0],
+        macs=lambda layer, convention: (
+            2 * int(np.prod(layer.output_shape)) if convention.count_bn_macs else 0
+        ),
+    ),
+    "elu": Op(lambda layer, x, run: (kernels.elu(x), x)),
+    "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x)),
+    "max_pool": Op(lambda layer, x, run: kernels.max_pool(x, layer.config["pool"]), shape=_pool_shape),
+    "global_avg_pool": Op(lambda layer, x, run: (kernels.global_avg_pool(x), x.shape), shape=_gap_shape),
+    "dropout": Op(
+        lambda layer, x, run: kernels.dropout(x, layer.config["rate"], train=run.train, rng=run.rng),
+        lambda layer, mask, g, run: (kernels.dropout_backward(mask, layer.config["rate"], g), None),
+        needs_cache=False,
+    ),
+    "softmax": Op(_softmax_forward),
+    # backward, a skip's gradient waits at the add and joins where the skip began
+    "residual_add_begin": Op(
+        _push_skip, lambda layer, _, g, run: _add_skip(layer, g, run), _skip_shape, needs_cache=False
+    ),
+    "residual_add_end": Op(
+        _add_skip, lambda layer, _, g, run: _push_skip(layer, g, run), _add_shape, needs_cache=False
+    ),
+}
+TRAINABLE_WEIGHTS = {kind: op.trainable for kind, op in OPS.items() if op.trainable}
+
+
+def layer_op(layer, idx):
+    """The OPS entry of ``layer``; an unknown kind raises GraphBuildError naming the layer."""
+    if layer.kind not in OPS:
+        _fail(f"layer {idx} ({layer.name}, {layer.kind})", "unknown layer kind")
+    return OPS[layer.kind]
+
+
 def infer_shapes(model):
-    """Walk the graph symbolically, filling per-layer input/output shapes.
+    """Walk the graph symbolically, filling per-layer output shapes.
 
     Raises GraphBuildError naming the offending layer if weight shapes or
     residual wiring are inconsistent. Returns the list of output shapes.
@@ -281,63 +467,7 @@ def infer_shapes(model):
     skips = []
     shapes = []
     for idx, layer in enumerate(model.layers):
-        layer.input_shape = shape
-        where = f"layer {idx} ({layer.name}, {layer.kind})"
-        k = layer.kind
-        if k == "conv2d":
-            kh, kw, cin, cout = layer.weights["w"].shape
-            if cin != shape[2]:
-                raise GraphBuildError(f"{where}: expects {cin} channels, gets {shape[2]}")
-            stride = layer.config.get("stride", 1)
-            if layer.config.get("padding", "same") == "same":
-                shape = (shape[0], shape[1], cout)
-            else:
-                h = (shape[0] - kh) // stride + 1
-                w = (shape[1] - kw) // stride + 1
-                if h < 1 or w < 1:
-                    raise GraphBuildError(f"{where}: kernel exceeds input {shape[:2]}")
-                shape = (h, w, cout)
-        elif k == "depthwise_conv2d":
-            kh, kw, c = layer.weights["w"].shape
-            if c != shape[2]:
-                raise GraphBuildError(f"{where}: expects {c} channels, gets {shape[2]}")
-        elif k == "pointwise_conv2d":
-            _, _, cin, cout = layer.weights["w"].shape
-            if cin != shape[2]:
-                raise GraphBuildError(f"{where}: expects {cin} channels, gets {shape[2]}")
-            shape = (shape[0], shape[1], cout)
-        elif k == "batch_norm":
-            if layer.weights["gamma"].shape != (shape[-1],):
-                raise GraphBuildError(
-                    f"{where}: {layer.weights['gamma'].shape[0]} channels, gets {shape[-1]}"
-                )
-        elif k == "max_pool":
-            ph, pw = layer.config["pool"]
-            h, w = shape[0] // ph, shape[1] // pw
-            if h < 1 or w < 1:
-                raise GraphBuildError(f"{where}: pool ({ph},{pw}) exceeds input {shape[:2]}")
-            shape = (h, w, shape[2])
-        elif k == "global_avg_pool":
-            if len(shape) != 3:
-                raise GraphBuildError(f"{where}: needs a spatial input, gets {shape}")
-            shape = (shape[2],)
-        elif k == "dense":
-            n_in, n_out = layer.weights["w"].shape
-            if shape != (n_in,):
-                raise GraphBuildError(f"{where}: expects ({n_in},), gets {shape}")
-            shape = (n_out,)
-        elif k == "residual_add_begin":
-            skips.append(shape)
-        elif k == "residual_add_end":
-            if not skips:
-                raise GraphBuildError(f"{where}: no matching residual_add_begin")
-            skip = skips.pop()
-            if skip != shape:
-                raise GraphBuildError(f"{where}: skip shape {skip} != main path {shape}")
-        elif k in ("elu", "gelu", "dropout", "softmax"):
-            pass
-        else:
-            raise GraphBuildError(f"{where}: unknown layer kind")
+        shape = layer_op(layer, idx).shape(layer, shape, skips, f"layer {idx} ({layer.name}, {layer.kind})")
         layer.output_shape = shape
         shapes.append(shape)
     if skips:
@@ -349,20 +479,10 @@ def infer_shapes(model):
 
 def glorot_fans(layer):
     """(fan_in, fan_out) per layer kind, mirroring common framework counting."""
-    k = layer.kind
-    w = layer.weights["w"]
-    if k == "conv2d":
-        kh, kw, cin, cout = w.shape
-        return kh * kw * cin, kh * kw * cout
-    if k == "pointwise_conv2d":
-        _, _, cin, cout = w.shape
-        return cin, cout
-    if k == "depthwise_conv2d":
-        kh, kw, c = w.shape
-        return kh * kw * c, kh * kw
-    if k == "dense":
-        return w.shape[0], w.shape[1]
-    raise ValueError(f"no glorot fans for kind {k}")
+    fans = getattr(OPS.get(layer.kind), "fans", None)
+    if fans is None:
+        raise ValueError(f"no glorot fans for kind {layer.kind}")
+    return fans(*layer.weights["w"].shape)
 
 
 def init_weights(model, seed, dtype=None):
@@ -376,19 +496,37 @@ def init_weights(model, seed, dtype=None):
     dt = model.dtype
     rng = np.random.default_rng(seed)
     for layer in model.layers:
-        if layer.kind in ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense"):
-            fan_in, fan_out = glorot_fans(layer)
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            layer.weights["w"] = rng.uniform(-limit, limit, layer.weights["w"].shape).astype(dt)
-            if "b" in layer.weights:
-                layer.weights["b"] = np.zeros_like(layer.weights["b"], dtype=dt)
-        elif layer.kind == "batch_norm":
-            c = layer.weights["gamma"].shape[0]
-            layer.weights["gamma"] = np.ones(c, dtype=dt)
-            layer.weights["beta"] = np.zeros(c, dtype=dt)
-            layer.weights["moving_mean"] = np.zeros(c, dtype=dt)
-            layer.weights["moving_var"] = np.ones(c, dtype=dt)
+        for name in layer.weight_names():
+            shape = layer.weights[name].shape
+            if name == "w":
+                limit = np.sqrt(6.0 / sum(glorot_fans(layer)))
+                layer.weights[name] = rng.uniform(-limit, limit, shape).astype(dt)
+            elif name in ("gamma", "moving_var"):
+                layer.weights[name] = np.ones(shape, dtype=dt)
+            else:
+                layer.weights[name] = np.zeros(shape, dtype=dt)
     return model
+
+
+def walk(model, x, run, steps=None, caches=None, record=None):
+    """Run every layer's forward step, or ``steps[kind]`` in its place, on x.
+
+    Returns (output, logits). Each layer's backward cache is appended to
+    ``caches`` and its output to ``record`` when those are lists.
+    """
+    logits = None
+    for idx, layer in enumerate(model.layers):
+        op = layer_op(layer, idx)
+        run.i = idx
+        x, cache = (steps or {}).get(layer.kind, op.forward)(layer, x, run)
+        if op.logits:
+            logits = x
+        if caches is not None:
+            caches.append(cache)
+        del cache  # unless kept, a layer's cache must not outlive its step
+        if record is not None:
+            record.append(x)
+    return x, logits
 
 
 def run_graph(model, x, train=False, rng=None, keep_caches=False, record_activations=None):
@@ -400,72 +538,8 @@ def run_graph(model, x, train=False, rng=None, keep_caches=False, record_activat
     requested) hold what each layer's backward pass needs. If
     ``record_activations`` is a list, every layer's output is appended.
     """
-    skips = []
     caches = [] if keep_caches else None
-    logits = None
-    for layer in model.layers:
-        k = layer.kind
-        w = layer.weights
-        cache = None
-        if k == "conv2d":
-            cache = x
-            x = kernels.conv2d(
-                x,
-                w["w"],
-                w.get("b"),
-                stride=layer.config.get("stride", 1),
-                padding=layer.config.get("padding", "same"),
-            )
-        elif k == "depthwise_conv2d":
-            cache = x
-            x = kernels.depthwise_conv2d(x, w["w"], w.get("b"))
-        elif k == "pointwise_conv2d":
-            cache = x
-            x = kernels.pointwise_conv2d(x, w["w"], w.get("b"))
-        elif k == "batch_norm":
-            x, cache, (mm, mv) = kernels.batch_norm(
-                x,
-                w["gamma"],
-                w["beta"],
-                w["moving_mean"],
-                w["moving_var"],
-                eps=layer.config["eps"],
-                momentum=layer.config["momentum"],
-                train=train,
-            )
-            if train:
-                w["moving_mean"], w["moving_var"] = mm.astype(x.dtype), mv.astype(x.dtype)
-        elif k == "elu":
-            cache = x
-            x = kernels.elu(x)
-        elif k == "gelu":
-            cache = x
-            x = kernels.gelu(x)
-        elif k == "max_pool":
-            x, cache = kernels.max_pool(x, layer.config["pool"])
-        elif k == "global_avg_pool":
-            cache = x.shape
-            x = kernels.global_avg_pool(x)
-        elif k == "dense":
-            cache = x
-            x = kernels.dense(x, w["w"], w["b"])
-            logits = x
-        elif k == "dropout":
-            x, mask = kernels.dropout(x, layer.config["rate"], train=train, rng=rng)
-            cache = mask
-        elif k == "softmax":
-            x = kernels.softmax(x)
-            cache = x
-        elif k == "residual_add_begin":
-            skips.append(x)
-        elif k == "residual_add_end":
-            x = x + skips.pop()
-        else:
-            raise ShapeError(f"unknown layer kind {k}")
-        if keep_caches:
-            caches.append(cache)
-        if record_activations is not None:
-            record_activations.append(x)
+    x, logits = walk(model, x, Run(train, rng), caches=caches, record=record_activations)
     return x, logits, caches
 
 
@@ -478,78 +552,40 @@ def backward_graph(model, caches, grad_out):
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")
     grads = {}
-    skip_grads = []
+    run = Run()
     g = grad_out
     for idx in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[idx]
-        k = layer.kind
-        w = layer.weights
-        cache = caches[idx]
-        needs_cache = k not in ("residual_add_begin", "residual_add_end") and not (
-            k == "dropout" and cache is None
-        )
-        if needs_cache and cache is None:
+        op = layer_op(layer, idx)
+        if op.needs_cache and caches[idx] is None:
             raise ShapeError(f"missing forward cache for layer {idx} ({layer.name})")
-        if k == "conv2d":
-            gx, gw, gb = kernels.conv2d_backward(
-                cache,
-                w["w"],
-                g,
-                stride=layer.config.get("stride", 1),
-                padding=layer.config.get("padding", "same"),
-                with_bias="b" in w,
-            )
-            grads[idx] = {"w": gw} if gb is None else {"w": gw, "b": gb}
-            g = gx
-        elif k == "depthwise_conv2d":
-            gx, gw, gb = kernels.depthwise_conv2d_backward(cache, w["w"], g, with_bias="b" in w)
-            grads[idx] = {"w": gw} if gb is None else {"w": gw, "b": gb}
-            g = gx
-        elif k == "pointwise_conv2d":
-            gx, gw, gb = kernels.pointwise_conv2d_backward(cache, w["w"], g, with_bias="b" in w)
-            grads[idx] = {"w": gw} if gb is None else {"w": gw, "b": gb}
-            g = gx
-        elif k == "batch_norm":
-            g, g_gamma, g_beta = kernels.batch_norm_backward(cache, g)
-            grads[idx] = {"gamma": g_gamma, "beta": g_beta}
-        elif k == "elu":
-            g = kernels.elu_backward(cache, g)
-        elif k == "gelu":
-            g = kernels.gelu_backward(cache, g)
-        elif k == "max_pool":
-            g = kernels.max_pool_backward(cache, g)
-        elif k == "global_avg_pool":
-            g = kernels.global_avg_pool_backward(cache, g)
-        elif k == "dense":
-            gx, gw, gb = kernels.dense_backward(cache, w["w"], g)
-            grads[idx] = {"w": gw, "b": gb}
-            g = gx
-        elif k == "dropout":
-            g = kernels.dropout_backward(cache, layer.config["rate"], g)
-        elif k == "softmax":
-            g = kernels.softmax_backward(cache, g)
-        elif k == "residual_add_end":
-            skip_grads.append(g)
-        elif k == "residual_add_begin":
-            g = g + skip_grads.pop()
+        g, layer_grads = op.backward(layer, caches[idx], g, run)
+        if layer_grads is not None:
+            grads[idx] = layer_grads
     return grads, g
+
+
+def stack_inputs(model, specs, dtype):
+    """Stack Spectrograms or (H, W) arrays into an (N, H, W, 1) batch of ``dtype``.
+
+    An (H, W, C) array of the model's input shape is taken as it is; any
+    other shape raises ShapeError naming the expected and the actual shape.
+    """
+    expected = model.input_shape
+    batch = []
+    for spec in specs:
+        data = np.asarray(spec.data if isinstance(spec, Spectrogram) else spec)
+        if data.shape == expected[:2] and expected[2] == 1:
+            data = data[..., None]
+        elif data.shape != expected:
+            raise ShapeError(f"input shape mismatch: expected {expected[:2]} (x1 channel), got {data.shape}")
+        batch.append(data.astype(dtype))
+    return np.stack(batch)
 
 
 def forward(model, spec):
     """Deterministic single-example inference: Spectrogram -> Prediction."""
-    expected = model.input_shape
-    if isinstance(spec, Spectrogram):
-        data = spec.data
-    else:
-        data = np.asarray(spec)
-    if data.shape == expected:
-        x = data
-    elif data.shape == expected[:2] and expected[2] == 1:
-        x = data[..., None]
-    else:
-        raise ShapeError(f"input shape mismatch: expected {expected[:2]} (x1 channel), got {data.shape}")
-    x = x[None, ...].astype(model.dtype)
-    probs, logits, _ = run_graph(model, x, train=False)
+    probs, logits, _ = run_graph(model, stack_inputs(model, [spec], model.dtype), train=False)
     p = probs[0]
     return Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
 
@@ -618,16 +654,50 @@ def _write_header(fh, model):
     )
 
 
-def _read_header(fh):
-    magic = fh.read(4)
+class _Reader:
+    """Exact-length reads from a model file: a short read, or a byte after
+    the last record, raises ``error`` naming the file and the byte offset."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error, self.offset = fh, error, 0
+
+    def fail(self, problem):
+        raise self.error(f"{self.fh.name}: {problem}")
+
+    def read(self, n):
+        data = self.fh.read(n)
+        if len(data) != n:
+            self.fail(f"truncated at byte {self.offset + len(data)}, wanted {n} bytes")
+        self.offset += n
+        return data
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def array(self, expected, where, dtype="<f4"):
+        """The next stored array, which must have shape ``expected``."""
+        (ndim,) = self.unpack("<B")
+        shape = self.unpack(f"<{ndim}I")
+        if shape != expected:
+            self.fail(f"{where}: stored shape {shape} != expected {expected}")
+        data = self.read(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+    def end(self):
+        if self.fh.read(1):
+            self.fail(f"unexpected data after the last record, at byte {self.offset}")
+
+
+def _read_header(reader):
+    magic = reader.read(4)
     if magic != MAGIC:
-        raise ShapeError(f"not a model checkpoint (magic {magic!r})")
-    fields = struct.unpack("<HBHHHHBBHHHH", fh.read(21))
+        reader.fail(f"not a model checkpoint (magic {magic!r})")
+    fields = reader.unpack("<HBHHHHBBHHHH")
     version, arch_id, f1, f2, kernel, patch, use_bias, patch_norm, n_classes, h, w, c = fields
     if version != FORMAT_VERSION:
-        raise ShapeError(f"unsupported checkpoint version {version}")
+        reader.fail(f"unsupported checkpoint version {version}")
     if arch_id not in _ARCH_NAMES:
-        raise ShapeError(f"unknown architecture id {arch_id}")
+        reader.fail(f"unknown architecture id {arch_id}")
     return {
         "arch_tag": _ARCH_NAMES[arch_id],
         "filters": (f1, f2),
@@ -660,20 +730,12 @@ def rebuild_from_header(header):
     )
 
 
-def _write_array(fh, arr):
-    arr = np.ascontiguousarray(arr, dtype="<f4")
+def _write_array(fh, arr, dtype="<f4"):
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     fh.write(struct.pack("<B", arr.ndim))
     for d in arr.shape:
         fh.write(struct.pack("<I", d))
     fh.write(arr.tobytes())
-
-
-def _read_array(fh):
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
-    return data.copy()
 
 
 def save_model(model, path):
@@ -690,19 +752,14 @@ def save_model(model, path):
 def load_model(path):
     """Rebuild the graph from the header and pour the stored weights in."""
     with open(path, "rb") as fh:
-        header = _read_header(fh)
-        model = rebuild_from_header(header)
+        reader = _Reader(fh, ShapeError)
+        model = rebuild_from_header(_read_header(reader))
         for idx, layer in enumerate(model.layers):
             names = layer.weight_names()
-            (count,) = struct.unpack("<B", fh.read(1))
+            (count,) = reader.unpack("<B")
             if count != len(names):
-                raise ShapeError(f"layer {idx}: checkpoint has {count} tensors, graph expects {len(names)}")
+                reader.fail(f"layer {idx}: checkpoint has {count} tensors, graph expects {len(names)}")
             for name in names:
-                arr = _read_array(fh)
-                if arr.shape != layer.weights[name].shape:
-                    raise ShapeError(
-                        f"layer {idx} weight {name}: stored shape {arr.shape} "
-                        f"!= expected {layer.weights[name].shape}"
-                    )
-                layer.weights[name] = arr
+                layer.weights[name] = reader.array(layer.weights[name].shape, f"layer {idx} weight {name}")
+        reader.end()
     return model

@@ -144,6 +144,16 @@ class TestTrainEvalQuantize:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_eval_truncated_checkpoint_exits_1_without_traceback(self, artifacts, tmp_path):
+        _, ckpt, _ = artifacts
+        blob = ckpt.read_bytes()
+        short = tmp_path / "half.tasc"
+        short.write_bytes(blob[: len(blob) // 2])
+        result = run_cli_subprocess(["eval", "--checkpoint", str(short), "--synthetic", "4"])
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {short}: truncated at byte {len(blob) // 2},")
+        assert "Traceback" not in result.stderr
+
     def test_train_without_data_source_exits_1(self, capsys):
         code = run_cli(["train", "--epochs", "1"])
         assert code == 1

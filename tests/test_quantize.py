@@ -1,5 +1,7 @@
 """Quantization roundtrips, calibration, batch-norm folding, integer inference."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,23 @@ class TestQuantizedForward:
         with pytest.raises(QuantizationError, match="calibration"):
             quantize.quantized_forward(broken, _rand_spec(0))
 
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_plain_arrays_work_like_spectrograms(self, arch):
+        model = _small_model(arch)
+        specs = [_rand_spec(i + 40) for i in range(4)]
+        arrays = [spec.data for spec in specs]
+        qm_arrays = quantize.quantize_model(model, arrays)
+        qm_specs = quantize.quantize_model(model, specs)
+        assert qm_arrays.activation_params == qm_specs.activation_params
+        assert qm_arrays.input_params == qm_specs.input_params
+        for array, spec in zip(arrays, specs):
+            a = quantize.quantized_forward(qm_arrays, array)
+            b = quantize.quantized_forward(qm_specs, spec)
+            np.testing.assert_array_equal(a.logits, b.logits)
+        report = quantize.agreement_report(model, qm_arrays, arrays)
+        assert report == quantize.agreement_report(model, qm_specs, specs)
+        assert report["n_inputs"] == 4
+
     def test_wrong_input_shape_rejected(self, setup):
         _, qm, _ = setup
         with pytest.raises(QuantizationError, match="shape"):
@@ -218,3 +237,47 @@ class TestQuantizedSerialization:
         path.write_bytes(b"WRONG" + b"\x00" * 30)
         with pytest.raises(QuantizationError, match="magic"):
             quantize.load_quantized(path)
+
+    def test_truncated_file_names_file_and_offset(self, tmp_path, setup):
+        _, qm, _ = setup
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(qm, path)
+        blob = path.read_bytes()
+        for cut in (0, 3, 4, 8, 29, 31, 50, len(blob) // 2, len(blob) - 10, len(blob) - 1):
+            short = tmp_path / f"cut{cut}.tasq"
+            short.write_bytes(blob[:cut])
+            with pytest.raises(QuantizationError, match=rf"cut{cut}\.tasq: truncated at byte {cut},"):
+                quantize.load_quantized(short)
+
+    def test_stored_shape_must_match_graph(self, tmp_path, setup):
+        _, qm, _ = setup
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(qm, path)
+        blob = bytearray(path.read_bytes())
+        # magic, header, layer count, tensor count, tag, scale/zero point, ndim: then conv1's dims
+        at = 4 + 25 + 2 + 1 + 1 + 10 + 1
+        kh, kw, cin, cout = struct.unpack_from("<4I", blob, at)
+        struct.pack_into("<4I", blob, at, kh, kw, cout, cin)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(QuantizationError, match=r"m\.tasq: layer 0 weight w: stored shape"):
+            quantize.load_quantized(path)
+
+    def test_activation_param_count_must_match_graph(self, tmp_path, setup):
+        _, qm, _ = setup
+        short = quantize.QuantizedModel(**{**vars(qm), "activation_params": qm.activation_params[:3]})
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(short, path)
+        expected = rf"m\.tasq: 3 activation params stored, {len(qm.graph.layers)} expected"
+        with pytest.raises(QuantizationError, match=expected):
+            quantize.load_quantized(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, setup):
+        _, qm, _ = setup
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(qm, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x07")
+        trailing = rf"m\.tasq: unexpected data after the last record, at byte {size}$"
+        with pytest.raises(QuantizationError, match=trailing):
+            quantize.load_quantized(path)
+

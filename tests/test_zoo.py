@@ -1,10 +1,12 @@
 """Graph builder, forward pass, init, and serialization tests."""
 
+import collections
+
 import numpy as np
 import pytest
 
-from tinyasc import kernels, zoo
-from tinyasc.errors import GraphBuildError, ShapeError
+from tinyasc import audit, kernels, quantize, zoo
+from tinyasc.errors import GraphBuildError, ShapeError, TinyAscError
 from tinyasc.frontend import Spectrogram
 
 CONV_SEP_GOLDEN = [
@@ -224,3 +226,87 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ShapeError, match="magic"):
             zoo.load_model(path)
+
+    def test_truncated_checkpoint_names_file_and_offset(self, tmp_path):
+        model = zoo.init_weights(zoo.build_conv_mixer(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
+        path = tmp_path / "m.tasc"
+        zoo.save_model(model, path)
+        blob = path.read_bytes()
+        for cut in (0, 2, 4, 24, 25, 26, 40, len(blob) // 2, len(blob) - 1):
+            short = tmp_path / f"cut{cut}.tasc"
+            short.write_bytes(blob[:cut])
+            with pytest.raises(ShapeError, match=rf"cut{cut}\.tasc: truncated at byte {cut},"):
+                zoo.load_model(short)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
+        path = tmp_path / "m.tasc"
+        zoo.save_model(model, path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        trailing = rf"m\.tasc: unexpected data after the last record, at byte {size}$"
+        with pytest.raises(ShapeError, match=trailing):
+            zoo.load_model(path)
+
+
+def _tiny(arch):
+    build = zoo.build_conv_sep if arch == "conv_sep" else zoo.build_conv_mixer
+    model = zoo.init_weights(build(3, 4, 3, input_shape=(8, 8, 1)), seed=5)
+    specs = [_rand_spec(s, shape=(8, 8)) for s in range(3)]
+    return model, specs, np.stack([spec.data[..., None] for spec in specs]).astype(np.float32)
+
+
+class TestLayerTable:
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_unknown_kind_rejected_by_every_walk(self, arch):
+        model, specs, x = _tiny(arch)
+        qm = quantize.quantize_model(model, specs)
+        probs, _, caches = zoo.run_graph(model, x, keep_caches=True)
+        for graph in (model, qm.graph):
+            activation = next(layer for layer in graph.layers if layer.kind in ("elu", "gelu"))
+            activation.kind = "swish"
+        where = rf"layer \d+ \({activation.name}, swish\): unknown layer kind"
+        for call in (
+            lambda: zoo.run_graph(model, x),
+            lambda: zoo.backward_graph(model, caches, np.ones_like(probs)),
+            lambda: zoo.infer_shapes(model),
+            lambda: audit.audit_model(model),
+            lambda: quantize.quantized_forward(qm, specs[0]),
+        ):
+            with pytest.raises(TinyAscError, match=where):
+                call()
+
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_walks_call_kernels_through_the_module(self, arch, monkeypatch):
+        # a tracer times layers by replacing kernels.<name>; every layer must reach the replacement
+        model, specs, x = _tiny(arch)
+        qm = quantize.quantize_model(model, specs)
+        counts = collections.Counter()
+        for name in ("conv2d", "gelu", "batch_norm", "batch_norm_backward"):
+
+            def counted(*args, _name=name, _fn=getattr(kernels, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, counted)
+
+        def kinds(graph, *names):
+            return {n: sum(layer.kind == n for layer in graph.layers) for n in names}
+
+        def calls(run):
+            counts.clear()
+            out = run()
+            return out, {name: counts[name] for name in counts}
+
+        (probs, _, caches), seen = calls(
+            lambda: zoo.run_graph(model, x, train=True, rng=np.random.default_rng(0), keep_caches=True)
+        )
+        want = kinds(model, "conv2d", "gelu", "batch_norm")
+        assert seen == {k: n for k, n in want.items() if n}
+        _, seen = calls(lambda: zoo.backward_graph(model, caches, np.ones_like(probs)))
+        assert seen == {"batch_norm_backward": want["batch_norm"]}
+        _, seen = calls(lambda: quantize.quantized_forward(qm, specs[0]))
+        assert seen == {k: n for k, n in kinds(qm.graph, "conv2d", "gelu").items() if n}
+        assert seen["conv2d"] >= 1
+
