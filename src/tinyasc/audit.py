@@ -14,11 +14,12 @@ are not public, so the sweep reports the closest convention and the
 residual deviation instead of demanding an exact match.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import reference
 from .errors import TinyAscError
-from .zoo import build_conv_mixer, build_conv_sep, layer_op
+from .zoo import build, layer_op
 
 MAX_PARAMS_BUDGET = 128_000
 MAX_MACS_BUDGET = 30_000_000
@@ -249,30 +250,20 @@ class ReconciliationRecord:
 
 def sweep_conventions(arch_tag, filters, kernels=SWEEP_KERNELS):
     """Enumerate counting conventions and graph variants for one configuration."""
-    f1, f2 = filters
     candidates = []
-    for kernel in kernels:
-        for use_bias in (True, False):
-            patch_options = (True, False) if arch_tag == "conv_mixer" else (True,)
-            for patch_norm in patch_options:
-                if arch_tag == "conv_sep":
-                    model = build_conv_sep(f1, f2, kernel_size=kernel, use_bias=use_bias)
-                else:
-                    model = build_conv_mixer(
-                        f1, f2, kernel_size=kernel, use_bias=use_bias, patch_norm=patch_norm
-                    )
-                for bn_pc in (4, 2):
-                    for bn_macs in (False, True):
-                        for bias_macs in (False, True):
-                            conv = Convention(bn_pc, bn_macs, bias_macs)
-                            _, params = count_params(model, conv)
-                            _, macs = count_macs(model, conv)
-                            candidates.append(
-                                SweepCandidate(
-                                    kernel, use_bias, patch_norm, bn_pc, bn_macs, bias_macs,
-                                    params, macs,
-                                )
-                            )
+    patch_options = (True, False) if arch_tag == "conv_mixer" else (True,)
+    for kernel, use_bias, patch_norm in itertools.product(kernels, (True, False), patch_options):
+        model = build(arch_tag, *filters, kernel_size=kernel, use_bias=use_bias, patch_norm=patch_norm)
+        for bn_pc, bn_macs, bias_macs in itertools.product((4, 2), (False, True), (False, True)):
+            conv = Convention(bn_pc, bn_macs, bias_macs)
+            _, params = count_params(model, conv)
+            _, macs = count_macs(model, conv)
+            candidates.append(
+                SweepCandidate(
+                    kernel, use_bias, patch_norm, bn_pc, bn_macs, bias_macs,
+                    params, macs,
+                )
+            )
     return candidates
 
 

@@ -8,7 +8,6 @@ reproducible under a fixed seed.
 """
 
 import argparse
-import os
 import sys
 
 from . import audit as audit_mod
@@ -46,17 +45,11 @@ def _read_config_file(path):
     return values
 
 
-def _thread_cap():
-    raw = os.environ.get("TINYASC_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise TinyAscError(f"TINYASC_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise TinyAscError(f"TINYASC_THREADS must be >= 1, got {cap}")
-    return cap
+def _write(path, text):
+    """Write ``text`` to ``path`` when its flag was given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _add_data_flags(p):
@@ -66,7 +59,7 @@ def _add_data_flags(p):
 
 
 def _add_model_flags(p):
-    p.add_argument("--arch", choices=("conv_sep", "conv_mixer"), default="conv_sep")
+    p.add_argument("--arch", choices=tuple(zoo.ARCHS), default="conv_sep")
     p.add_argument("--filters", type=_parse_filters, default=(48, 48), help="f1,f2")
     p.add_argument("--kernel", type=int, default=3)
     p.add_argument("--patch", type=int, default=1, help="patch size (conv_mixer only)")
@@ -145,9 +138,13 @@ def _load_examples(args):
 
 
 def _build_model(args):
-    if args.arch == "conv_sep":
-        return zoo.build_conv_sep(*args.filters, kernel_size=args.kernel)
-    return zoo.build_conv_mixer(*args.filters, kernel_size=args.kernel, patch_size=args.patch)
+    return zoo.build(
+        args.arch,
+        *args.filters,
+        kernel_size=args.kernel,
+        patch_size=args.patch,
+        use_bias=not getattr(args, "no_bias", False),  # only audit has --no-bias
+    )
 
 
 def _cmd_features(args):
@@ -164,8 +161,7 @@ def _cmd_features(args):
     spec = log_mel(wav, cfg)
     csv = spectrogram_to_csv(spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
+        _write(args.out, csv)
         print(
             f"wrote {spec.n_mels}x{spec.n_frames} spectrogram to {args.out} "
             f"(mel=slaney fmin={cfg.fmin} fmax={cfg.fmax} fft={cfg.fft_size} log=natural)"
@@ -177,8 +173,7 @@ def _cmd_features(args):
 
 def _cmd_train(args):
     examples = _load_examples(args)
-    model = _build_model(args)
-    zoo.init_weights(model, seed=args.seed)
+    model = zoo.init_weights(_build_model(args), seed=args.seed)
     cfg = trainer.TrainingConfig(
         max_epochs=args.epochs,
         batch_size=args.batch_size,
@@ -196,8 +191,7 @@ def _cmd_train(args):
         zoo.save_model(model, args.out)
         print(f"checkpoint: {args.out}")
     if args.history:
-        with open(args.history, "w", encoding="utf-8") as fh:
-            fh.write(run.to_csv())
+        _write(args.history, run.to_csv())
         print(f"history: {args.history}")
     return EXIT_OK
 
@@ -208,25 +202,14 @@ def _cmd_eval(args):
     result = metrics.evaluate(model, examples)
     report = metrics.format_report(result, class_names=data.SCENE_LABELS)
     print(report, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(metrics.result_to_csv(result))
-    if args.confusion:
-        with open(args.confusion, "w", encoding="utf-8") as fh:
-            fh.write(metrics.confusion_to_csv(result))
+    _write(args.report, report)
+    _write(args.csv, metrics.result_to_csv(result))
+    _write(args.confusion, metrics.confusion_to_csv(result))
     return EXIT_OK
 
 
 def _cmd_audit(args):
-    if args.arch == "conv_sep":
-        model = zoo.build_conv_sep(*args.filters, kernel_size=args.kernel, use_bias=not args.no_bias)
-    else:
-        model = zoo.build_conv_mixer(
-            *args.filters, kernel_size=args.kernel, patch_size=args.patch, use_bias=not args.no_bias
-        )
+    model = _build_model(args)
     convention = audit_mod.Convention(
         bn_params_per_channel=args.bn_params,
         count_bn_macs=args.count_bn_macs,
@@ -235,9 +218,7 @@ def _cmd_audit(args):
     report = audit_mod.audit_model(model, convention, max_params=args.max_params, max_macs=args.max_macs)
     print(audit_mod.format_report(report), end="")
     print(audit_mod.report_footer(report), end="")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(audit_mod.report_to_csv(report))
+    _write(args.csv, audit_mod.report_to_csv(report))
     return EXIT_OK if report.ok else EXIT_BUDGET
 
 
@@ -255,18 +236,14 @@ def _cmd_quantize(args):
     )
     print(f"quantized model: {args.out}")
     print(text, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(args.report, text)
     return EXIT_OK
 
 
 def _cmd_reconcile(args):
     records = audit_mod.reconcile_all()
     print(audit_mod.format_reconciliation(records), end="")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(audit_mod.reconciliation_to_csv(records))
+    _write(args.out, audit_mod.reconciliation_to_csv(records))
     return EXIT_OK
 
 
@@ -307,7 +284,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        _thread_cap()  # validated here; the engine itself is single-threaded
         return _COMMANDS[args.command](args)
     except TinyAscError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -135,7 +135,6 @@ def fold_batch_norm(model):
         # conv/pointwise kernels end in Cout; depthwise kernels end in C
         conv.weights["w"] = (conv.weights["w"].astype(np.float64) * factor).astype(model.dtype)
         conv.weights["b"] = ((b - mean) * factor + beta).astype(model.dtype)
-        conv.config["use_bias"] = True
     zoo.infer_shapes(folded)
     return folded
 
@@ -278,25 +277,19 @@ def load_quantized(path) -> QuantizedModel:
         magic = reader.read(4)
         if magic != QMAGIC:
             reader.fail(f"not a quantized model file (magic {magic!r})")
-        graph = fold_batch_norm(zoo.rebuild_from_header(zoo._read_header(reader)))
+        graph = fold_batch_norm(reader.graph())
         (n_layers,) = reader.unpack("<H")
         if n_layers != len(graph.layers):
             reader.fail(f"stored layer count {n_layers} != rebuilt graph {len(graph.layers)}")
         payloads, wparams, floats = {}, {}, {}
-        for i, layer in enumerate(graph.layers):
-            names = layer.weight_names()
-            (count,) = reader.unpack("<B")
-            if count != len(names):
-                reader.fail(f"layer {i}: {count} tensors stored, {len(names)} expected")
-            for name in names:
-                (tag,) = reader.unpack("<B")
-                expected, what = layer.weights[name].shape, f"layer {i} weight {name}"
-                if tag == 1:
-                    scale, zp = reader.unpack("<dh")
-                    payloads[(i, name)] = reader.array(expected, what, np.int8)
-                    wparams[(i, name)] = QuantParams(scale, zp, "symmetric_weight")
-                else:
-                    floats[(i, name)] = reader.array(expected, what)
+        for i, layer, name in reader.records(graph):
+            (tag,) = reader.unpack("<B")
+            if tag == 1:
+                scale, zp = reader.unpack("<dh")
+                payloads[(i, name)] = reader.array(layer.weights[name].shape, np.int8)
+                wparams[(i, name)] = QuantParams(scale, zp, "symmetric_weight")
+            else:
+                floats[(i, name)] = reader.array(layer.weights[name].shape)
         in_scale, in_zp = reader.unpack("<dh")
         (n_acts,) = reader.unpack("<H")
         if n_acts != len(graph.layers):

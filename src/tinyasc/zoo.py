@@ -1,10 +1,11 @@
 """Model graphs for the two competing architectures.
 
-Both networks share one skeleton: two convolutional modules separated by
-time-axis max pooling and dropout, then global average pooling and a
-10-way dense classifier with softmax.
+Both networks share one skeleton, written once in ``build``: a stem, two
+convolutional modules each followed by time-axis max pooling and dropout,
+then global average pooling and a 10-way dense classifier with softmax.
+An architecture is one ``ARCHS`` entry, which returns its stem and modules.
 
-* ``conv_sep``: each module is a full convolution and a separable
+* ``conv_sep``: no stem; each module is a full convolution and a separable
   convolution (depthwise + pointwise, bias on the pointwise stage only),
   each followed by batch norm and ELU.
 * ``conv_mixer``: a 1x1 patch embedding (GELU + batch norm) feeds two
@@ -71,29 +72,25 @@ class Prediction:
     logits: np.ndarray
 
 
-ARCH_TAGS = ("conv_sep", "conv_mixer")
+def _kernel(shape, use_bias, dtype):
+    """A zero kernel and, with ``use_bias``, a zero bias over its last axis."""
+    weights = {"w": np.zeros(shape, dtype=dtype)}
+    if use_bias:
+        weights["b"] = np.zeros(shape[-1], dtype=dtype)
+    return weights
 
 
 def _conv(name, kernel, cin, cout, use_bias, stride=1, padding="same", dtype=np.float32):
-    weights = {"w": np.zeros((kernel, kernel, cin, cout), dtype=dtype)}
-    if use_bias:
-        weights["b"] = np.zeros(cout, dtype=dtype)
-    cfg = {"kernel": kernel, "stride": stride, "padding": padding, "use_bias": use_bias}
-    return LayerSpec("conv2d", name, cfg, weights)
+    weights = _kernel((kernel, kernel, cin, cout), use_bias, dtype)
+    return LayerSpec("conv2d", name, {"stride": stride, "padding": padding}, weights)
 
 
 def _depthwise(name, kernel, channels, use_bias, dtype=np.float32):
-    weights = {"w": np.zeros((kernel, kernel, channels), dtype=dtype)}
-    if use_bias:
-        weights["b"] = np.zeros(channels, dtype=dtype)
-    return LayerSpec("depthwise_conv2d", name, {"kernel": kernel, "use_bias": use_bias}, weights)
+    return LayerSpec("depthwise_conv2d", name, {}, _kernel((kernel, kernel, channels), use_bias, dtype))
 
 
 def _pointwise(name, cin, cout, use_bias, dtype=np.float32):
-    weights = {"w": np.zeros((1, 1, cin, cout), dtype=dtype)}
-    if use_bias:
-        weights["b"] = np.zeros(cout, dtype=dtype)
-    return LayerSpec("pointwise_conv2d", name, {"use_bias": use_bias}, weights)
+    return LayerSpec("pointwise_conv2d", name, {}, _kernel((1, 1, cin, cout), use_bias, dtype))
 
 
 def _batch_norm(name, channels, dtype=np.float32):
@@ -107,64 +104,71 @@ def _batch_norm(name, channels, dtype=np.float32):
 
 
 def _dense(name, n_in, n_out, dtype=np.float32):
-    weights = {"w": np.zeros((n_in, n_out), dtype=dtype), "b": np.zeros(n_out, dtype=dtype)}
-    return LayerSpec("dense", name, {}, weights)
+    return LayerSpec("dense", name, {}, _kernel((n_in, n_out), True, dtype))
 
 
 def _simple(kind, name, **cfg):
     return LayerSpec(kind, name, cfg)
 
 
-def _validate_common(f1, f2, kernel_size):
-    if f1 < 1 or f2 < 1:
-        raise GraphBuildError(f"filter counts must be >= 1, got ({f1}, {f2})")
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise GraphBuildError(f"kernel size must be odd and >= 1, got {kernel_size}")
-
-
-def build_conv_sep(f1, f2, kernel_size=3, input_shape=(64, 51, 1), n_classes=10, use_bias=True):
-    """Two conv + separable-conv modules in the shared skeleton.
-
-    Within a module both convolutions carry the same filter count; the
-    separable convolution's depthwise stage is never biased (its bias
-    lives on the pointwise stage).
-    """
-    _validate_common(f1, f2, kernel_size)
-    dt = np.float32
-    layers = []
-    cin = input_shape[2]
-    for m, f in ((1, f1), (2, f2)):
-        layers += [
-            _conv(f"conv{m}", kernel_size, cin, f, use_bias, dtype=dt),
-            _batch_norm(f"bn{m}a", f, dtype=dt),
+def _conv_sep(cin, f1, f2, kernel_size, patch_size, use_bias, patch_norm):
+    """No stem; each module is a full convolution and a separable convolution
+    with the same filter count, the depthwise stage never biased (its bias
+    lives on the pointwise stage)."""
+    if patch_size != 1 or not patch_norm:
+        raise GraphBuildError(
+            f"conv_sep has no patch embedding: patch size must be 1 and patch norm on, "
+            f"got {patch_size} and {'on' if patch_norm else 'off'}"
+        )
+    modules = [
+        [
+            _conv(f"conv{m}", kernel_size, c, f, use_bias),
+            _batch_norm(f"bn{m}a", f),
             _simple("elu", f"elu{m}a"),
-            _depthwise(f"sep{m}_dw", kernel_size, f, use_bias=False, dtype=dt),
-            _pointwise(f"sep{m}_pw", f, f, use_bias, dtype=dt),
-            _batch_norm(f"bn{m}b", f, dtype=dt),
+            _depthwise(f"sep{m}_dw", kernel_size, f, use_bias=False),
+            _pointwise(f"sep{m}_pw", f, f, use_bias),
+            _batch_norm(f"bn{m}b", f),
             _simple("elu", f"elu{m}b"),
-            _simple("max_pool", f"pool{m}", pool=(1, 4) if m == 1 else (1, 2)),
-            _simple("dropout", f"drop{m}", rate=DROPOUT_RATE),
         ]
-        cin = f
-    layers += [
-        _simple("global_avg_pool", "gap"),
-        _dense("classifier", f2, n_classes, dtype=dt),
-        _simple("softmax", "softmax"),
+        for m, (c, f) in ((1, (cin, f1)), (2, (f1, f2)))
     ]
-    model = ModelGraph(
-        layers=layers,
-        arch_tag="conv_sep",
-        filters=(f1, f2),
-        kernel_size=kernel_size,
-        input_shape=tuple(input_shape),
-        n_classes=n_classes,
-        use_bias=use_bias,
-    )
-    infer_shapes(model)
-    return model
+    return [], modules
 
 
-def build_conv_mixer(
+def _conv_mixer(cin, f1, f2, kernel_size, patch_size, use_bias, patch_norm):
+    """A patch embedding stem, then two modules computing BN(GELU(depthwise(x) + x))
+    and a pointwise stage; the second pointwise convolution carries the channel
+    change from f1 to f2, and patch size 1 leaves the spatial extent untouched."""
+    stem = [
+        _conv("patch_embed", patch_size, cin, f1, use_bias, stride=patch_size, padding="valid"),
+        _simple("gelu", "patch_gelu"),
+    ]
+    if patch_norm:
+        stem.append(_batch_norm("patch_bn", f1))
+    modules = [
+        [
+            _simple("residual_add_begin", f"mix{m}_skip"),
+            _depthwise(f"mix{m}_dw", kernel_size, f1, use_bias),
+            _simple("residual_add_end", f"mix{m}_add"),
+            _simple("gelu", f"mix{m}_gelu_a"),
+            _batch_norm(f"mix{m}_bn_a", f1),
+            _pointwise(f"mix{m}_pw", f1, f, use_bias),
+            _simple("gelu", f"mix{m}_gelu_b"),
+            _batch_norm(f"mix{m}_bn_b", f),
+        ]
+        for m, f in ((1, f1), (2, f2))
+    ]
+    return stem, modules
+
+
+# Each architecture's stem and two modules, as
+# ``layers(cin, f1, f2, kernel_size, patch_size, use_bias, patch_norm) -> (stem, modules)``.
+# A tag's position is its architecture id in checkpoint headers.
+ARCHS = {"conv_sep": _conv_sep, "conv_mixer": _conv_mixer}
+
+
+def build(
+    arch_tag,
     f1,
     f2,
     kernel_size=3,
@@ -174,53 +178,29 @@ def build_conv_mixer(
     use_bias=True,
     patch_norm=True,
 ):
-    """Patch embedding plus two mixer modules in the shared skeleton.
-
-    The residual skip spans the depthwise convolution only: the module
-    computes BN(GELU(depthwise(x) + x)) and then the pointwise stage. The
-    second module's pointwise convolution carries the channel change from
-    f1 to f2; patch size 1 leaves the spatial extent untouched.
-    """
-    _validate_common(f1, f2, kernel_size)
+    """The shared skeleton around ``ARCHS[arch_tag]``: its stem, then each module
+    followed by time-axis max pooling and dropout, then global average pooling,
+    the dense classifier and softmax. Shapes are inferred before it returns."""
+    if arch_tag not in ARCHS:
+        raise GraphBuildError(f"unknown architecture {arch_tag!r}, expected one of {tuple(ARCHS)}")
+    if f1 < 1 or f2 < 1:
+        raise GraphBuildError(f"filter counts must be >= 1, got ({f1}, {f2})")
+    if kernel_size < 1 or kernel_size % 2 == 0:
+        raise GraphBuildError(f"kernel size must be odd and >= 1, got {kernel_size}")
     if patch_size < 1:
         raise GraphBuildError(f"patch size must be >= 1, got {patch_size}")
-    dt = np.float32
-    layers = [
-        _conv(
-            "patch_embed",
-            patch_size,
-            input_shape[2],
-            f1,
-            use_bias,
-            stride=patch_size,
-            padding="valid",
-            dtype=dt,
-        ),
-        _simple("gelu", "patch_gelu"),
-    ]
-    if patch_norm:
-        layers.append(_batch_norm("patch_bn", f1, dtype=dt))
-    for m, (cin, f) in ((1, (f1, f1)), (2, (f1, f2))):
-        layers += [
-            _simple("residual_add_begin", f"mix{m}_skip"),
-            _depthwise(f"mix{m}_dw", kernel_size, cin, use_bias, dtype=dt),
-            _simple("residual_add_end", f"mix{m}_add"),
-            _simple("gelu", f"mix{m}_gelu_a"),
-            _batch_norm(f"mix{m}_bn_a", cin, dtype=dt),
-            _pointwise(f"mix{m}_pw", cin, f, use_bias, dtype=dt),
-            _simple("gelu", f"mix{m}_gelu_b"),
-            _batch_norm(f"mix{m}_bn_b", f, dtype=dt),
-            _simple("max_pool", f"pool{m}", pool=(1, 4) if m == 1 else (1, 2)),
-            _simple("dropout", f"drop{m}", rate=DROPOUT_RATE),
-        ]
+    layers, modules = ARCHS[arch_tag](input_shape[2], f1, f2, kernel_size, patch_size, use_bias, patch_norm)
+    for m, (module, pool) in enumerate(zip(modules, ((1, 4), (1, 2))), start=1):
+        layers += module
+        layers += [_simple("max_pool", f"pool{m}", pool=pool), _simple("dropout", f"drop{m}", rate=DROPOUT_RATE)]
     layers += [
         _simple("global_avg_pool", "gap"),
-        _dense("classifier", f2, n_classes, dtype=dt),
+        _dense("classifier", f2, n_classes),
         _simple("softmax", "softmax"),
     ]
     model = ModelGraph(
         layers=layers,
-        arch_tag="conv_mixer",
+        arch_tag=arch_tag,
         filters=(f1, f2),
         kernel_size=kernel_size,
         patch_size=patch_size,
@@ -231,6 +211,16 @@ def build_conv_mixer(
     )
     infer_shapes(model)
     return model
+
+
+def build_conv_sep(f1, f2, kernel_size=3, input_shape=(64, 51, 1), n_classes=10, use_bias=True):
+    """``build("conv_sep", ...)``, which takes no patch settings."""
+    return build("conv_sep", f1, f2, kernel_size, 1, input_shape, n_classes, use_bias)
+
+
+def build_conv_mixer(*args, **kwargs):
+    """``build("conv_mixer", ...)``: the same arguments as ``build`` after the tag."""
+    return build("conv_mixer", *args, **kwargs)
 
 
 # --- layer kinds -----------------------------------------------------------
@@ -629,37 +619,35 @@ def weights_fingerprint(model):
 
 MAGIC = b"TASC"
 FORMAT_VERSION = 1
-_ARCH_IDS = {"conv_sep": 0, "conv_mixer": 1}
-_ARCH_NAMES = {v: k for k, v in _ARCH_IDS.items()}
+# version, architecture id, f1, f2, kernel, patch, bias, patch norm, classes, input h, w, c
+HEADER = "<HBHHHHBBHHHH"
 
 
 def _write_header(fh, model):
     fh.write(MAGIC)
     fh.write(
         struct.pack(
-            "<HBHHHHBBHHHH",
+            HEADER,
             FORMAT_VERSION,
-            _ARCH_IDS[model.arch_tag],
-            model.filters[0],
-            model.filters[1],
+            list(ARCHS).index(model.arch_tag),
+            *model.filters,
             model.kernel_size,
             model.patch_size,
-            1 if model.use_bias else 0,
-            1 if model.patch_norm else 0,
+            model.use_bias,
+            model.patch_norm,
             model.n_classes,
-            model.input_shape[0],
-            model.input_shape[1],
-            model.input_shape[2],
+            *model.input_shape,
         )
     )
 
 
 class _Reader:
     """Exact-length reads from a model file: a short read, or a byte after
-    the last record, raises ``error`` naming the file and the byte offset."""
+    the last record, raises ``error`` naming the file and the byte offset,
+    and inside a layer's record the layer and weight (``where``)."""
 
     def __init__(self, fh, error):
-        self.fh, self.error, self.offset = fh, error, 0
+        self.fh, self.error, self.offset, self.where = fh, error, 0, None
 
     def fail(self, problem):
         raise self.error(f"{self.fh.name}: {problem}")
@@ -667,67 +655,57 @@ class _Reader:
     def read(self, n):
         data = self.fh.read(n)
         if len(data) != n:
-            self.fail(f"truncated at byte {self.offset + len(data)}, wanted {n} bytes")
+            inside = f", in {self.where}" if self.where else ""
+            self.fail(f"truncated at byte {self.offset + len(data)}, wanted {n} bytes{inside}")
         self.offset += n
         return data
 
     def unpack(self, fmt):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
-    def array(self, expected, where, dtype="<f4"):
+    def array(self, expected, dtype="<f4"):
         """The next stored array, which must have shape ``expected``."""
         (ndim,) = self.unpack("<B")
         shape = self.unpack(f"<{ndim}I")
         if shape != expected:
-            self.fail(f"{where}: stored shape {shape} != expected {expected}")
+            self.fail(f"{self.where}: stored shape {shape} != expected {expected}")
         data = self.read(int(np.prod(shape)) * np.dtype(dtype).itemsize)
         return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+    def graph(self):
+        """The graph a checkpoint header describes, built by ``build``."""
+        magic = self.read(4)
+        if magic != MAGIC:
+            self.fail(f"not a model checkpoint (magic {magic!r})")
+        version, arch_id, f1, f2, kernel, patch, use_bias, patch_norm, n_classes, *shape = self.unpack(HEADER)
+        if version != FORMAT_VERSION:
+            self.fail(f"unsupported checkpoint version {version}")
+        if arch_id >= len(ARCHS):
+            self.fail(f"unknown architecture id {arch_id}")
+        try:
+            return build(
+                list(ARCHS)[arch_id], f1, f2, kernel, patch, shape, n_classes, bool(use_bias), bool(patch_norm)
+            )
+        except GraphBuildError as exc:
+            self.fail(f"header describes no valid graph: {exc}")
+
+    def records(self, graph):
+        """Check each layer's stored tensor count against ``graph`` and yield
+        (layer index, layer, weight name) for each tensor in storage order."""
+        for idx, layer in enumerate(graph.layers):
+            names = layer.weight_names()
+            self.where = f"layer {idx}"
+            (count,) = self.unpack("<B")
+            if count != len(names):
+                self.fail(f"layer {idx}: {count} tensors stored, graph expects {len(names)}")
+            for name in names:
+                self.where = f"layer {idx} weight {name}"
+                yield idx, layer, name
+        self.where = None
 
     def end(self):
         if self.fh.read(1):
             self.fail(f"unexpected data after the last record, at byte {self.offset}")
-
-
-def _read_header(reader):
-    magic = reader.read(4)
-    if magic != MAGIC:
-        reader.fail(f"not a model checkpoint (magic {magic!r})")
-    fields = reader.unpack("<HBHHHHBBHHHH")
-    version, arch_id, f1, f2, kernel, patch, use_bias, patch_norm, n_classes, h, w, c = fields
-    if version != FORMAT_VERSION:
-        reader.fail(f"unsupported checkpoint version {version}")
-    if arch_id not in _ARCH_NAMES:
-        reader.fail(f"unknown architecture id {arch_id}")
-    return {
-        "arch_tag": _ARCH_NAMES[arch_id],
-        "filters": (f1, f2),
-        "kernel_size": kernel,
-        "patch_size": patch,
-        "use_bias": bool(use_bias),
-        "patch_norm": bool(patch_norm),
-        "n_classes": n_classes,
-        "input_shape": (h, w, c),
-    }
-
-
-def rebuild_from_header(header):
-    if header["arch_tag"] == "conv_sep":
-        return build_conv_sep(
-            *header["filters"],
-            kernel_size=header["kernel_size"],
-            input_shape=header["input_shape"],
-            n_classes=header["n_classes"],
-            use_bias=header["use_bias"],
-        )
-    return build_conv_mixer(
-        *header["filters"],
-        kernel_size=header["kernel_size"],
-        patch_size=header["patch_size"],
-        input_shape=header["input_shape"],
-        n_classes=header["n_classes"],
-        use_bias=header["use_bias"],
-        patch_norm=header["patch_norm"],
-    )
 
 
 def _write_array(fh, arr, dtype="<f4"):
@@ -753,13 +731,8 @@ def load_model(path):
     """Rebuild the graph from the header and pour the stored weights in."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, ShapeError)
-        model = rebuild_from_header(_read_header(reader))
-        for idx, layer in enumerate(model.layers):
-            names = layer.weight_names()
-            (count,) = reader.unpack("<B")
-            if count != len(names):
-                reader.fail(f"layer {idx}: checkpoint has {count} tensors, graph expects {len(names)}")
-            for name in names:
-                layer.weights[name] = reader.array(layer.weights[name].shape, f"layer {idx} weight {name}")
+        model = reader.graph()
+        for _, layer, name in reader.records(model):
+            layer.weights[name] = reader.array(layer.weights[name].shape)
         reader.end()
     return model

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tinyasc import cli, data
+from tinyasc import cli, data, quantize
 from tinyasc.frontend import Waveform
 
 
@@ -73,6 +73,13 @@ class TestAudit:
         assert run_cli(["audit", "--filters", "40,40", "--csv", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("patch", [["--patch", "3"], ["--patch", "0"]])
+    def test_conv_sep_rejects_patch(self, patch, capsys):
+        code = run_cli(["audit", "--arch", "conv_sep", *patch])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +161,20 @@ class TestTrainEvalQuantize:
         assert result.stderr.startswith(f"error: {short}: truncated at byte {len(blob) // 2},")
         assert "Traceback" not in result.stderr
 
+    def test_conv_mixer_checkpoint_feeds_eval_and_quantize(self, tmp_path, capsys):
+        ckpt, qpath = tmp_path / "mixer.tasc", tmp_path / "mixer.tasq"
+        assert run_cli([
+            "train", "--arch", "conv_mixer", "--synthetic", "20", "--epochs", "1",
+            "--filters", "4,4", "--out", str(ckpt),
+        ]) == 0
+        assert ckpt.read_bytes()[6] == 1  # conv_mixer's architecture id
+        assert run_cli(["eval", "--checkpoint", str(ckpt), "--synthetic", "20"]) == 0
+        assert run_cli([
+            "quantize", "--checkpoint", str(ckpt), "--synthetic", "8", "--out", str(qpath),
+        ]) == 0
+        assert "trained conv_mixer 4-4" in capsys.readouterr().out
+        assert quantize.load_quantized(qpath).graph.arch_tag == "conv_mixer"
+
     def test_train_without_data_source_exits_1(self, capsys):
         code = run_cli(["train", "--epochs", "1"])
         assert code == 1
@@ -189,9 +210,3 @@ class TestConfigFile:
         code = run_cli(["--config", str(cfg), "audit", "--filters", "48,48"])
         out = capsys.readouterr().out
         assert "params_total=28090" in out  # explicit flag wins
-
-    def test_env_thread_cap_validated(self, monkeypatch, capsys):
-        monkeypatch.setenv("TINYASC_THREADS", "not-a-number")
-        code = run_cli(["audit", "--filters", "40,40"])
-        assert code == 1
-        assert "TINYASC_THREADS" in capsys.readouterr().err

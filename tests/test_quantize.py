@@ -249,6 +249,20 @@ class TestQuantizedSerialization:
             with pytest.raises(QuantizationError, match=rf"cut{cut}\.tasq: truncated at byte {cut},"):
                 quantize.load_quantized(short)
 
+    def test_truncation_inside_a_layer_names_it(self, tmp_path, setup):
+        _, qm, _ = setup
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(qm, path)
+        blob = path.read_bytes()
+        # magic, header, layer count; layer 0: tensor count, tag, scale/zero point, ndim,
+        # four dims, 36 INT8 codes from byte 60, then the bias: tag, ndim, dim, 4 float32 from byte 102
+        for cut, where in ((70, "36 bytes, in layer 0 weight w"), (110, "16 bytes, in layer 0 weight b")):
+            short = tmp_path / f"cut{cut}.tasq"
+            short.write_bytes(blob[:cut])
+            expected = rf"cut{cut}\.tasq: truncated at byte {cut}, wanted {where}$"
+            with pytest.raises(QuantizationError, match=expected):
+                quantize.load_quantized(short)
+
     def test_stored_shape_must_match_graph(self, tmp_path, setup):
         _, qm, _ = setup
         path = tmp_path / "m.tasq"

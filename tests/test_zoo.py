@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tinyasc import audit, kernels, quantize, zoo
-from tinyasc.errors import GraphBuildError, ShapeError, TinyAscError
+from tinyasc.errors import GraphBuildError, QuantizationError, ShapeError, TinyAscError
 from tinyasc.frontend import Spectrogram
 
 CONV_SEP_GOLDEN = [
@@ -99,6 +99,15 @@ class TestBuilders:
             zoo.build_conv_sep(8, 8, 4)  # even kernel
         with pytest.raises(GraphBuildError):
             zoo.build_conv_mixer(8, 8, 3, patch_size=0)
+
+    def test_unknown_architecture_rejected(self):
+        with pytest.raises(GraphBuildError, match="unknown architecture 'resnet'"):
+            zoo.build("resnet", 8, 8)
+
+    @pytest.mark.parametrize("patch", [{"patch_size": 3}, {"patch_size": 0}, {"patch_norm": False}])
+    def test_conv_sep_rejects_patch_settings(self, patch):
+        with pytest.raises(GraphBuildError, match="patch"):
+            zoo.build("conv_sep", 8, 8, 3, **patch)
 
 
 class TestMixerResidual:
@@ -237,6 +246,56 @@ class TestSerialization:
             short.write_bytes(blob[:cut])
             with pytest.raises(ShapeError, match=rf"cut{cut}\.tasc: truncated at byte {cut},"):
                 zoo.load_model(short)
+
+    def test_truncation_inside_a_layer_names_it(self, tmp_path):
+        model = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
+        path = tmp_path / "m.tasc"
+        zoo.save_model(model, path)
+        blob = path.read_bytes()
+        # header, then layer 0: tensor count at 25, ndim, four dims, 36 float32 from byte 43
+        for cut, where in (
+            (25, "1 bytes, in layer 0"),
+            (26, "1 bytes, in layer 0 weight w"),
+            (60, "144 bytes, in layer 0 weight w"),
+            (43 + 144 + 1, "4 bytes, in layer 0 weight b"),  # the bias's dim
+        ):
+            short = tmp_path / f"cut{cut}.tasc"
+            short.write_bytes(blob[:cut])
+            with pytest.raises(ShapeError, match=rf"cut{cut}\.tasc: truncated at byte {cut}, wanted {where}$"):
+                zoo.load_model(short)
+
+    def test_header_bytes_pinned(self, tmp_path):
+        sep = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
+        mixer = zoo.build_conv_mixer(
+            4, 6, 3, patch_size=3, input_shape=(16, 24, 1), use_bias=False, patch_norm=False
+        )
+        # magic, version, arch id, f1, f2, kernel, patch, bias, patch norm, classes, h, w, c
+        for model, header in (
+            (sep, "54415343 0100 00 0400 0400 0300 0100 01 01 0a00 0800 0800 0100"),
+            (mixer, "54415343 0100 01 0400 0600 0300 0300 00 00 0a00 1000 1800 0100"),
+        ):
+            path = tmp_path / "m.tasc"
+            zoo.save_model(model, path)
+            assert path.read_bytes()[:25] == bytes.fromhex(header)
+            assert zoo.load_model(path).arch_tag == model.arch_tag
+
+        qpath = tmp_path / "m.tasq"
+        quantize.save_quantized(quantize.quantize_model(sep, [_rand_spec(0, shape=(8, 8))]), qpath)
+        tasc = tmp_path / "m.tasc"
+        zoo.save_model(sep, tasc)
+        for path, load, error, start in (
+            (tasc, zoo.load_model, ShapeError, 0),
+            (qpath, quantize.load_quantized, QuantizationError, 4),
+        ):
+            good = path.read_bytes()
+            for at, problem in (
+                (start + 6, "unknown architecture id 2"),
+                (start + 4, "unsupported checkpoint version 2"),
+            ):
+                bad = tmp_path / f"bad{path.suffix}"
+                bad.write_bytes(good[:at] + b"\x02" + good[at + 1:])
+                with pytest.raises(error, match=rf"bad\{path.suffix}: {problem}$"):
+                    load(bad)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
