@@ -8,6 +8,7 @@ reproducible under a fixed seed.
 """
 
 import argparse
+import io
 import sys
 
 from . import audit as audit_mod
@@ -33,15 +34,14 @@ def _parse_filters(text):
 
 def _read_config_file(path):
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise TinyAscError(f"{path} line {line_num}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for line_num, line in enumerate(io.StringIO(data.read_text(path), newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise TinyAscError(f"{path} line {line_num}: expected key=value")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 

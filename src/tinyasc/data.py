@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AudioFormatError, ManifestError
+from .errors import AudioFormatError, ManifestError, TinyAscError
 from .frontend import Spectrogram, Waveform
 
 SCENE_LABELS = (
@@ -149,10 +149,20 @@ def write_wav(path, waveform: Waveform, bits=24):
             fh.write(b"\x00")
 
 
+def read_text(path, error=TinyAscError):
+    """The contents of a UTF-8 text file; other bytes raise ``error`` naming
+    the file and the byte offset of the first undecodable byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text, invalid byte at offset {exc.start}") from None
+
+
 def parse_manifest(path, vocabulary=SCENE_LABELS, split="train") -> DatasetManifest:
     """Parse a tab-separated manifest: header line, then path/label rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, ManifestError).splitlines()
     if not lines:
         raise ManifestError(f"{path}: empty manifest")
     entries = []

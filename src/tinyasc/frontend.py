@@ -19,7 +19,8 @@ Conventions (the analysis parameters the source material leaves open):
 All functions are pure; identical inputs give bit-identical outputs.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -172,8 +173,17 @@ def mel_filterbank(config: FrontendConfig, sample_rate: int) -> np.ndarray:
 
     Filters are triangles on the Mel-warped axis between fmin and fmax,
     area-normalized (each filter scaled by 2 / bandwidth in Hz). Raises if
-    the FFT resolution leaves any band without a positive weight.
+    the FFT resolution leaves any band without a positive weight. The bank
+    is built once per set of config values and sample rate, and the
+    returned array is read-only.
     """
+    return _mel_filterbank(astuple(config), sample_rate)
+
+
+@functools.lru_cache(maxsize=16)
+def _mel_filterbank(values, sample_rate):
+    # keyed by the field values: a FrontendConfig is mutable, so it cannot be the key
+    config = FrontendConfig(*values)
     if config.fmax > sample_rate / 2:
         raise ValueError(f"fmax {config.fmax} exceeds Nyquist {sample_rate / 2}")
     n_bins = config.fft_size // 2 + 1
@@ -192,6 +202,7 @@ def mel_filterbank(config: FrontendConfig, sample_rate: int) -> np.ndarray:
     empty = np.flatnonzero(~(bank > 0).any(axis=1))
     if empty.size:
         raise ValueError(f"empty mel band {empty[0]}: n_mels too large for fft resolution")
+    bank.flags.writeable = False
     return bank
 
 

@@ -199,7 +199,7 @@ def gelu(x, approx=True):
     0.044715*x^3))); ``approx=False`` evaluates the exact erf form.
     """
     if approx:
-        inner = _SQRT_2_OVER_PI * (x + GELU_COEF * x**3)
+        inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))  # x**3 goes through slow pow
         return 0.5 * x * (1.0 + np.tanh(inner))
     erf = np.vectorize(math.erf)
     return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
@@ -207,7 +207,7 @@ def gelu(x, approx=True):
 
 def gelu_backward(x, grad_y, approx=True):
     if approx:
-        inner = _SQRT_2_OVER_PI * (x + GELU_COEF * x**3)
+        inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
         t = np.tanh(inner)
         d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x**2)
         return grad_y * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
@@ -217,11 +217,13 @@ def gelu_backward(x, grad_y, approx=True):
     return grad_y * (cdf + x * phi)
 
 
-def max_pool(x, pool):
+def max_pool(x, pool, keep_cache=True):
     """Non-overlapping max pooling; trailing remainder rows/columns dropped.
 
     Returns (y, cache). Ties within a window resolve to the first index in
-    row-major (dh, dw) window order.
+    row-major (dh, dw) window order. With ``keep_cache=False`` no argmax is
+    taken and the cache is None; y is the same, except that a window whose
+    maximum is a tie between -0.0 and +0.0 may give the other zero.
     """
     ph, pw = pool
     if ph < 1 or pw < 1:
@@ -230,12 +232,10 @@ def max_pool(x, pool):
     hout, wout = h // ph, w // pw
     if hout < 1 or wout < 1:
         raise ShapeError(f"pool {pool} larger than input {h}x{w}")
-    windows = (
-        x[:, : hout * ph, : wout * pw, :]
-        .reshape(n, hout, ph, wout, pw, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, hout, wout, c, ph * pw)
-    )
+    blocks = x[:, : hout * ph, : wout * pw, :].reshape(n, hout, ph, wout, pw, c)
+    if not keep_cache:
+        return blocks.max(axis=(2, 4)), None
+    windows = blocks.transpose(0, 1, 3, 5, 2, 4).reshape(n, hout, wout, c, ph * pw)
     idx = np.argmax(windows, axis=-1)
     y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
     cache = (x.shape, pool, idx)

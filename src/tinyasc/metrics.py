@@ -45,7 +45,7 @@ def evaluate(model, examples) -> EvalResult:
         raise TinyAscError("empty dataset")
     xs = zoo.stack_inputs(model, [spec for spec, _ in examples], model.dtype)
     ys = np.array([label for _, label in examples], dtype=np.int64)
-    probs, _ = zoo.forward_batch(model, xs)
+    probs, _ = zoo.forward_chunked(model, xs)
     probs = probs.astype(np.float64)
     n = model.n_classes
     confusion = np.zeros((n, n), dtype=np.int64)

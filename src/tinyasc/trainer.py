@@ -217,7 +217,7 @@ def _loss_grad(probs, labels, n_classes):
 
 
 def _infer_metrics(model, xs, ys):
-    probs, _ = zoo.forward_batch(model, xs)
+    probs, _ = zoo.forward_chunked(model, xs)
     loss, _ = _loss_grad(probs.astype(np.float64), ys, model.n_classes)
     acc = float((probs.argmax(axis=1) == ys).mean())
     return loss, acc

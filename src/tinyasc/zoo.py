@@ -30,6 +30,10 @@ from .frontend import Spectrogram
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 DROPOUT_RATE = 0.3
+# Clips per run_graph call in whole-dataset inference (evaluate, epoch-end
+# metrics). Per-clip cost grows with the batch once a layer's activations
+# outgrow the CPU cache; one clip was fastest for both 48-48 models, see README.
+INFER_CHUNK = 1
 
 
 @dataclass
@@ -233,12 +237,13 @@ def build_conv_mixer(*args, **kwargs):
 @dataclass
 class Run:
     """State of one walk: the mode, the dropout rng, the open residual skips,
-    and the index of the layer being run."""
+    the index of the layer being run, and whether backward caches are kept."""
 
     train: bool = False
     rng: object = None
     skips: list = field(default_factory=list)
     i: int = 0
+    keep_caches: bool = False
 
 
 def _fail(where, problem):
@@ -421,7 +426,10 @@ OPS = {
     ),
     "elu": Op(lambda layer, x, run: (kernels.elu(x), x)),
     "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x)),
-    "max_pool": Op(lambda layer, x, run: kernels.max_pool(x, layer.config["pool"]), shape=_pool_shape),
+    "max_pool": Op(
+        lambda layer, x, run: kernels.max_pool(x, layer.config["pool"], keep_cache=run.keep_caches),
+        shape=_pool_shape,
+    ),
     "global_avg_pool": Op(lambda layer, x, run: (kernels.global_avg_pool(x), x.shape), shape=_gap_shape),
     "dropout": Op(
         lambda layer, x, run: kernels.dropout(x, layer.config["rate"], train=run.train, rng=run.rng),
@@ -505,6 +513,7 @@ def walk(model, x, run, steps=None, caches=None, record=None):
     ``caches`` and its output to ``record`` when those are lists.
     """
     logits = None
+    run.keep_caches = caches is not None
     for idx, layer in enumerate(model.layers):
         op = layer_op(layer, idx)
         run.i = idx
@@ -584,6 +593,14 @@ def forward_batch(model, batch):
     """Inference over a pre-stacked batch (N, H, W, C); returns (probs, logits)."""
     probs, logits, _ = run_graph(model, batch.astype(model.dtype), train=False)
     return probs, logits
+
+
+def forward_chunked(model, batch):
+    """``forward_batch`` over consecutive INFER_CHUNK-clip slices of a non-empty
+    batch, concatenated: the same bits, with each slice's activations small
+    enough to stay in cache. Returns (probs, logits)."""
+    parts = [forward_batch(model, batch[i : i + INFER_CHUNK]) for i in range(0, len(batch), INFER_CHUNK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def copy_weights(model):

@@ -200,6 +200,22 @@ class TestReconcile:
 
 
 class TestConfigFile:
+    def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+        assert run_cli(["--config", str(cfg), "train", "--synthetic", "20"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "bad.cfg" in err and "offset 12" in err
+
+    def test_non_utf8_manifest_is_one_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.tsv"
+        manifest.write_bytes(b"filename\tscene_label\na.wav\tbus\xff\n")
+        assert run_cli(["train", "--manifest", str(manifest), "--audio-root", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "bad.tsv" in err and "offset 30" in err
+
     def test_config_provides_defaults_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("filters=40,40\nkernel=3\n")

@@ -127,6 +127,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match="row 2.*tab"):
             data.parse_manifest(path)
 
+    def test_non_utf8_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"filename\tscene_label\na.wav\tpark\xff\n")
+        with pytest.raises(ManifestError, match=r"m\.tsv.*UTF-8.*offset 31"):
+            data.parse_manifest(path)
+
     def test_duplicate_path_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("filename\tscene_label\na.wav\tpark\na.wav\tbus\n")

@@ -124,6 +124,20 @@ class TestMelFilterbank:
         with pytest.raises(ValueError, match="Nyquist"):
             mel_filterbank(FrontendConfig(), 22050)
 
+    def test_cache_follows_config_values(self):
+        cfg = FrontendConfig()
+        assert mel_filterbank(cfg, SR).shape == (64, 1025)
+        cfg.n_mels = 32  # a mutated config must not hit the 64-band entry
+        bank = mel_filterbank(cfg, SR)
+        assert bank.shape == (32, 1025)
+        np.testing.assert_array_equal(bank, mel_filterbank(FrontendConfig(n_mels=32), SR))
+
+    def test_cached_bank_is_read_only(self):
+        bank = mel_filterbank(FrontendConfig(), SR)
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 1.0
+        assert mel_filterbank(FrontendConfig(), SR) is bank
+
 
 def _oracle_log_mel(samples, cfg, sr):
     """Independent straight-line pipeline kept free of the library's helpers."""

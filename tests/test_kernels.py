@@ -209,6 +209,23 @@ class TestActivations:
         x = np.linspace(-4, 4, 101)
         np.testing.assert_allclose(kernels.gelu(x), kernels.gelu(x, approx=False), atol=2e-3)
 
+    def test_gelu_float32_within_ulps_of_float64(self):
+        # the tanh formula and its derivative written out in float64; the
+        # float32 kernels must stay within 4 float32 ulps of max(1, |x|) * max(1, |g|)
+        rng = np.random.default_rng(20)
+        x = (rng.normal(size=4096) * 3.0).astype(np.float32)
+        g = rng.normal(size=4096).astype(np.float32)
+        x64, g64 = x.astype(np.float64), g.astype(np.float64)
+        c = math.sqrt(2 / math.pi)
+        t = np.tanh(c * (x64 + 0.044715 * x64**3))
+        want_y = 0.5 * x64 * (1.0 + t)
+        want_gx = g64 * (0.5 * (1.0 + t) + 0.5 * x64 * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x64**2))
+        y, gx = kernels.gelu(x), kernels.gelu_backward(x, g)
+        assert y.dtype == gx.dtype == np.float32
+        ulp = np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x64))
+        assert np.all(np.abs(y - want_y) <= 4 * ulp)
+        assert np.all(np.abs(gx - want_gx) <= 4 * ulp * np.maximum(1.0, np.abs(g64)))
+
 
 class TestPooling:
     def test_pool_1x4_shape(self):
@@ -238,6 +255,27 @@ class TestPooling:
         y, cache = kernels.max_pool(x, (1, 4))
         gx = kernels.max_pool_backward(cache, np.ones_like(y))
         np.testing.assert_array_equal(gx[0, 0, :, 0], [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", [(1, 4), (1, 2), (2, 2)])
+    def test_cache_free_path_equals_argmax_path(self, pool, dtype):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(2, 7, 11, 3)).astype(dtype)  # odd extents leave remainders
+        x[0] = np.round(x[0]) + 0.0  # few distinct values: ties inside windows; no -0.0
+        fast, cache = kernels.max_pool(x, pool, keep_cache=False)
+        ref, _ = kernels.max_pool(x, pool)
+        assert cache is None
+        assert fast.dtype == ref.dtype and fast.shape == ref.shape
+        assert fast.tobytes() == ref.tobytes()
+
+    def test_cache_free_path_signed_zero_tie(self):
+        # a window whose maximum ties -0.0 with +0.0: either zero may come
+        # back from the cache-free path, but the values compare equal
+        x = np.array([-0.0, 0.0, -1.0, -2.0, 0.0, -0.0, -3.0, -1.0], dtype=np.float32).reshape(1, 1, 8, 1)
+        fast, _ = kernels.max_pool(x, (1, 4), keep_cache=False)
+        ref, _ = kernels.max_pool(x, (1, 4))
+        assert np.array_equal(fast, ref)
+        np.testing.assert_array_equal(fast.ravel(), [0.0, 0.0])
 
     def test_global_avg_pool_constant(self):
         x = np.full((2, 3, 4, 5), 1.5)

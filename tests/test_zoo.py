@@ -5,7 +5,7 @@ import collections
 import numpy as np
 import pytest
 
-from tinyasc import audit, kernels, quantize, zoo
+from tinyasc import audit, kernels, metrics, quantize, zoo
 from tinyasc.errors import GraphBuildError, QuantizationError, ShapeError, TinyAscError
 from tinyasc.frontend import Spectrogram
 
@@ -176,6 +176,27 @@ class TestForward:
         before = zoo.weights_fingerprint(model)
         zoo.forward(model, _rand_spec(10))
         assert zoo.weights_fingerprint(model) == before
+
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    @pytest.mark.parametrize("chunk", [zoo.INFER_CHUNK, 4])
+    @pytest.mark.parametrize("n", [3, 9])  # at chunk 4: smaller than a chunk, not a multiple of it
+    def test_chunked_equals_one_batch(self, arch, chunk, n, monkeypatch):
+        monkeypatch.setattr(zoo, "INFER_CHUNK", chunk)
+        model = zoo.init_weights(zoo.build(arch, 8, 8), seed=11)
+        x = np.random.default_rng(12).normal(size=(n, 64, 51, 1)).astype(np.float32)
+        chunked = zoo.forward_chunked(model, x)
+        whole = zoo.forward_batch(model, x)
+        for got, want in zip(chunked, whole):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_evaluate_runs_in_chunks(self, monkeypatch):
+        model = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=13)
+        sizes = []
+        forward_batch = zoo.forward_batch
+        monkeypatch.setattr(zoo, "forward_batch", lambda m, b: sizes.append(len(b)) or forward_batch(m, b))
+        monkeypatch.setattr(zoo, "INFER_CHUNK", 4)
+        metrics.evaluate(model, [(_rand_spec(i), i % 10) for i in range(9)])
+        assert sizes == [4, 4, 1]
 
 
 class TestInitWeights:
