@@ -115,7 +115,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="quantized model path")
     _add_data_flags(p)
     p.add_argument("--seed", type=int, default=0, help="seed for --synthetic calibration data")
-    p.add_argument("--report", help="agreement report path")
+    p.add_argument("--report", help="agreement and per-layer error report path")
 
     p = sub.add_parser("reconcile", help="convention sweep against published totals")
     p.add_argument("--out", help="reconciliation record CSV path")
@@ -234,6 +234,11 @@ def _cmd_quantize(args):
         f"top1_agreement={report['top1_agreement']:.4f}\n"
         f"max_logit_diff={report['max_logit_diff']:.6g}\n"
     )
+    for row in quantize.layer_errors(model, qm, calibration):
+        text += (
+            f"layer={row['name']} kind={row['kind']} "
+            f"sqnr_db={row['sqnr_db']:.2f} max_abs_diff={row['max_abs_diff']:.6g}\n"
+        )
     print(f"quantized model: {args.out}")
     print(text, end="")
     _write(args.report, text)

@@ -64,7 +64,9 @@ def read_wav(path, expected_rate=44100) -> Waveform:
 
     16-bit samples divide by 32768 (so -32768 maps to exactly -1.0);
     24-bit frames are decoded from their 3-byte little-endian layout and
-    divide by 2**23. ``expected_rate`` of None skips the rate check.
+    divide by 2**23. ``expected_rate`` of None skips the rate check. A
+    ``data`` chunk that declares more bytes than the file holds is rejected,
+    not decoded from what is there.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -83,6 +85,10 @@ def read_wav(path, expected_rate=44100) -> Waveform:
                 raise AudioFormatError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
+            if len(body) < chunk_size:
+                raise AudioFormatError(
+                    f"{path}: data chunk declares {chunk_size} bytes, only {len(body)} present (truncated file)"
+                )
             data = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 

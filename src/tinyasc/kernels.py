@@ -267,13 +267,14 @@ def global_avg_pool_backward(x_shape, grad_y):
     return np.broadcast_to(grad_y[:, None, None, :] / (h * w), x_shape).astype(grad_y.dtype)
 
 
-def dense(x, w, b):
+def dense(x, w, b=None):
     """Affine map: (N, n) @ (n, m) + (m,); accepts a single (n,) vector too."""
     if x.ndim == 1:
         return dense(x[None], w, b)[0]
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense input width {x.shape[1]} != weight rows {w.shape[0]}")
-    return x @ w + b
+    y = x @ w
+    return y if b is None else y + b
 
 
 def dense_backward(x, w, grad_y):

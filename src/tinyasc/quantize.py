@@ -7,16 +7,24 @@ include zero so that real 0 maps exactly onto an integer code.
 
 Batch norm folds into the preceding convolution wherever it directly
 follows one (always the case for conv_sep; the mixer's norms sit behind
-activations and stay as float ops). Quantized inference runs the
-convolution and dense layers in integer arithmetic with 32-bit
-accumulators and converts to float between them, so pooling, residual
-adds, and nonlinearities execute in float: a documented simplification,
-constrained end to end by the float-agreement check rather than per-op.
+activations and stay as float ops). Quantized inference follows the
+integer-arithmetic scheme of Jacob et al. (2018): each convolution and the
+dense layer requantize their input to INT8 codes, sum products of the
+zero-point-shifted activation codes and the INT8 weight codes, add the bias
+rounded to the accumulator unit and rescale once to float. The sums run as
+float GEMMs and multiply-adds on integer-valued operands: every partial sum
+is an integer of at most K * 255 * 127 (K is taps x input channels, or taps
+for depthwise), exact in float32 while K <= 518 and in float64, which a
+guard on K picks above that. So the result does not depend on summation
+order or on the BLAS thread count, and equals an exact integer accumulator.
+Pooling, residual adds, and nonlinearities execute in float between these
+layers: a documented simplification, constrained end to end by the
+float-agreement check rather than per-op.
 """
 
 import copy
-import functools
 import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +69,7 @@ def quantize_tensor(t, scheme="symmetric_weight"):
         lo = min(float(t.min()), 0.0) if t.size else 0.0
         hi = max(float(t.max()), 0.0) if t.size else 0.0
         params = affine_params(lo, hi)
-        q = np.clip(np.round(t / params.scale) + params.zero_point, -128, 127).astype(np.int8)
-        return q, params
+        return quantize_array(t, params), params
     raise QuantizationError(f"unknown scheme {scheme!r}")
 
 
@@ -82,7 +89,7 @@ def dequantize(q, params: QuantParams):
 
 def quantize_array(x, params: QuantParams):
     """Apply existing params to a float array, returning INT8 codes."""
-    return np.clip(np.round(x / params.scale) + params.zero_point, -128, 127).astype(np.int8)
+    return (centered_codes(x, params, np.float64) + params.zero_point).astype(np.int8)
 
 
 @dataclass
@@ -139,9 +146,13 @@ def fold_batch_norm(model):
     return folded
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantizedModel:
-    """Folded graph topology plus INT8 weight payloads and quant params."""
+    """Folded graph topology plus INT8 weight payloads and quant params.
+
+    Read-only once run: ``quantized_forward`` derives its per-layer
+    constants from these fields on the first call and keeps them.
+    """
 
     graph: zoo.ModelGraph
     weight_payloads: dict  # (layer_idx, name) -> int8 array
@@ -175,34 +186,102 @@ def quantize_model(model, calibration_inputs):
     )
 
 
-def _integer_step(qm, layer, x, run):
-    """Requantize the incoming float tensor and run one conv or dense layer on
-    INT8 codes with an int32 accumulator; the bias joins at the accumulator's scale."""
-    i = run.i
-    in_params = qm.input_params if i == 0 else qm.activation_params[i - 1]
-    xq = quantize_array(x, in_params).astype(np.int32) - in_params.zero_point
-    out_scale = in_params.scale * qm.weight_params[(i, "w")].scale
-    bias = qm.float_weights.get((i, "b"))
-    if bias is not None:
-        bias = np.round(bias.astype(np.float64) / out_scale).astype(np.int32)
-    acc = zoo.OPS[layer.kind].linear(layer, xq, qm.weight_payloads[(i, "w")].astype(np.int32), bias)
-    return acc.astype(np.float64) * out_scale, None
+# Every partial sum of a conv or dense layer adds K products of a zero-point-
+# shifted activation code (|q - zp| <= 255) and an INT8 weight code (|w| <= 127),
+# so it is an integer of at most K * 255 * 127. float32 holds every integer below
+# 2**24 exactly, so for K <= FLOAT32_MAX_K any summation order, and so any BLAS
+# kernel or thread split, gives the exact sum; float64 (exact below 2**53) is used
+# above that.
+FLOAT32_MAX_K = (2**24 - 1) // (255 * 127)
 
 
-def _norm_step(qm, layer, x, run):
+def gemm_dtype(k):
+    """The float dtype that sums K integer products of INT8 codes exactly."""
+    return np.float32 if k <= FLOAT32_MAX_K else np.float64
+
+
+def centered_codes(x, params: QuantParams, dtype):
+    """INT8 codes of ``x`` minus the zero point, ``clip(round(x / scale) + zp) - zp``,
+    computed in float64 and returned as integer values of ``dtype``: the operand
+    of an integer layer."""
+    t = np.divide(x, params.scale, dtype=np.float64)
+    np.round(t, out=t)
+    np.clip(t, -128 - params.zero_point, 127 - params.zero_point, out=t)
+    return t.astype(dtype, copy=False)
+
+
+@dataclass
+class IntegerLayer:
+    """One conv or dense layer on INT8 codes, with its constants computed once."""
+
+    in_params: QuantParams  # of the tensor feeding the layer
+    w: np.ndarray  # INT8 weight codes as values of gemm_dtype(K)
+    b: np.ndarray  # bias rounded to the accumulator unit, float64, or None
+    out_scale: float  # the accumulator unit: input scale x weight scale
+
+    @classmethod
+    def build(cls, codes, w_scale, in_params: QuantParams, bias=None):
+        """The layer for INT8 weight ``codes`` of scale ``w_scale`` fed by a tensor
+        quantized with ``in_params``. The codes are kept as gemm_dtype(K), K being
+        the product of every axis but the last: taps x input channels, or taps."""
+        out_scale = in_params.scale * w_scale
+        if bias is not None:
+            bias = np.round(np.asarray(bias, dtype=np.float64) / out_scale)
+        return cls(in_params, codes.astype(gemm_dtype(int(np.prod(codes.shape[:-1])))), bias, out_scale)
+
+    def __call__(self, layer, x):
+        """Requantize float ``x``, sum exactly through ``zoo.OPS[layer.kind].linear``,
+        add the rounded bias in float64 and rescale to real units."""
+        acc = zoo.OPS[layer.kind].linear(layer, centered_codes(x, self.in_params, self.w.dtype), self.w, None)
+        y = acc.astype(np.float64) if self.b is None else np.add(acc, self.b, dtype=np.float64)
+        y *= self.out_scale
+        return y
+
+
+def _float_norm(qm, i, layer):
     """Inference batch norm in float64 from the stored float32 parameters."""
-    gamma, beta, mean, var = (qm.float_weights[(run.i, n)].astype(np.float64) for n in layer.weight_names())
-    return (x - mean) / np.sqrt(var + layer.config["eps"]) * gamma + beta, None
+    gamma, beta, mean, var = (qm.float_weights[(i, n)].astype(np.float64) for n in layer.weight_names())
+    denom = np.sqrt(var + layer.config["eps"])
+    return lambda _, x: (x - mean) / denom * gamma + beta
 
 
-def quantized_forward(qm: QuantizedModel, spec):
+_STEPS = weakref.WeakKeyDictionary()  # QuantizedModel -> its walk steps, built on first use
+
+
+def _steps(qm):
+    """The walk steps of ``qm``: an IntegerLayer for each conv and dense layer
+    and a float64 norm for each batch norm, each built once."""
+    steps = _STEPS.get(qm)
+    if steps is None:
+        per_layer = {}
+        for i, layer in enumerate(qm.graph.layers):
+            if layer.kind == "batch_norm":
+                per_layer[i] = _float_norm(qm, i, layer)
+            elif (i, "w") in qm.weight_payloads:
+                per_layer[i] = IntegerLayer.build(
+                    qm.weight_payloads[(i, "w")],
+                    qm.weight_params[(i, "w")].scale,
+                    qm.input_params if i == 0 else qm.activation_params[i - 1],
+                    qm.float_weights.get((i, "b")),
+                )
+
+        def step(layer, x, run):
+            return per_layer[run.i](layer, x), None
+
+        steps = {kind: step for kind, op in zoo.OPS.items() if op.linear or kind == "batch_norm"}
+        _STEPS[qm] = steps
+    return steps
+
+
+def quantized_forward(qm: QuantizedModel, spec, record=None):
     """Integer-arithmetic inference; returns a float Prediction.
 
     The float graph walk with its own steps for the convolutions and the
-    dense layer, which run on INT8 codes with int32 accumulators (each
-    requantizes its input with the calibrated affine params of the tensor
-    feeding it), and for the remaining norms, which run in float64.
-    Pooling, residual adds, nonlinearities and softmax run as in float.
+    dense layer (``IntegerLayer``: requantize the input with the calibrated
+    affine params of the tensor feeding it, then sum products of INT8 codes
+    exactly in float32 or float64) and for the remaining norms, which run in
+    float64. Pooling, residual adds, nonlinearities and softmax run as in
+    float. If ``record`` is a list, every layer's output is appended.
     """
     if not qm.activation_params:
         raise QuantizationError("missing calibration: quantize with at least one input")
@@ -210,9 +289,7 @@ def quantized_forward(qm: QuantizedModel, spec):
         x = zoo.stack_inputs(qm.graph, [spec], np.float64)
     except ShapeError as exc:
         raise QuantizationError(str(exc)) from None
-    steps = {kind: functools.partial(_integer_step, qm) for kind, op in zoo.OPS.items() if op.linear}
-    steps["batch_norm"] = functools.partial(_norm_step, qm)
-    probs, logits = zoo.walk(qm.graph, x, zoo.Run(), steps)
+    probs, logits = zoo.walk(qm.graph, x, zoo.Run(), _steps(qm), record=record)
     p = probs[0]
     return zoo.Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
 
@@ -237,6 +314,35 @@ def agreement_report(model, qm: QuantizedModel, inputs):
         "top1_agreement": agree / len(inputs),
         "max_logit_diff": max_logit_diff,
     }
+
+
+def layer_errors(model, qm: QuantizedModel, inputs):
+    """Per conv, dense and norm layer of ``qm.graph``, the INT8 output against
+    the float activation of the folded float model over a set of inputs.
+
+    Returns one dict per such layer: ``name``, ``kind``, ``sqnr_db`` (signal
+    over error energy, summed over all inputs; inf when they agree exactly)
+    and ``max_abs_diff``.
+    """
+    folded = fold_batch_norm(model)
+    shown = [i for i, layer in enumerate(qm.graph.layers) if layer.kind in _steps(qm)]
+    signal, noise, peak = (np.zeros(len(shown)) for _ in range(3))
+    for spec in inputs:
+        want, got = [], []
+        zoo.run_graph(folded, zoo.stack_inputs(folded, [spec], folded.dtype), record_activations=want)
+        quantized_forward(qm, spec, record=got)
+        for j, i in enumerate(shown):
+            diff = got[i] - want[i]
+            signal[j] += float(np.sum(np.square(want[i], dtype=np.float64)))
+            noise[j] += float(np.sum(np.square(diff)))
+            peak[j] = max(peak[j], float(np.max(np.abs(diff))))
+    rows = []
+    for j, i in enumerate(shown):
+        with np.errstate(divide="ignore"):
+            sqnr = 10.0 * np.log10(signal[j] / noise[j]) if noise[j] else np.inf
+        layer = qm.graph.layers[i]
+        rows.append({"name": layer.name, "kind": layer.kind, "sqnr_db": float(sqnr), "max_abs_diff": peak[j]})
+    return rows
 
 
 # --- serialization -------------------------------------------------------

@@ -52,6 +52,16 @@ class TestFeatures:
         code = run_cli(["features", "--wav", str(tmp_path / "absent.wav")])
         assert code == 1
 
+    def test_truncated_wav_is_one_error_line(self, tmp_path):
+        wav_path = tmp_path / "cut.wav"
+        data.write_wav(wav_path, Waveform(np.zeros(1000), 44100), bits=16)
+        wav_path.write_bytes(wav_path.read_bytes()[:-10])
+        result = run_cli_subprocess(["features", "--wav", str(wav_path)])
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(f"error: {wav_path}: data chunk declares 2000 bytes, only 1990 present")
+        assert result.stdout == ""
+
 
 class TestAudit:
     def test_pass_exit_0(self, capsys):
@@ -139,6 +149,26 @@ class TestTrainEvalQuantize:
         assert qpath.exists()
         assert "top1_agreement" in rpath.read_text()
         assert "top1_agreement" in out
+
+    def test_quantize_report_has_one_error_line_per_layer(self, artifacts, capsys):
+        root, ckpt, _ = artifacts
+        rpath = root / "layers.txt"
+        assert run_cli([
+            "quantize", "--checkpoint", str(ckpt), "--synthetic", "12", "--seed", "5",
+            "--out", str(root / "layers.tasq"), "--report", str(rpath),
+        ]) == 0
+        lines = rpath.read_text().splitlines()
+        assert [line.split("=")[0] for line in lines[:3]] == ["n_inputs", "top1_agreement", "max_logit_diff"]
+        # conv_sep folds its norms: conv1, sep1_dw, sep1_pw, conv2, sep2_dw, sep2_pw, classifier
+        layers = lines[3:]
+        assert len(lines) == 10 and len(layers) == 7
+        for line in layers:
+            assert [field.split("=")[0] for field in line.split(" ")] == ["layer", "kind", "sqnr_db", "max_abs_diff"]
+        assert [line.split(" ")[0] for line in layers] == [
+            "layer=conv1", "layer=sep1_dw", "layer=sep1_pw", "layer=conv2",
+            "layer=sep2_dw", "layer=sep2_pw", "layer=classifier",
+        ]
+        assert capsys.readouterr().out.endswith("".join(line + "\n" for line in lines))
 
     def test_quantize_output_deterministic(self, artifacts, tmp_path, capsys):
         _, ckpt, _ = artifacts

@@ -99,6 +99,13 @@ class TestWavErrors:
         with pytest.raises(AudioFormatError, match="16- and 24-bit"):
             data.read_wav(path)
 
+    def test_data_chunk_longer_than_file_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        _write_raw_wav(path, payload=b"\x01\x00" * 100)
+        path.write_bytes(path.read_bytes()[:-50])  # 150 of the declared 200 bytes remain
+        with pytest.raises(AudioFormatError, match=r"cut\.wav: data chunk declares 200 bytes, only 150 present"):
+            data.read_wav(path)
+
     def test_not_riff_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"not a wave file at all")

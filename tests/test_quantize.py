@@ -1,6 +1,9 @@
 """Quantization roundtrips, calibration, batch-norm folding, integer inference."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from tinyasc import data, quantize, zoo
 from tinyasc.errors import QuantizationError
 from tinyasc.frontend import Spectrogram
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _rand_spec(seed, shape=(16, 12)):
@@ -200,6 +205,23 @@ class TestQuantizedForward:
         assert report == quantize.agreement_report(model, qm_specs, specs)
         assert report["n_inputs"] == 4
 
+    def test_layer_errors_cover_conv_dense_and_norm_layers(self):
+        model = _small_model(arch="conv_mixer")
+        specs = [_rand_spec(i + 60) for i in range(3)]
+        qm = quantize.quantize_model(model, specs)
+        rows = quantize.layer_errors(model, qm, specs)
+        kinds = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense", "batch_norm")
+        assert [(r["name"], r["kind"]) for r in rows] == [
+            (layer.name, layer.kind) for layer in qm.graph.layers if layer.kind in kinds
+        ]
+        assert [r["kind"] for r in rows].count("batch_norm") == 5
+        # the classifier row measures the logits against the folded float model's
+        folded = quantize.fold_batch_norm(model)
+        diffs = [quantize.quantized_forward(qm, s).logits - zoo.forward(folded, s).logits for s in specs]
+        want = max(float(np.max(np.abs(d))) for d in diffs)
+        assert rows[-1]["max_abs_diff"] == want
+        assert all(10.0 < r["sqnr_db"] < np.inf for r in rows)
+
     def test_wrong_input_shape_rejected(self, setup):
         _, qm, _ = setup
         with pytest.raises(QuantizationError, match="shape"):
@@ -295,3 +317,139 @@ class TestQuantizedSerialization:
         with pytest.raises(QuantizationError, match=trailing):
             quantize.load_quantized(path)
 
+
+
+# --- exactness of the integer layers -----------------------------------------
+#
+# The references below sum integer codes in int64 with einsum and share no code
+# with tinyasc.kernels; an integer layer must reproduce them bit for bit.
+
+
+def _windows(codes, kh, kw):
+    """(N, H, W, C, kh, kw) zero-padded "same" windows of an int64 tensor."""
+    padded = np.pad(codes, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+
+
+_REFERENCE = {
+    "conv2d": lambda c, w: np.einsum("nhwcij,ijco->nhwo", _windows(c, *w.shape[:2]), w),
+    "depthwise_conv2d": lambda c, w: np.einsum("nhwcij,ijc->nhwc", _windows(c, *w.shape[:2]), w),
+    "pointwise_conv2d": lambda c, w: np.einsum("nhwc,co->nhwo", c, w[0, 0]),
+    "dense": lambda c, w: np.einsum("nk,km->nm", c, w),
+}
+
+
+def _reference_layer(layer, x, codes, w_scale, in_params, bias=None):
+    """Float64 output of an integer layer from int64 sums: requantize ``x``,
+    sum, add the bias rounded to the accumulator unit, rescale."""
+    q = np.clip(np.round(x / in_params.scale) + in_params.zero_point, -128, 127).astype(np.int64)
+    acc = _REFERENCE[layer.kind](q - in_params.zero_point, codes.astype(np.int64))
+    out_scale = in_params.scale * w_scale
+    if bias is not None:
+        acc = acc + np.round(bias.astype(np.float64) / out_scale)
+    return acc * out_scale
+
+
+# (kind, weight shape, input shape) with K = taps x input channels, or taps for
+# depthwise, whose odd kernels cannot make K = 518 itself
+_EXTREME = {
+    "conv2d": {518: ((7, 1, 74, 2), (1, 7, 1, 74)), 519: ((3, 1, 173, 2), (1, 3, 1, 173))},
+    "depthwise_conv2d": {517: ((11, 47, 2), (1, 11, 47, 2)), 519: ((173, 3, 2), (1, 173, 3, 2))},
+    "pointwise_conv2d": {518: ((1, 1, 518, 2), (1, 1, 1, 518)), 519: ((1, 1, 519, 2), (1, 1, 1, 519))},
+    "dense": {518: ((518, 2), (1, 518)), 519: ((519, 2), (1, 519))},
+}
+
+
+class TestIntegerExactness:
+    def test_guard_bound(self):
+        assert quantize.FLOAT32_MAX_K == 518
+        assert 518 * 255 * 127 < 2**24 < 519 * 255 * 127
+        assert quantize.gemm_dtype(518) is np.float32
+        assert quantize.gemm_dtype(519) is np.float64
+
+    @pytest.mark.parametrize("kind", sorted(_EXTREME))
+    @pytest.mark.parametrize("largest", [False, True])
+    def test_all_maximum_codes_sum_exactly(self, kind, largest):
+        k = max(_EXTREME[kind]) if largest else min(_EXTREME[kind])
+        w_shape, x_shape = _EXTREME[kind][k]
+        layer = zoo.LayerSpec(kind, kind, {}, {"w": np.zeros(w_shape, np.float32)})
+        # zero point -128 and input 255 * scale give the extreme code |q - zp| = 255
+        in_params = quantize.affine_params(0.0, 255.0)
+        assert (in_params.scale, in_params.zero_point) == (1.0, -128)
+        codes = np.full(w_shape, 127, dtype=np.int8)
+        x = np.full(x_shape, 255.0)
+        integer = quantize.IntegerLayer.build(codes, 1.0, in_params)
+        assert integer.w.dtype == (np.float64 if largest else np.float32)
+        got = integer(layer, x)
+        want = _reference_layer(layer, x, codes, 1.0, in_params)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        # the window that covers every tap holds the all-maximum sum
+        flat = got.reshape(-1, w_shape[-1])
+        assert flat[len(flat) // 2, 0] == k * 255 * 127
+        if largest:
+            assert k * 255 * 127 == 16_807_815  # odd and above 2**24: float32 cannot hold it
+        elif k == 518:
+            assert k * 255 * 127 == 16_775_430
+
+    def test_tiny_weights_with_unit_bias_do_not_wrap(self):
+        # a near-zero classifier makes bias / out_scale far beyond int32
+        model = _small_model()
+        dense = model.layers[-2]
+        rng = np.random.default_rng(3)
+        dense.weights["w"] = (rng.uniform(-1, 1, dense.weights["w"].shape) * 1e-12).astype(np.float32)
+        dense.weights["b"] = np.ones_like(dense.weights["b"])
+        qm = quantize.quantize_model(model, [_rand_spec(i) for i in range(4)])
+        idx = len(qm.graph.layers) - 2
+        assert qm.graph.layers[idx].kind == "dense"
+        acts = []
+        pred = quantize.quantized_forward(qm, _rand_spec(9), record=acts)
+        in_params = qm.activation_params[idx - 1]
+        w_scale = qm.weight_params[(idx, "w")].scale
+        bias = qm.float_weights[(idx, "b")]
+        assert np.all(np.abs(bias / (in_params.scale * w_scale)) >= 2**31)
+        want = _reference_layer(dense, acts[idx - 1], qm.weight_payloads[(idx, "w")], w_scale, in_params, bias)
+        np.testing.assert_array_equal(pred.logits, want[0])
+        np.testing.assert_allclose(pred.logits, 1.0, rtol=1e-6)
+
+    def test_64_64_conv_sep_uses_float64_and_matches_reference(self):
+        model = zoo.init_weights(zoo.build_conv_sep(64, 64, 3, input_shape=(16, 12, 1)), seed=4)
+        specs = [_rand_spec(i) for i in range(3)]
+        qm = quantize.quantize_model(model, specs)
+        acts = []
+        quantize.quantized_forward(qm, specs[0], record=acts)
+        inputs = [zoo.stack_inputs(qm.graph, [specs[0]], np.float64)] + acts
+        ks = {}
+        for i, layer in enumerate(qm.graph.layers):
+            if (i, "w") not in qm.weight_payloads:
+                continue
+            codes = qm.weight_payloads[(i, "w")]
+            ks[layer.name] = int(np.prod(codes.shape[:-1]))
+            in_params = qm.input_params if i == 0 else qm.activation_params[i - 1]
+            want = _reference_layer(
+                layer, inputs[i], codes, qm.weight_params[(i, "w")].scale, in_params, qm.float_weights.get((i, "b"))
+            )
+            np.testing.assert_array_equal(acts[i], want)
+        assert ks["conv2"] == 576 and quantize.gemm_dtype(ks["conv2"]) is np.float64
+        assert quantize.gemm_dtype(ks["conv1"]) is np.float32
+
+    def test_logits_identical_under_one_and_two_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from tinyasc import data, quantize, zoo\n"
+            "specs = [s for s, _ in data.synth_examples(4, seed=11)]\n"
+            "for arch in ('conv_sep', 'conv_mixer'):\n"
+            "    model = zoo.init_weights(zoo.build(arch, 48, 48), seed=2)\n"
+            "    qm = quantize.quantize_model(model, specs)\n"
+            "    for spec in specs:\n"
+            "        print(quantize.quantized_forward(qm, spec).logits.tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0].count("\n") == 8
+        assert outputs[0] == outputs[1]
