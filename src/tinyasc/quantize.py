@@ -7,7 +7,9 @@ include zero so that real 0 maps exactly onto an integer code.
 
 Batch norm folds into the preceding convolution wherever it directly
 follows one (always the case for conv_sep; the mixer's norms sit behind
-activations and stay as float ops). Quantized inference follows the
+activations and stay as float ops). The fold is ``zoo.fold_norms``, which
+float inference (``zoo.forward``, ``zoo.forward_batch``) runs on every call;
+``fold_batch_norm`` applies it to a deep copy. Quantized inference follows the
 integer-arithmetic scheme of Jacob et al. (2018): each convolution and the
 dense layer requantize their input to INT8 codes, sum products of the
 zero-point-shifted activation codes and the INT8 weight codes, add the bias
@@ -120,30 +122,9 @@ def calibrate(model, inputs):
 
 
 def fold_batch_norm(model):
-    """Fold every batch norm that directly follows a conv-family layer.
-
-    Returns a new graph whose float forward matches the original in
-    inference mode; folded convolutions absorb gamma/sqrt(var + eps) into
-    their kernels and gain a bias if they had none. Norms that do not
-    directly follow a convolution (the mixer places them behind
-    activations) are left in place.
-    """
-    folded = copy.deepcopy(model)
-    layers, folded.layers = folded.layers, []
-    for i, norm in enumerate(layers):
-        if norm.kind != "batch_norm" or i == 0 or not zoo.layer_op(layers[i - 1], i - 1).folds_norm:
-            folded.layers.append(norm)
-            continue
-        conv = layers[i - 1]
-        gamma, beta, mean, var = (norm.weights[n].astype(np.float64) for n in norm.weight_names())
-        factor = gamma / np.sqrt(var + norm.config["eps"])
-        b = conv.weights.get("b")
-        b = np.zeros(factor.shape[0]) if b is None else b.astype(np.float64)
-        # conv/pointwise kernels end in Cout; depthwise kernels end in C
-        conv.weights["w"] = (conv.weights["w"].astype(np.float64) * factor).astype(model.dtype)
-        conv.weights["b"] = ((b - mean) * factor + beta).astype(model.dtype)
-    zoo.infer_shapes(folded)
-    return folded
+    """``zoo.fold_norms`` on a deep copy of ``model``: the folded graph, sharing
+    no layer or array with ``model``."""
+    return zoo.fold_norms(copy.deepcopy(model))
 
 
 @dataclass(eq=False)
@@ -395,7 +376,7 @@ def load_quantized(path) -> QuantizedModel:
                 payloads[(i, name)] = reader.array(layer.weights[name].shape, np.int8)
                 wparams[(i, name)] = QuantParams(scale, zp, "symmetric_weight")
             else:
-                floats[(i, name)] = reader.array(layer.weights[name].shape)
+                floats[(i, name)] = reader.weight(name, layer.weights[name].shape)
         in_scale, in_zp = reader.unpack("<dh")
         (n_acts,) = reader.unpack("<H")
         if n_acts != len(graph.layers):

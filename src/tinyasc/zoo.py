@@ -19,7 +19,7 @@ representation drives inference, training, auditing, and quantization.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -582,16 +582,52 @@ def stack_inputs(model, specs, dtype):
     return np.stack(batch)
 
 
+def fold_norms(model):
+    """The inference graph of ``model``: each batch norm directly behind a
+    ``folds_norm`` layer is dropped, and that layer's kernel becomes w * s over
+    its last axis and its bias (b - moving_mean) * s + beta (b = 0 if absent),
+    s = gamma / sqrt(moving_var + eps), computed in float64 and stored in the
+    model's dtype. Other norms (the mixer's sit behind activations) stay.
+
+    The graph holds new layers for the folded pairs and ``model``'s own layer
+    objects elsewhere, so it copies nothing and must not be trained. A folded
+    norm with a non-positive eps or a negative moving variance raises
+    ValueError, as ``kernels.batch_norm`` does.
+    """
+    layers = []
+    for i, norm in enumerate(model.layers):
+        if norm.kind != "batch_norm" or i == 0 or not layer_op(model.layers[i - 1], i - 1).folds_norm:
+            layers.append(norm)
+            continue
+        conv, eps = model.layers[i - 1], norm.config["eps"]
+        gamma, beta, mean, var = (norm.weights[n].astype(np.float64) for n in norm.weight_names())
+        if eps <= 0:
+            raise ValueError(f"batch norm eps must be positive, got {eps}")
+        if np.any(var < 0):
+            raise ValueError("negative variance estimate in batch norm")
+        factor = gamma / np.sqrt(var + eps)
+        b = conv.weights.get("b", 0.0)
+        # float32 operands widen to float64 exactly, so no float64 copy is made first
+        weights = {
+            "w": np.multiply(conv.weights["w"], factor, dtype=np.float64).astype(model.dtype),
+            "b": (np.subtract(b, mean, dtype=np.float64) * factor + beta).astype(model.dtype),
+        }
+        layers[-1] = LayerSpec(conv.kind, conv.name, conv.config, weights, conv.output_shape)
+    return replace(model, layers=layers)
+
+
 def forward(model, spec):
-    """Deterministic single-example inference: Spectrogram -> Prediction."""
-    probs, logits, _ = run_graph(model, stack_inputs(model, [spec], model.dtype), train=False)
+    """Deterministic single-example inference: Spectrogram -> Prediction.
+    Runs the ``fold_norms`` graph of ``model``."""
+    probs, logits, _ = run_graph(fold_norms(model), stack_inputs(model, [spec], model.dtype), train=False)
     p = probs[0]
     return Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
 
 
 def forward_batch(model, batch):
-    """Inference over a pre-stacked batch (N, H, W, C); returns (probs, logits)."""
-    probs, logits, _ = run_graph(model, batch.astype(model.dtype), train=False)
+    """Inference over a pre-stacked batch (N, H, W, C) on the ``fold_norms`` graph
+    of ``model``; returns (probs, logits)."""
+    probs, logits, _ = run_graph(fold_norms(model), batch.astype(model.dtype), train=False)
     return probs, logits
 
 
@@ -689,6 +725,15 @@ class _Reader:
         data = self.read(int(np.prod(shape)) * np.dtype(dtype).itemsize)
         return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
+    def weight(self, name, expected):
+        """The float32 array of weight ``name``; a moving variance with a negative
+        entry, which no inference norm accepts, is rejected here."""
+        arr = self.array(expected)
+        if name == "moving_var" and np.any(arr < 0):
+            channel = int(np.argmax(arr < 0))
+            self.fail(f"{self.where}: negative moving variance {arr[channel]} at channel {channel}")
+        return arr
+
     def graph(self):
         """The graph a checkpoint header describes, built by ``build``."""
         magic = self.read(4)
@@ -750,6 +795,6 @@ def load_model(path):
         reader = _Reader(fh, ShapeError)
         model = reader.graph()
         for _, layer, name in reader.records(model):
-            layer.weights[name] = reader.array(layer.weights[name].shape)
+            layer.weights[name] = reader.weight(name, layer.weights[name].shape)
         reader.end()
     return model

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tinyasc import cli, data, quantize
+from tinyasc import cli, data, quantize, zoo
 from tinyasc.frontend import Waveform
 
 
@@ -190,6 +190,18 @@ class TestTrainEvalQuantize:
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {short}: truncated at byte {len(blob) // 2},")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    def test_negative_moving_variance_is_one_error_line(self, tmp_path, command):
+        model = zoo.init_weights(zoo.build_conv_sep(4, 4), seed=1)
+        model.layers[1].weights["moving_var"][0] = -5.0  # bn1a
+        ckpt = tmp_path / "bad.tasc"
+        zoo.save_model(model, ckpt)
+        args = [command, "--checkpoint", str(ckpt), "--synthetic", "4"]
+        result = run_cli_subprocess(args + (["--out", str(tmp_path / "bad.tasq")] if command == "quantize" else []))
+        assert result.returncode == 1
+        assert result.stderr == f"error: {ckpt}: layer 1 weight moving_var: negative moving variance -5.0 at channel 0\n"
+        assert not (tmp_path / "bad.tasq").exists()
 
     def test_conv_mixer_checkpoint_feeds_eval_and_quantize(self, tmp_path, capsys):
         ckpt, qpath = tmp_path / "mixer.tasc", tmp_path / "mixer.tasq"

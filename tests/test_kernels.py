@@ -53,6 +53,21 @@ class TestConv2d:
         fast = kernels.conv2d(x[None], w, b, stride=3, padding="valid")[0]
         np.testing.assert_allclose(fast, naive_conv2d(x, w, b, stride=3, padding="valid"), rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "k, stride, padding, shape",
+        [(3, 1, "same", (2, 9, 7)), (3, 3, "valid", (1, 10, 11))],  # a 3x3 conv, a patch-3 embedding
+    )
+    def test_one_input_channel_matches_naive(self, k, stride, padding, shape):
+        # one input channel runs as a single GEMM over the gathered taps
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(*shape, 1))
+        w = rng.normal(size=(k, k, 1, 5))
+        b = rng.normal(size=5)
+        fast = kernels.conv2d(x, w, b, stride=stride, padding=padding)
+        for n in range(shape[0]):
+            want = naive_conv2d(x[n], w, b, stride=stride, padding=padding)
+            np.testing.assert_allclose(fast[n], want, rtol=1e-12, atol=1e-12)
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError, match="channels"):
             kernels.conv2d(_rand(1, 4, 4, 2), _rand(3, 3, 3, 4))
@@ -100,6 +115,26 @@ class TestDepthwise:
             rtol=1e-12,
             atol=1e-12,
         )
+
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_equal_to_per_tap_broadcast(self, k, dtype):
+        # the per-tap loop over (N, H, W, C) slices that the row form replaced
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 7, 9, 5)).astype(dtype)
+        w = rng.normal(size=(k, k, 5)).astype(dtype)
+        b = rng.normal(size=5).astype(dtype)
+        p = k // 2
+        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+        want = np.zeros_like(x)
+        for dh in range(k):
+            for dw in range(k):
+                want += xp[:, dh : dh + 7, dw : dw + 9, :] * w[dh, dw]
+        assert kernels.depthwise_conv2d(x, w).tobytes() == want.tobytes()
+        want += b
+        got = kernels.depthwise_conv2d(x, w, b)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 class TestPointwise:
@@ -196,6 +231,20 @@ class TestActivations:
     def test_elu_positive_passthrough(self):
         x = np.array([0.5, 3.0, 100.0])
         np.testing.assert_array_equal(kernels.elu(x), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_byte_equal_to_where_form(self, dtype):
+        # the np.where forms that the min/max forms replaced
+        rng = np.random.default_rng(21)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1e-40, 1e-310, -1e-310, -1e-8, 88.0]
+        x = np.concatenate([rng.normal(0.0, 4.0, 20000), rng.uniform(-100, 100, 20000), special]).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        want_y = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+        want_gx = g * np.where(x > 0, np.ones_like(x), np.exp(np.minimum(x, 0.0)))
+        y, gx = kernels.elu(x), kernels.elu_backward(x, g)
+        assert y.dtype == gx.dtype == dtype
+        assert y.tobytes() == want_y.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
 
     def test_gelu_at_three(self):
         # evaluate the tanh approximation independently

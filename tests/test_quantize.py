@@ -307,6 +307,17 @@ class TestQuantizedSerialization:
         with pytest.raises(QuantizationError, match=expected):
             quantize.load_quantized(path)
 
+    def test_negative_moving_variance_rejected(self, tmp_path):
+        # the mixer's norms sit behind activations, so the .tasq keeps them as float records
+        qm = quantize.quantize_model(_small_model(arch="conv_mixer"), [_rand_spec(80)])
+        assert qm.graph.layers[2].name == "patch_bn"
+        qm.float_weights[(2, "moving_var")][1] = -5.0
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(qm, path)
+        problem = r"m\.tasq: layer 2 weight moving_var: negative moving variance -5\.0 at channel 1$"
+        with pytest.raises(QuantizationError, match=problem):
+            quantize.load_quantized(path)
+
     def test_trailing_bytes_rejected(self, tmp_path, setup):
         _, qm, _ = setup
         path = tmp_path / "m.tasq"

@@ -1,6 +1,9 @@
 """Graph builder, forward pass, init, and serialization tests."""
 
 import collections
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ CONV_MIXER_GOLDEN = [
     "max_pool", "dropout",
     "global_avg_pool", "dense", "softmax",
 ]
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 FILTER_GRID = [(40, 40), (48, 48), (32, 64), (64, 64)]
 
@@ -199,6 +204,89 @@ class TestForward:
         assert sizes == [4, 4, 1]
 
 
+def _with_norm_stats(model, seed):
+    """Random affine norm parameters and moving statistics, so folding changes the weights."""
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        if layer.kind == "batch_norm":
+            c = layer.weights["gamma"].shape[0]
+            layer.weights["gamma"] = rng.uniform(0.5, 1.5, c).astype(np.float32)
+            layer.weights["beta"] = rng.normal(0, 0.3, c).astype(np.float32)
+            layer.weights["moving_mean"] = rng.normal(0, 0.3, c).astype(np.float32)
+            layer.weights["moving_var"] = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    return model
+
+
+class TestFoldedInference:
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_forward_batch_runs_the_folded_graph(self, arch):
+        model = _with_norm_stats(zoo.init_weights(zoo.build(arch, 8, 6), seed=31), 32)
+        x = np.random.default_rng(33).normal(size=(3, 64, 51, 1)).astype(np.float32)
+        probs, logits = zoo.forward_batch(model, x)
+        want_probs, want_logits, _ = zoo.run_graph(quantize.fold_batch_norm(model), x)
+        assert probs.tobytes() == want_probs.tobytes() and logits.tobytes() == want_logits.tobytes()
+        _, unfolded, _ = zoo.run_graph(model, x)
+        np.testing.assert_allclose(logits, unfolded, rtol=1e-5, atol=1e-5 * np.abs(unfolded).max())
+        pred = zoo.forward(model, Spectrogram(x[1, ..., 0], 64, 51))
+        assert pred.logits.tobytes() == logits[1].tobytes()
+
+    def test_fold_norms_drops_conv_sep_norms_and_leaves_the_model(self):
+        model = _with_norm_stats(zoo.init_weights(zoo.build_conv_sep(8, 6), seed=34), 35)
+        before = zoo.weights_fingerprint(model)
+        folded = zoo.fold_norms(model)
+        assert [layer.kind for layer in folded.layers] == [k for k in CONV_SEP_GOLDEN if k != "batch_norm"]
+        assert [layer.output_shape for layer in folded.layers] == zoo.infer_shapes(quantize.fold_batch_norm(model))
+        assert zoo.weights_fingerprint(model) == before
+        assert len(model.layers) == len(CONV_SEP_GOLDEN)
+
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    @pytest.mark.parametrize("forward", ["forward", "forward_batch"])
+    def test_one_run_graph_call(self, arch, forward, monkeypatch):
+        model = zoo.init_weights(zoo.build(arch, 4, 4), seed=36)
+        x = np.zeros((2, 64, 51, 1), dtype=np.float32)
+        calls = []
+        run_graph = zoo.run_graph
+        monkeypatch.setattr(zoo, "run_graph", lambda m, b, **kw: calls.append(len(b)) or run_graph(m, b, **kw))
+        if forward == "forward":
+            zoo.forward(model, Spectrogram(x[0, ..., 0], 64, 51))
+        else:
+            zoo.forward_batch(model, x)
+        assert calls == [1 if forward == "forward" else 2]
+
+    @pytest.mark.parametrize("arch, norm", [("conv_sep", "bn1a"), ("conv_mixer", "mix1_bn_a")])
+    def test_bad_norm_statistics_still_raise(self, arch, norm):
+        # conv_sep's norms fold before the walk, the mixer's run in kernels.batch_norm
+        model = zoo.init_weights(zoo.build(arch, 4, 4), seed=37)
+        layer = next(layer for layer in model.layers if layer.name == norm)
+        layer.weights["moving_var"][0] = -5.0
+        with pytest.raises(ValueError, match="negative variance"):
+            zoo.forward(model, _rand_spec(38))
+        layer.weights["moving_var"][0] = 1.0
+        layer.config["eps"] = 0.0
+        with pytest.raises(ValueError, match="eps must be positive"):
+            zoo.forward_batch(model, np.zeros((1, 64, 51, 1)))
+
+    def test_logits_identical_under_one_and_two_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from tinyasc import data, zoo\n"
+            "x = np.stack([s.data for s, _ in data.synth_examples(8, seed=12)])[..., None]\n"
+            "for arch in ('conv_sep', 'conv_mixer'):\n"
+            "    model = zoo.init_weights(zoo.build(arch, 48, 48), seed=3)\n"
+            "    print(zoo.forward_batch(model, x)[1].tobytes().hex())\n"
+            "    print(zoo.forward_chunked(model, x)[1].tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
+
+
 class TestInitWeights:
     def test_same_seed_identical(self):
         a = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=11)
@@ -317,6 +405,15 @@ class TestSerialization:
                 bad.write_bytes(good[:at] + b"\x02" + good[at + 1:])
                 with pytest.raises(error, match=rf"bad\{path.suffix}: {problem}$"):
                     load(bad)
+
+    def test_negative_moving_variance_rejected(self, tmp_path):
+        model = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
+        model.layers[5].weights["moving_var"][2] = -5.0  # bn1b
+        path = tmp_path / "m.tasc"
+        zoo.save_model(model, path)
+        problem = r"m\.tasc: layer 5 weight moving_var: negative moving variance -5\.0 at channel 2$"
+        with pytest.raises(ShapeError, match=problem):
+            zoo.load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
