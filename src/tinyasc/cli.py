@@ -8,6 +8,7 @@ reproducible under a fixed seed.
 """
 
 import argparse
+import dataclasses
 import io
 import sys
 
@@ -74,13 +75,8 @@ def build_parser():
     p = sub.add_parser("features", help="WAV to log-Mel spectrogram CSV")
     p.add_argument("--wav", required=True)
     p.add_argument("--out", help="output CSV (stdout when omitted)")
-    p.add_argument("--n-mels", type=int, default=64)
-    p.add_argument("--window-ms", type=float, default=40.0)
-    p.add_argument("--hop-fraction", type=float, default=0.5)
-    p.add_argument("--fft-size", type=int, default=2048)
-    p.add_argument("--fmin", type=float, default=0.0)
-    p.add_argument("--fmax", type=float, default=22050.0)
-    p.add_argument("--log-floor", type=float, default=1e-10)
+    for f in dataclasses.fields(FrontendConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=f.type, default=f.default)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_model_flags(p)
@@ -149,15 +145,7 @@ def _build_model(args):
 
 def _cmd_features(args):
     wav = data.read_wav(args.wav)
-    cfg = FrontendConfig(
-        window_ms=args.window_ms,
-        hop_fraction=args.hop_fraction,
-        n_mels=args.n_mels,
-        fft_size=args.fft_size,
-        fmin=args.fmin,
-        fmax=args.fmax,
-        log_floor=args.log_floor,
-    )
+    cfg = FrontendConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FrontendConfig)})
     spec = log_mel(wav, cfg)
     csv = spectrogram_to_csv(spec)
     if args.out:

@@ -155,11 +155,6 @@ def pointwise_conv2d_backward(x, w, grad_y, with_bias=True):
     return gx, gw, gb
 
 
-def separable_conv2d(x, w_dw, w_pw, b_pw=None):
-    """Depthwise then pointwise stage; bias only on the pointwise stage."""
-    return pointwise_conv2d(depthwise_conv2d(x, w_dw), w_pw, b_pw)
-
-
 def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99, train=False):
     """Per-channel normalization over all leading axes.
 
@@ -214,29 +209,18 @@ def elu_backward(x, grad_y):
     return grad_y * np.exp(np.minimum(x, 0))
 
 
-def gelu(x, approx=True):
-    """Gaussian error linear unit.
-
-    Default is the tanh approximation 0.5*x*(1 + tanh(sqrt(2/pi)*(x +
-    0.044715*x^3))); ``approx=False`` evaluates the exact erf form.
-    """
-    if approx:
-        inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))  # x**3 goes through slow pow
-        return 0.5 * x * (1.0 + np.tanh(inner))
-    erf = np.vectorize(math.erf)
-    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu(x):
+    """Gaussian error linear unit, tanh approximation:
+    0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))  # x**3 goes through slow pow
+    return 0.5 * x * (1.0 + np.tanh(inner))
 
 
-def gelu_backward(x, grad_y, approx=True):
-    if approx:
-        inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
-        t = np.tanh(inner)
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x**2)
-        return grad_y * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
-    erf = np.vectorize(math.erf)
-    phi = np.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi)
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    return grad_y * (cdf + x * phi)
+def gelu_backward(x, grad_y):
+    inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
+    t = np.tanh(inner)
+    d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x**2)
+    return grad_y * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
 
 
 def max_pool(x, pool, keep_cache=True):

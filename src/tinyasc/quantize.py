@@ -26,7 +26,6 @@ float-agreement check rather than per-op.
 
 import copy
 import struct
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,12 +126,12 @@ def fold_batch_norm(model):
     return zoo.fold_norms(copy.deepcopy(model))
 
 
-@dataclass(eq=False)
+@dataclass
 class QuantizedModel:
     """Folded graph topology plus INT8 weight payloads and quant params.
 
-    Read-only once run: ``quantized_forward`` derives its per-layer
-    constants from these fields on the first call and keeps them.
+    ``quantized_forward`` derives its integer constants from these fields on
+    every call, so a change to any of them shows in the next call.
     """
 
     graph: zoo.ModelGraph
@@ -193,7 +192,8 @@ def centered_codes(x, params: QuantParams, dtype):
 
 @dataclass
 class IntegerLayer:
-    """One conv or dense layer on INT8 codes, with its constants computed once."""
+    """One conv or dense layer on INT8 codes: the constants ``quantized_forward``
+    builds for it from a QuantizedModel on each call."""
 
     in_params: QuantParams  # of the tensor feeding the layer
     w: np.ndarray  # INT8 weight codes as values of gemm_dtype(K)
@@ -226,51 +226,43 @@ def _float_norm(qm, i, layer):
     return lambda _, x: (x - mean) / denom * gamma + beta
 
 
-_STEPS = weakref.WeakKeyDictionary()  # QuantizedModel -> its walk steps, built on first use
-
-
 def _steps(qm):
-    """The walk steps of ``qm``: an IntegerLayer for each conv and dense layer
-    and a float64 norm for each batch norm, each built once."""
-    steps = _STEPS.get(qm)
-    if steps is None:
-        per_layer = {}
-        for i, layer in enumerate(qm.graph.layers):
-            if layer.kind == "batch_norm":
-                per_layer[i] = _float_norm(qm, i, layer)
-            elif (i, "w") in qm.weight_payloads:
-                per_layer[i] = IntegerLayer.build(
-                    qm.weight_payloads[(i, "w")],
-                    qm.weight_params[(i, "w")].scale,
-                    qm.input_params if i == 0 else qm.activation_params[i - 1],
-                    qm.float_weights.get((i, "b")),
-                )
-
-        def step(layer, x, run):
-            return per_layer[run.i](layer, x), None
-
-        steps = {kind: step for kind, op in zoo.OPS.items() if op.linear or kind == "batch_norm"}
-        _STEPS[qm] = steps
+    """``{layer index: step}`` for ``qm``: an IntegerLayer for each conv and dense
+    layer and a float64 norm for each batch norm, built from its current fields."""
+    n_params, n_layers = len(qm.activation_params), len(qm.graph.layers)
+    if n_params != n_layers:
+        raise QuantizationError(f"calibration gives {n_params} activation params for {n_layers} graph layers")
+    steps = {}
+    for i, layer in enumerate(qm.graph.layers):
+        if layer.kind == "batch_norm":
+            steps[i] = _float_norm(qm, i, layer)
+        elif (i, "w") in qm.weight_payloads:
+            steps[i] = IntegerLayer.build(
+                qm.weight_payloads[(i, "w")],
+                qm.weight_params[(i, "w")].scale,
+                qm.input_params if i == 0 else qm.activation_params[i - 1],
+                qm.float_weights.get((i, "b")),
+            )
     return steps
 
 
 def quantized_forward(qm: QuantizedModel, spec, record=None):
     """Integer-arithmetic inference; returns a float Prediction.
 
-    The float graph walk with its own steps for the convolutions and the
-    dense layer (``IntegerLayer``: requantize the input with the calibrated
-    affine params of the tensor feeding it, then sum products of INT8 codes
-    exactly in float32 or float64) and for the remaining norms, which run in
-    float64. Pooling, residual adds, nonlinearities and softmax run as in
-    float. If ``record`` is a list, every layer's output is appended.
+    The float graph walk with steps built from ``qm`` on this call for the
+    convolutions and the dense layer (``IntegerLayer``: requantize the input
+    with the calibrated affine params of the tensor feeding it, then sum
+    products of INT8 codes exactly in float32 or float64) and for the
+    remaining norms, which run in float64. Pooling, residual adds,
+    nonlinearities and softmax run as in float. If ``record`` is a list,
+    every layer's output is appended.
     """
-    if not qm.activation_params:
-        raise QuantizationError("missing calibration: quantize with at least one input")
+    steps = _steps(qm)
     try:
         x = zoo.stack_inputs(qm.graph, [spec], np.float64)
     except ShapeError as exc:
         raise QuantizationError(str(exc)) from None
-    probs, logits = zoo.walk(qm.graph, x, zoo.Run(), _steps(qm), record=record)
+    probs, logits = zoo.walk(qm.graph, x, zoo.Run(), steps, record=record)
     p = probs[0]
     return zoo.Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
 
@@ -305,8 +297,8 @@ def layer_errors(model, qm: QuantizedModel, inputs):
     over error energy, summed over all inputs; inf when they agree exactly)
     and ``max_abs_diff``.
     """
-    folded = fold_batch_norm(model)
-    shown = [i for i, layer in enumerate(qm.graph.layers) if layer.kind in _steps(qm)]
+    folded = zoo.fold_norms(model)
+    shown = sorted(_steps(qm))
     signal, noise, peak = (np.zeros(len(shown)) for _ in range(3))
     for spec in inputs:
         want, got = [], []

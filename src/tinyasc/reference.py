@@ -6,6 +6,8 @@ the complexity auditor mirrors the same loop structure to enumerate
 multiply operations without trusting any closed-form count.
 """
 
+import math
+
 import numpy as np
 
 
@@ -56,6 +58,12 @@ def naive_depthwise_conv2d(x, w, b=None):
                             acc += x[ii, jj, ch] * w[dh, dw, ch]
                 y[i, j, ch] = acc
     return y
+
+
+def exact_gelu(x):
+    """GELU in its erf form, x * Phi(x), through ``math.erf`` entry by entry."""
+    erf = np.vectorize(math.erf)
+    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
 def naive_dense(x, w, b):

@@ -236,13 +236,12 @@ def build_conv_mixer(*args, **kwargs):
 
 @dataclass
 class Run:
-    """State of one walk: the mode, the dropout rng, the open residual skips,
-    the index of the layer being run, and whether backward caches are kept."""
+    """State of one walk: the mode, the dropout rng, the open residual skips
+    and whether backward caches are kept."""
 
     train: bool = False
     rng: object = None
     skips: list = field(default_factory=list)
-    i: int = 0
     keep_caches: bool = False
 
 
@@ -507,17 +506,18 @@ def init_weights(model, seed, dtype=None):
 
 
 def walk(model, x, run, steps=None, caches=None, record=None):
-    """Run every layer's forward step, or ``steps[kind]`` in its place, on x.
+    """Run every layer's forward step on x, or for a layer index in ``steps``
+    its ``steps[idx](layer, x) -> output`` in its place (with no cache).
 
     Returns (output, logits). Each layer's backward cache is appended to
     ``caches`` and its output to ``record`` when those are lists.
     """
     logits = None
+    steps = steps or {}
     run.keep_caches = caches is not None
     for idx, layer in enumerate(model.layers):
         op = layer_op(layer, idx)
-        run.i = idx
-        x, cache = (steps or {}).get(layer.kind, op.forward)(layer, x, run)
+        x, cache = (steps[idx](layer, x), None) if idx in steps else op.forward(layer, x, run)
         if op.logits:
             logits = x
         if caches is not None:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, reproducible outputs."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from tinyasc import cli, data, quantize, zoo
-from tinyasc.frontend import Waveform
+from tinyasc.frontend import FrontendConfig, Waveform, log_mel, spectrogram_to_csv
 
 
 def run_cli(args):
@@ -47,6 +48,27 @@ class TestFeatures:
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 64
         assert all(len(line.split(",")) == 51 for line in lines)
+
+    def test_every_frontend_flag_reaches_the_csv(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        samples = np.concatenate([rng.uniform(-0.5, 0.5, 11025), np.zeros(11025)])  # silence meets the floor
+        wav_path = tmp_path / "in.wav"
+        data.write_wav(wav_path, Waveform(samples, 44100), bits=16)
+        values = dict(
+            window_ms=30.0, hop_fraction=0.25, n_mels=20, fft_size=4096, fmin=50.0, fmax=8000.0, log_floor=1e-6
+        )
+        cfg = tmp_path / "frontend.conf"
+        cfg.write_text("log-floor=1e-6\n")
+        flags = [
+            arg for name, v in values.items() if name != "log_floor" for arg in (f"--{name.replace('_', '-')}", str(v))
+        ]
+        out_path = tmp_path / "spec.csv"
+        assert run_cli(["--config", str(cfg), "features", "--wav", str(wav_path), "--out", str(out_path), *flags]) == 0
+        wav = data.read_wav(wav_path)
+        got = out_path.read_text()
+        assert got == spectrogram_to_csv(log_mel(wav, FrontendConfig(**values)))
+        for f in dataclasses.fields(FrontendConfig):  # each value shows in the output
+            assert got != spectrogram_to_csv(log_mel(wav, FrontendConfig(**{**values, f.name: f.default})))
 
     def test_missing_wav_exits_1(self, tmp_path, capsys):
         code = run_cli(["features", "--wav", str(tmp_path / "absent.wav")])

@@ -7,7 +7,7 @@ import pytest
 
 from tinyasc import kernels
 from tinyasc.errors import ShapeError
-from tinyasc.reference import naive_conv2d, naive_dense, naive_depthwise_conv2d
+from tinyasc.reference import exact_gelu, naive_conv2d, naive_dense, naive_depthwise_conv2d
 
 
 def _rand(*shape, seed=0):
@@ -161,26 +161,12 @@ class TestPointwise:
 
 
 class TestSeparable:
-    def test_composition_equals_stages(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(1, 6, 6, 4))
-        w_dw = rng.normal(size=(3, 3, 4))
-        w_pw = rng.normal(size=(1, 1, 4, 5))
-        b = rng.normal(size=5)
-        staged = kernels.pointwise_conv2d(kernels.depthwise_conv2d(x, w_dw), w_pw, b)
-        np.testing.assert_array_equal(kernels.separable_conv2d(x, w_dw, w_pw, b), staged)
-
     def test_parameter_count_enumeration(self):
         # 3x3 depthwise, 40 -> 40 pointwise with bias: 360 + 1600 + 40
         w_dw = np.zeros((3, 3, 40))
         w_pw = np.zeros((1, 1, 40, 40))
         b = np.zeros(40)
         assert w_dw.size + w_pw.size + b.size == 2000
-
-    def test_shape_preserved(self):
-        x = _rand(2, 7, 5, 3, seed=11)
-        y = kernels.separable_conv2d(x, _rand(3, 3, 3, seed=12), _rand(1, 1, 3, 3, seed=13))
-        assert y.shape == x.shape
 
 
 class TestBatchNorm:
@@ -256,7 +242,7 @@ class TestActivations:
 
     def test_gelu_exact_close_to_approx(self):
         x = np.linspace(-4, 4, 101)
-        np.testing.assert_allclose(kernels.gelu(x), kernels.gelu(x, approx=False), atol=2e-3)
+        np.testing.assert_allclose(kernels.gelu(x), exact_gelu(x), atol=2e-3)
 
     def test_gelu_float32_within_ulps_of_float64(self):
         # the tanh formula and its derivative written out in float64; the

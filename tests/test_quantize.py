@@ -188,6 +188,30 @@ class TestQuantizedForward:
         with pytest.raises(QuantizationError, match="calibration"):
             quantize.quantized_forward(broken, _rand_spec(0))
 
+    def test_short_calibration_rejected(self, setup):
+        _, qm, _ = setup
+        short = quantize.QuantizedModel(**{**vars(qm), "activation_params": qm.activation_params[:3]})
+        want = f"calibration gives 3 activation params for {len(qm.graph.layers)} graph layers"
+        with pytest.raises(QuantizationError, match=want):
+            quantize.quantized_forward(short, _rand_spec(0))
+        with pytest.raises(QuantizationError, match=want):
+            quantize.layer_errors(_small_model(), short, [_rand_spec(0)])
+
+    def test_changed_fields_reach_the_next_call(self):
+        # the integer constants come from the fields on every call, none kept from the first
+        specs = [_rand_spec(i + 70) for i in range(3)]
+        qm = quantize.quantize_model(_small_model(), specs)
+        before = quantize.quantized_forward(qm, specs[0]).logits
+        kinds = [layer.kind for layer in qm.graph.layers]
+        dense, pointwise = kinds.index("dense"), kinds.index("pointwise_conv2d")
+        qm.float_weights[(dense, "b")] = qm.float_weights[(dense, "b")] + 5.0
+        p = qm.activation_params[pointwise - 1]  # the params of the pointwise layer's input
+        qm.activation_params[pointwise - 1] = quantize.QuantParams(p.scale * 2, p.zero_point, p.scheme)
+        got = quantize.quantized_forward(qm, specs[0]).logits
+        want = quantize.quantized_forward(quantize.QuantizedModel(**vars(qm)), specs[0]).logits
+        assert not np.array_equal(want, before)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
     def test_plain_arrays_work_like_spectrograms(self, arch):
         model = _small_model(arch)
