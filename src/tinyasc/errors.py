@@ -17,6 +17,13 @@ class GraphBuildError(TinyAscError):
     """Invalid hyperparameters or inconsistent layer wiring."""
 
 
+class ConfigError(TinyAscError, ValueError):
+    """A configuration value out of its allowed range.
+
+    A ValueError too, so callers that catch ValueError still see it.
+    """
+
+
 class ShapeError(TinyAscError):
     """Tensor shape incompatible with the operation."""
 

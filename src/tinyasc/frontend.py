@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import AudioFormatError, ShapeError
+from .errors import AudioFormatError, ConfigError, ShapeError
 
 
 @dataclass
@@ -66,15 +66,15 @@ class FrontendConfig:
 
     def __post_init__(self):
         if not 0.0 < self.hop_fraction < 1.0:
-            raise ValueError(f"hop_fraction must be in (0, 1), got {self.hop_fraction}")
+            raise ConfigError(f"hop_fraction must be in (0, 1), got {self.hop_fraction}")
         if self.n_mels < 1:
-            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
+            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
         if not self.fmin < self.fmax:
-            raise ValueError(f"need fmin < fmax, got {self.fmin} >= {self.fmax}")
+            raise ConfigError(f"need fmin < fmax, got {self.fmin} >= {self.fmax}")
         if self.log_floor <= 0.0:
-            raise ValueError(f"log_floor must be positive, got {self.log_floor}")
+            raise ConfigError(f"log_floor must be positive, got {self.log_floor}")
         if self.window_ms <= 0.0:
-            raise ValueError(f"window_ms must be positive, got {self.window_ms}")
+            raise ConfigError(f"window_ms must be positive, got {self.window_ms}")
 
     def window_length(self, sample_rate: int) -> int:
         return int(round(self.window_ms / 1000.0 * sample_rate))
@@ -119,7 +119,7 @@ def frame_signal(waveform: Waveform, config: FrontendConfig) -> np.ndarray:
     win = config.window_length(waveform.sample_rate)
     hop = config.hop_length(waveform.sample_rate)
     if win < 1:
-        raise ValueError(f"window of {config.window_ms} ms is shorter than one sample")
+        raise ConfigError(f"window of {config.window_ms} ms is shorter than one sample")
 
     # reflect-pad half a window per edge; numpy repeats the reflection when
     # the pad exceeds the signal length, so sub-window inputs still frame
@@ -138,10 +138,10 @@ def power_spectrum(frames: np.ndarray, config: FrontendConfig) -> np.ndarray:
     """
     n_fft = config.fft_size
     if n_fft < 1 or (n_fft & (n_fft - 1)) != 0:
-        raise ValueError(f"fft_size must be a power of two, got {n_fft}")
+        raise ConfigError(f"fft_size must be a power of two, got {n_fft}")
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.shape[1] > n_fft:
-        raise ValueError(f"fft_size {n_fft} smaller than frame length {frames.shape[1]}")
+        raise ConfigError(f"fft_size {n_fft} smaller than frame length {frames.shape[1]}")
     spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
     return (spectrum.real**2 + spectrum.imag**2).T
 
@@ -185,7 +185,7 @@ def _mel_filterbank(values, sample_rate):
     # keyed by the field values: a FrontendConfig is mutable, so it cannot be the key
     config = FrontendConfig(*values)
     if config.fmax > sample_rate / 2:
-        raise ValueError(f"fmax {config.fmax} exceeds Nyquist {sample_rate / 2}")
+        raise ConfigError(f"fmax {config.fmax} exceeds Nyquist {sample_rate / 2}")
     n_bins = config.fft_size // 2 + 1
     bin_hz = np.arange(n_bins) * sample_rate / config.fft_size
 
@@ -201,7 +201,7 @@ def _mel_filterbank(values, sample_rate):
 
     empty = np.flatnonzero(~(bank > 0).any(axis=1))
     if empty.size:
-        raise ValueError(f"empty mel band {empty[0]}: n_mels too large for fft resolution")
+        raise ConfigError(f"empty mel band {empty[0]}: n_mels too large for fft resolution")
     bank.flags.writeable = False
     return bank
 

@@ -46,6 +46,16 @@ def _pad(x, ph, pw):
     return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
 
 
+def _tap_columns(xp, kh, kw, stride, hout, wout):
+    """The kh*kw taps of a one-channel padded input gathered into (N, H', W', kh*kw)."""
+    taps = [
+        xp[:, dh : dh + stride * hout : stride, dw : dw + stride * wout : stride, :]
+        for dh in range(kh)
+        for dw in range(kw)
+    ]
+    return np.concatenate(taps, axis=3)
+
+
 def conv2d(x, w, b=None, stride=1, padding="same"):
     """Cross-correlation of (N,H,W,Cin) with (Kh,Kw,Cin,Cout) plus bias."""
     kh, kw, cin, cout = w.shape
@@ -53,41 +63,80 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
         raise ShapeError(f"conv2d input has {x.shape[3]} channels, weights expect {cin}")
     ph, pw, hout, wout = _conv_geometry(x.shape, kh, kw, stride, padding)
     xp = _pad(x, ph, pw)
-
-    def tap(dh, dw):
-        return xp[:, dh : dh + stride * hout : stride, dw : dw + stride * wout : stride, :]
-
     if cin == 1:
         # one input channel: one GEMM over the gathered taps, not kh*kw GEMMs with K = 1
-        cols = np.concatenate([tap(dh, dw) for dh in range(kh) for dw in range(kw)], axis=3)
+        cols = _tap_columns(xp, kh, kw, stride, hout, wout)
         y = np.tensordot(cols, w.reshape(kh * kw, cout).astype(x.dtype, copy=False), axes=([3], [0]))
     else:
         # more channels keep K = cin per tap: an im2col GEMM was slower at 48 channels
         y = np.zeros((x.shape[0], hout, wout, cout), dtype=x.dtype)
         for dh in range(kh):
             for dw in range(kw):
-                y += np.tensordot(tap(dh, dw), w[dh, dw], axes=([3], [0]))
+                tap = xp[:, dh : dh + stride * hout : stride, dw : dw + stride * wout : stride, :]
+                y += np.tensordot(tap, w[dh, dw], axes=([3], [0]))
     if b is not None:
         y += b
     return y
 
 
 def conv2d_backward(x, w, grad_y, stride=1, padding="same", with_bias=True):
-    """Gradients of conv2d w.r.t. input, weights, and bias."""
-    kh, kw, _, _ = w.shape
+    """Gradients of conv2d w.r.t. input, weights, and bias.
+
+    With one input channel the weight gradient is one GEMM of the forward's
+    tap columns against grad_y (M = kh*kw), or for a single tap a BLAS-free
+    contraction: OpenBLAS splits an M = 1 product along K, and its bits then
+    depend on the thread count.
+    """
+    kh, kw, cin, cout = w.shape
     ph, pw, hout, wout = _conv_geometry(x.shape, kh, kw, stride, padding)
     xp = _pad(x, ph, pw)
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
+    if cin == 1 and kh * kw == 1:
+        tap = xp[:, : stride * hout : stride, : stride * wout : stride, 0]
+        gw[0, 0, 0] = np.einsum("nhw,nhwc->c", tap, grad_y)
+    elif cin == 1:
+        columns = _tap_columns(xp, kh, kw, stride, hout, wout)
+        gw[...] = np.tensordot(columns, grad_y, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
     for dh in range(kh):
         for dw in range(kw):
             rows = slice(dh, dh + stride * hout, stride)
             cols = slice(dw, dw + stride * wout, stride)
-            gw[dh, dw] = np.tensordot(xp[:, rows, cols, :], grad_y, axes=([0, 1, 2], [0, 1, 2]))
+            if cin > 1:
+                gw[dh, dw] = np.tensordot(xp[:, rows, cols, :], grad_y, axes=([0, 1, 2], [0, 1, 2]))
             gxp[:, rows, cols, :] += np.tensordot(grad_y, w[dh, dw], axes=([3], [1]))
     gx = gxp[:, ph : ph + x.shape[1], pw : pw + x.shape[2], :] if (ph or pw) else gxp
     gb = grad_y.sum(axis=(0, 1, 2)) if with_bias else None
     return gx, gw, gb
+
+
+def _depthwise_rows(x, w):
+    """Same-padded per-channel correlation of (N, H, W, C) with (Kh, Kw, C),
+    returned as (N, H, W * C) rows.
+
+    Each clip is copied into one zero-bordered row buffer of (W + 2pw) * C
+    values, and the kernel is tiled along W, so each tap is one long
+    multiply-add, with the sums in tap order. One clip at a time keeps the
+    buffers in cache, and copying a tap into the reused product buffer
+    before multiplying in place ran faster than multiplying out of the
+    strided view.
+    """
+    kh, kw, c = w.shape
+    n, h, wd, _ = x.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((h + 2 * ph, (wd + 2 * pw) * c), dtype=x.dtype)
+    interior = padded[ph : ph + h, pw * c : (pw + wd) * c]
+    w_rows = np.tile(w, (1, 1, wd))
+    y = np.zeros((n, h, wd * c), dtype=x.dtype)
+    product = np.empty((h, wd * c), dtype=np.result_type(x, w))
+    for clip, out in zip(x.reshape(n, h, wd * c), y):
+        interior[...] = clip
+        for dh in range(kh):
+            for dw in range(kw):
+                np.copyto(product, padded[dh : dh + h, dw * c : (dw + wd) * c])
+                product *= w_rows[dh, dw]
+                out += product
+    return y
 
 
 def depthwise_conv2d(x, w, b=None):
@@ -95,39 +144,30 @@ def depthwise_conv2d(x, w, b=None):
     kh, kw, c = w.shape
     if x.shape[3] != c:
         raise ShapeError(f"depthwise input has {x.shape[3]} channels, weights expect {c}")
-    ph, pw, hout, wout = _conv_geometry(x.shape, kh, kw, 1, "same")
-    xp = _pad(x, ph, pw)
-    n, hp, wp, _ = xp.shape
-    # Rows of (W + 2pw) * C values with the kernel tiled along W: each tap is one
-    # long multiply-add instead of a C-wide broadcast, with the sums in tap order.
-    # In-place passes over one reused buffer ran faster than a fresh product.
-    rows = xp.reshape(n, hp, wp * c)
-    w_rows = np.tile(w, (1, 1, wout))
-    y = np.zeros((n, hout, wout * c), dtype=x.dtype)
-    product = np.empty(y.shape, dtype=np.result_type(x, w))
-    for dh in range(kh):
-        for dw in range(kw):
-            np.copyto(product, rows[:, dh : dh + hout, dw * c : (dw + wout) * c])
-            product *= w_rows[dh, dw]
-            y += product
-    y = y.reshape(x.shape)
+    _conv_geometry(x.shape, kh, kw, 1, "same")
+    y = _depthwise_rows(x, w).reshape(x.shape)
     if b is not None:
         y += b
     return y
 
 
 def depthwise_conv2d_backward(x, w, grad_y, with_bias=True):
-    kh, kw, _ = w.shape
+    """Gradients of depthwise_conv2d. The input gradient is the same correlation
+    of grad_y with the kernel flipped; the weight gradient sums each tap's
+    products over the row layout, one clip at a time."""
+    kh, kw, c = w.shape
     ph, pw, hout, wout = _conv_geometry(x.shape, kh, kw, 1, "same")
-    xp = _pad(x, ph, pw)
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
-    for dh in range(kh):
-        for dw in range(kw):
-            xs = xp[:, dh : dh + hout, dw : dw + wout, :]
-            gw[dh, dw] = np.einsum("nhwc,nhwc->c", xs, grad_y)
-            gxp[:, dh : dh + hout, dw : dw + wout, :] += grad_y * w[dh, dw]
-    gx = gxp[:, ph : ph + x.shape[1], pw : pw + x.shape[2], :] if (ph or pw) else gxp
+    gx = _depthwise_rows(grad_y, w[::-1, ::-1]).reshape(x.shape)
+    n = x.shape[0]
+    padded = np.zeros((hout + 2 * ph, (wout + 2 * pw) * c), dtype=x.dtype)
+    interior = padded[ph : ph + hout, pw * c : (pw + wout) * c]
+    gw_rows = np.zeros((kh, kw, wout * c), dtype=np.result_type(x, grad_y))
+    for clip, g in zip(x.reshape(n, hout, wout * c), grad_y.reshape(n, hout, wout * c)):
+        interior[...] = clip
+        for dh in range(kh):
+            for dw in range(kw):
+                gw_rows[dh, dw] += np.einsum("ij,ij->j", padded[dh : dh + hout, dw * c : (dw + wout) * c], g)
+    gw = gw_rows.reshape(kh, kw, wout, c).sum(axis=2).astype(w.dtype, copy=False)
     gb = grad_y.sum(axis=(0, 1, 2)) if with_bias else None
     return gx, gw, gb
 
@@ -168,32 +208,51 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         raise ValueError(f"batch norm eps must be positive, got {eps}")
     axes = tuple(range(x.ndim - 1))
     if train:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        # np.mean and np.var's own arithmetic, with one centred buffer: x_hat is
+        # scaled from it in place and y is written into the squares buffer
+        m = np.intp(math.prod(x.shape[:-1]))
+        mean = np.add.reduce(x, axis=axes, keepdims=True)
+        np.true_divide(mean, m, out=mean, casting="unsafe")
+        x_hat = np.subtract(x, mean)
+        y = np.multiply(x_hat, x_hat)
+        var = np.add.reduce(y, axis=axes)
+        np.true_divide(var, m, out=var, casting="unsafe")
+        mean = mean.reshape(var.shape)
         new_mm = momentum * moving_mean + (1.0 - momentum) * mean
         new_mv = momentum * moving_var + (1.0 - momentum) * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat *= inv_std
+        np.multiply(gamma, x_hat, out=y)
     else:
         if np.any(moving_var < 0):
             raise ValueError("negative variance estimate in batch norm")
-        mean, var = moving_mean, moving_var
         new_mm, new_mv = moving_mean, moving_var
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean) * inv_std
-    y = gamma * x_hat + beta
+        inv_std = 1.0 / np.sqrt(moving_var + eps)
+        x_hat = (x - moving_mean) * inv_std
+        y = gamma * x_hat
+    y += beta
     cache = (x_hat, inv_std, gamma, train, axes)
     return y, cache, (new_mm, new_mv)
 
 
 def batch_norm_backward(cache, grad_y):
-    """Gradients w.r.t. input, gamma, beta from a batch_norm cache."""
+    """Gradients w.r.t. input, gamma, beta from a batch_norm cache.
+
+    In train mode the input gradient uses sum(g * gamma) = gamma * g_beta and
+    sum(g * gamma * x_hat) = gamma * g_gamma, so it takes two full-size buffers.
+    """
     x_hat, inv_std, gamma, train, axes = cache
-    g_gamma = (grad_y * x_hat).sum(axis=axes)
+    product = grad_y * x_hat
+    g_gamma = np.add.reduce(product, axis=axes)
     g_beta = grad_y.sum(axis=axes)
-    g_xhat = grad_y * gamma
     if not train:
-        return g_xhat * inv_std, g_gamma, g_beta
-    m = int(np.prod([x_hat.shape[a] for a in axes]))
-    gx = (inv_std / m) * (m * g_xhat - g_xhat.sum(axis=axes) - x_hat * (g_xhat * x_hat).sum(axis=axes))
+        return grad_y * gamma * inv_std, g_gamma, g_beta
+    m = math.prod(x_hat.shape[:-1])
+    # gx = (gamma * inv_std / m) * (m * g - g_beta - x_hat * g_gamma)
+    gx = np.multiply(grad_y, m)
+    gx -= g_beta
+    gx -= np.multiply(x_hat, g_gamma, out=product)
+    gx *= gamma * inv_std / m
     return gx, g_gamma, g_beta
 
 
@@ -205,31 +264,67 @@ def elu(x):
     return np.maximum(x, y, out=y)
 
 
-def elu_backward(x, grad_y):
-    return grad_y * np.exp(np.minimum(x, 0))
+def elu_backward(y, grad_y):
+    """ELU's gradient from its output y: 1 where y > 0, else exp(x) = y + 1."""
+    factor = np.minimum(y, 0)
+    factor += 1
+    factor *= grad_y
+    return factor
 
 
 def gelu(x):
     """Gaussian error linear unit, tanh approximation:
-    0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))  # x**3 goes through slow pow
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    Computed in one buffer. The bits equal 0.5 * x * (1 + tanh(inner)): the
+    factors 0.5 * (1 + t) and 0.5 * x are exact wherever x is normal, and
+    1 + t is exactly 1 where it is not.
+    """
+    t = x * x  # x**3 goes through slow pow
+    t *= x
+    t *= GELU_COEF
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    t *= x
+    return t
 
 
 def gelu_backward(x, grad_y):
-    inner = _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
-    t = np.tanh(inner)
-    d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x**2)
-    return grad_y * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
+    """grad_y * (0.5*(1 + t) + 0.5*x*(1 - t^2) * sqrt(2/pi)*(1 + 3*0.044715*x^2)),
+    t = tanh(inner), in three buffers and in that order of operations."""
+    t = x * x
+    t *= x
+    t *= GELU_COEF
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    d_inner = x * x
+    d_inner *= 3.0 * GELU_COEF
+    d_inner += 1.0
+    d_inner *= _SQRT_2_OVER_PI
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= 0.5
+    slope *= x
+    slope *= d_inner
+    t += 1.0
+    t *= 0.5
+    t += slope
+    t *= grad_y
+    return t
 
 
 def max_pool(x, pool, keep_cache=True):
     """Non-overlapping max pooling; trailing remainder rows/columns dropped.
 
-    Returns (y, cache). Ties within a window resolve to the first index in
-    row-major (dh, dw) window order. With ``keep_cache=False`` no argmax is
-    taken and the cache is None; y is the same, except that a window whose
-    maximum is a tie between -0.0 and +0.0 may give the other zero.
+    Returns (y, cache). The cache holds, per output, the index of the first
+    maximum in row-major (dh, dw) window order, in the smallest unsigned
+    integer type that holds it; ``keep_cache=False`` skips it and returns
+    None. On a window whose maximum is a tie between -0.0 and +0.0, y may be
+    either zero.
     """
     ph, pw = pool
     if ph < 1 or pw < 1:
@@ -239,27 +334,30 @@ def max_pool(x, pool, keep_cache=True):
     if hout < 1 or wout < 1:
         raise ShapeError(f"pool {pool} larger than input {h}x{w}")
     blocks = x[:, : hout * ph, : wout * pw, :].reshape(n, hout, ph, wout, pw, c)
+    y = blocks.max(axis=(2, 4))
     if not keep_cache:
-        return blocks.max(axis=(2, 4)), None
-    windows = blocks.transpose(0, 1, 3, 5, 2, 4).reshape(n, hout, wout, c, ph * pw)
-    idx = np.argmax(windows, axis=-1)
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    cache = (x.shape, pool, idx)
-    return y, cache
+        return y, None
+    # idx counts the cells before the first one that holds the maximum
+    cells = [blocks[:, :, k // pw, :, k % pw, :] for k in range(ph * pw)]
+    before = np.not_equal(cells[0], y)
+    idx = before.astype(np.min_scalar_type(ph * pw - 1))
+    differs = np.empty_like(before)
+    for cell in cells[1:-1]:
+        before &= np.not_equal(cell, y, out=differs)
+        idx += before
+    return y, (x.shape, pool, idx)
 
 
 def max_pool_backward(cache, grad_y):
     (n, h, w, c), (ph, pw), idx = cache
     hout, wout = h // ph, w // pw
-    g_win = np.zeros((n, hout, wout, c, ph * pw), dtype=grad_y.dtype)
-    np.put_along_axis(g_win, idx[..., None], grad_y[..., None], axis=-1)
-    gx_core = (
-        g_win.reshape(n, hout, wout, c, ph, pw)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, hout * ph, wout * pw, c)
-    )
     gx = np.zeros((n, h, w, c), dtype=grad_y.dtype)
-    gx[:, : hout * ph, : wout * pw, :] = gx_core
+    # a view: splitting an axis never needs a copy
+    cells = gx[:, : hout * ph, : wout * pw, :].reshape(n, hout, ph, wout, pw, c)
+    for k in range(ph * pw):
+        cell = cells[:, :, k // pw, :, k % pw, :]
+        np.multiply(grad_y, idx == k, out=cell)
+        cell += 0.0  # a negative gradient times False is -0.0; unrouted cells stay +0.0
     return gx
 
 
@@ -311,11 +409,15 @@ def dropout(x, rate, train=False, rng=None):
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype)
-    return x * mask / (1.0 - rate), mask
+    mask = rng.random(x.shape) >= rate
+    y = x * mask
+    y /= 1.0 - rate
+    return y, mask
 
 
 def dropout_backward(mask, rate, grad_y):
     if mask is None:
         return grad_y
-    return grad_y * mask / (1.0 - rate)
+    g = grad_y * mask
+    g /= 1.0 - rate
+    return g

@@ -66,6 +66,54 @@ def exact_gelu(x):
     return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
+def _entrywise(f, x):
+    """``f`` applied to every entry of ``x`` as a Python float; float64 result."""
+    return np.array([f(v) for v in np.ravel(x).tolist()], dtype=np.float64).reshape(np.shape(x))
+
+
+def tanh_gelu(x):
+    """GELU's tanh approximation, 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715x^3))),
+    entry by entry through ``math.tanh``."""
+    c = math.sqrt(2.0 / math.pi)
+    return _entrywise(lambda v: 0.5 * v * (1.0 + math.tanh(c * (v + 0.044715 * v * v * v))), x)
+
+
+def naive_elu(x):
+    """x for x > 0, else exp(x) - 1, entry by entry through ``math.expm1``."""
+    return _entrywise(lambda v: v if v > 0 else math.expm1(v), x)
+
+
+def naive_batch_norm_train(x, gamma, beta, eps):
+    """Train-mode batch norm of an (..., C) array, channel by channel in float64.
+
+    Returns (y, mean, var) with the batch mean and biased variance, both
+    summed by ``math.fsum``.
+    """
+    cols = np.asarray(x, dtype=np.float64).reshape(-1, np.shape(x)[-1])
+    y = np.empty_like(cols)
+    mean, var = np.empty(cols.shape[1]), np.empty(cols.shape[1])
+    for c in range(cols.shape[1]):
+        col = cols[:, c].tolist()
+        mean[c] = math.fsum(col) / len(col)
+        var[c] = math.fsum((v - mean[c]) ** 2 for v in col) / len(col)
+        scale = float(gamma[c]) / math.sqrt(var[c] + eps)
+        y[:, c] = [(v - mean[c]) * scale + float(beta[c]) for v in col]
+    return y.reshape(np.shape(x)), mean, var
+
+
+def naive_max_pool(x, pool):
+    """Non-overlapping max pooling of one (H, W, C) example by loops; trailing
+    remainder rows and columns are dropped."""
+    h, w, c = x.shape
+    ph, pw = pool
+    y = np.empty((h // ph, w // pw, c), dtype=x.dtype)
+    for i in range(h // ph):
+        for j in range(w // pw):
+            for ch in range(c):
+                y[i, j, ch] = max(x[i * ph + a, j * pw + b, ch] for a in range(ph) for b in range(pw))
+    return y
+
+
 def naive_dense(x, w, b):
     """Double-loop affine map on a single (n,) vector."""
     n, m = w.shape

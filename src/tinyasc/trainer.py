@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import zoo
-from .errors import TinyAscError, TrainingDivergedError
+from .errors import ConfigError, TinyAscError, TrainingDivergedError
 
 PROB_CLAMP = 1e-12
 
@@ -44,13 +44,13 @@ class TrainingConfig:
 
     def __post_init__(self):
         if self.early_stop_patience < 1 or self.lr_plateau_patience < 1:
-            raise ValueError("patience values must be positive")
+            raise ConfigError("patience values must be positive")
         if not 0.0 < self.lr_factor < 1.0:
-            raise ValueError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
+            raise ConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise ConfigError("max_epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
 
 
 @dataclass

@@ -377,6 +377,12 @@ def _softmax_forward(layer, x, run):
     return probs, probs
 
 
+def _elu_forward(layer, x, run):
+    # the backward needs only the output, which is already the next layer's input
+    y = kernels.elu(x)
+    return y, y
+
+
 def _push_skip(layer, x, run):
     run.skips.append(x)
     return x, None
@@ -423,7 +429,7 @@ OPS = {
             2 * int(np.prod(layer.output_shape)) if convention.count_bn_macs else 0
         ),
     ),
-    "elu": Op(lambda layer, x, run: (kernels.elu(x), x)),
+    "elu": Op(_elu_forward),
     "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x)),
     "max_pool": Op(
         lambda layer, x, run: kernels.max_pool(x, layer.config["pool"], keep_cache=run.keep_caches),

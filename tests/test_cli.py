@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: flags, exit codes, reproducible outputs."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,9 @@ import pytest
 
 from tinyasc import cli, data, quantize, zoo
 from tinyasc.frontend import FrontendConfig, Waveform, log_mel, spectrogram_to_csv
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args):
@@ -244,6 +248,24 @@ class TestTrainEvalQuantize:
         assert code == 1
         assert "synthetic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_train_bits_same_at_one_and_two_blas_threads(self, arch, tmp_path):
+        # 16-16 at batch 16 on 64x51 inputs: large enough that two OpenBLAS
+        # threads split an M = 1 weight-gradient product, as they did before
+        outputs = []
+        for threads in ("1", "2"):
+            ckpt, hist = tmp_path / f"{threads}.tasc", tmp_path / f"{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            args = ["train", "--arch", arch, "--filters", "16,16", "--synthetic", "24", "--epochs", "1"]
+            args += ["--batch-size", "16", "--seed", "3", "--out", str(ckpt), "--history", str(hist)]
+            result = subprocess.run(
+                [sys.executable, "-m", "tinyasc.cli", *args], env=env, capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append((ckpt.read_bytes(), hist.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestReconcile:
     def test_reconcile_prints_8_rows(self, tmp_path, capsys):
@@ -261,6 +283,27 @@ class TestReconcile:
         assert run_cli(["reconcile", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["features", "--hop-fraction", "2"], "hop_fraction must be in (0, 1), got 2.0"),
+            (["features", "--fft-size", "1000"], "fft_size must be a power of two, got 1000"),
+            (["features", "--n-mels", "4000"], "empty mel band"),
+            (["train", "--synthetic", "8", "--epochs", "0"], "max_epochs must be >= 1"),
+            (["train", "--synthetic", "8", "--batch-size", "0"], "batch_size must be >= 1"),
+        ],
+    )
+    def test_one_error_line(self, args, message, tmp_path, capsys):
+        if args[0] == "features":
+            wav = tmp_path / "in.wav"
+            data.write_wav(wav, Waveform(np.zeros(4410), 44100), bits=16)
+            args = [*args, "--wav", str(wav)]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 class TestConfigFile:

@@ -137,6 +137,37 @@ class TestDepthwise:
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
+    def test_backward_at_full_size_close_to_float64(self):
+        # at 64x64x51x48, against the per-tap form it replaced evaluated in
+        # float64: gw within 5e-7 of the largest entry and no farther than that
+        # form in float32; gx sums the same nine products in the flipped tap
+        # order, so it is held to 2.5e-7 of the largest entry and to the old
+        # form's relative L2 error within 5%
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(64, 64, 51, 48)).astype(np.float32)
+        w = rng.normal(size=(3, 3, 48)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+
+        def per_tap(x, w, g):
+            xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+            gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+            for dh in range(3):
+                for dw in range(3):
+                    gw[dh, dw] = np.einsum("nhwc,nhwc->c", xp[:, dh : dh + 64, dw : dw + 51], g)
+                    gxp[:, dh : dh + 64, dw : dw + 51] += g * w[dh, dw]
+            return gxp[:, 1:-1, 1:-1], gw
+
+        (old_gx, old_gw), new = per_tap(x, w, g), kernels.depthwise_conv2d_backward(x, w, g, with_bias=False)
+        ref_gx, ref_gw = per_tap(x.astype(np.float64), w.astype(np.float64), g.astype(np.float64))
+        del x
+        assert new[0].dtype == new[1].dtype == np.float32
+        scale = np.abs(ref_gw).max()
+        new_err, old_err = np.abs(new[1] - ref_gw).max() / scale, np.abs(old_gw - ref_gw).max() / scale
+        assert new_err <= 5e-7 and new_err <= old_err
+        assert np.abs(new[0] - ref_gx).max() <= 2.5e-7 * np.abs(ref_gx).max()
+        assert np.linalg.norm(new[0] - ref_gx) <= 1.05 * np.linalg.norm(old_gx - ref_gx)
+
+
 class TestPointwise:
     def test_agrees_with_conv2d_k1(self):
         rng = np.random.default_rng(8)
@@ -204,6 +235,45 @@ class TestBatchNorm:
         np.testing.assert_allclose(mm, [0.4])  # 0.9*0 + 0.1*4
         np.testing.assert_allclose(mv, [0.9])  # 0.9*1 + 0.1*0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_forward_byte_equal_to_mean_var_form(self, dtype):
+        # the np.mean / np.var form that the one-buffer form replaced
+        rng = np.random.default_rng(17)
+        x = (rng.normal(1.5, 2.0, size=(5, 7, 9, 6)) * np.arange(1, 7)).astype(dtype)
+        gamma, beta = rng.uniform(0.5, 1.5, 6).astype(dtype), rng.normal(size=6).astype(dtype)
+        mm, mv = rng.normal(size=6).astype(dtype), rng.uniform(0.5, 2.0, 6).astype(dtype)
+        mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+        inv_std = 1.0 / np.sqrt(var + 1e-3)
+        x_hat = (x - mean) * inv_std
+        blend = 1.0 - 0.99
+        want = (gamma * x_hat + beta, 0.99 * mm + blend * mean, 0.99 * mv + blend * var, x_hat, inv_std)
+        y, cache, (new_mm, new_mv) = kernels.batch_norm(x, gamma, beta, mm, mv, eps=1e-3, momentum=0.99, train=True)
+        for got, ref in zip((y, new_mm, new_mv, cache[0], cache[1]), want):
+            assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
+
+    def test_backward_at_full_size_no_farther_from_float64(self):
+        # the input gradient at 64x64x51x48: within 5e-7 of the largest entry of a
+        # float64 evaluation from the same cache, and no farther than the
+        # three-sum form it replaced
+        rng = np.random.default_rng(18)
+        x = rng.normal(0.5, 2.0, size=(64, 64, 51, 48)).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, 48).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        _, cache, _ = kernels.batch_norm(x, gamma, np.zeros(48, np.float32), np.zeros(48), np.ones(48), train=True)
+        del x
+        x_hat, inv_std, _, _, axes = cache
+
+        def three_sums(x_hat, inv_std, gamma, g):
+            g_xhat = g * gamma
+            m = g.size // g.shape[-1]
+            return (inv_std / m) * (m * g_xhat - g_xhat.sum(axis=axes) - x_hat * (g_xhat * x_hat).sum(axis=axes))
+
+        ref = three_sums(*(a.astype(np.float64) for a in (x_hat, inv_std, gamma, g)))
+        scale = np.abs(ref).max()
+        old = np.abs(three_sums(x_hat, inv_std, gamma, g) - ref).max() / scale
+        new = np.abs(kernels.batch_norm_backward(cache, g)[0] - ref).max() / scale
+        assert new <= 5e-7 and new <= old
+
 
 class TestActivations:
     def test_zero_fixed_points(self):
@@ -226,8 +296,10 @@ class TestActivations:
         x = np.concatenate([rng.normal(0.0, 4.0, 20000), rng.uniform(-100, 100, 20000), special]).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
         want_y = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
-        want_gx = g * np.where(x > 0, np.ones_like(x), np.exp(np.minimum(x, 0.0)))
-        y, gx = kernels.elu(x), kernels.elu_backward(x, g)
+        # the backward takes the output: exp(x) = y + 1 where y <= 0
+        want_gx = g * np.where(want_y > 0, np.ones_like(x), want_y + 1)
+        y = kernels.elu(x)
+        gx = kernels.elu_backward(y, g)
         assert y.dtype == gx.dtype == dtype
         assert y.tobytes() == want_y.tobytes()
         assert gx.tobytes() == want_gx.tobytes()
@@ -260,6 +332,38 @@ class TestActivations:
         ulp = np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x64))
         assert np.all(np.abs(y - want_y) <= 4 * ulp)
         assert np.all(np.abs(gx - want_gx) <= 4 * ulp * np.maximum(1.0, np.abs(g64)))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_byte_equal_to_expression_form(self, dtype):
+        # the fresh-temporary expressions that the in-place forms replaced
+        rng = np.random.default_rng(23)
+        tiny = np.finfo(dtype).tiny
+        special = [0.0, -0.0, tiny, -tiny, tiny / 8, -tiny / 8, 1e-20, -1e-20, 7.0, -7.0, 1e12, -1e12, np.inf, -np.inf]
+        x = np.concatenate([rng.normal(0.0, 3.0, 20000), rng.uniform(-12, 12, 20000), special]).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        c = kernels._SQRT_2_OVER_PI
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.tanh(c * (x + kernels.GELU_COEF * (x * x * x)))
+            want_y = 0.5 * x * (1.0 + t)
+            want_gx = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * (c * (1.0 + 3.0 * kernels.GELU_COEF * x**2)))
+            y, gx = kernels.gelu(x), kernels.gelu_backward(x, g)
+        assert y.dtype == gx.dtype == dtype
+        assert y.tobytes() == want_y.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+
+    def test_elu_backward_from_output_at_full_size(self):
+        # g * (min(y, 0) + 1) at 64x64x51x48: within 1e-7 of the largest entry of
+        # g * exp(min(x, 0)) in float64, and no farther than that form in float32
+        rng = np.random.default_rng(24)
+        x = rng.normal(0.0, 2.0, size=(64, 64, 51, 48)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        y = kernels.elu(x)
+        ref = g.astype(np.float64) * np.exp(np.minimum(x, 0).astype(np.float64))
+        scale = np.abs(ref).max()
+        old = np.abs(g * np.exp(np.minimum(x, 0)) - ref).max() / scale
+        new = np.abs(kernels.elu_backward(y, g) - ref).max() / scale
+        assert new <= 1e-7 and new <= old
 
 
 class TestPooling:
@@ -302,6 +406,31 @@ class TestPooling:
         assert cache is None
         assert fast.dtype == ref.dtype and fast.shape == ref.shape
         assert fast.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", [(1, 4), (1, 2), (2, 2)])
+    def test_gradient_routing_byte_equal_to_argmax_form(self, pool, dtype):
+        # the transpose + argmax + put_along_axis form that the first-index uint8 index replaced
+        rng = np.random.default_rng(25)
+        x = (np.round(rng.normal(size=(2, 7, 11, 3)) * 1.5) + 0.0).astype(dtype)  # ties; no -0.0
+        g = rng.normal(size=(2, 7 // pool[0], 11 // pool[1], 3)).astype(dtype)  # negative entries too
+        (ph, pw), (n, h, w, c) = pool, x.shape
+        hout, wout = h // ph, w // pw
+        windows = (
+            x[:, : hout * ph, : wout * pw].reshape(n, hout, ph, wout, pw, c).transpose(0, 1, 3, 5, 2, 4)
+        ).reshape(n, hout, wout, c, ph * pw)
+        idx = np.argmax(windows, axis=-1)
+        g_win = np.zeros(windows.shape, dtype=dtype)
+        np.put_along_axis(g_win, idx[..., None], g[..., None], axis=-1)
+        want = np.zeros_like(x)
+        want[:, : hout * ph, : wout * pw] = (
+            g_win.reshape(n, hout, wout, c, ph, pw).transpose(0, 1, 4, 2, 5, 3).reshape(n, hout * ph, wout * pw, c)
+        )
+        y, cache = kernels.max_pool(x, pool)
+        assert y.tobytes() == np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0].tobytes()
+        assert cache[2].dtype == np.uint8 and np.array_equal(cache[2], idx)
+        gx = kernels.max_pool_backward(cache, g)
+        assert gx.dtype == dtype and gx.tobytes() == want.tobytes()
 
     def test_cache_free_path_signed_zero_tie(self):
         # a window whose maximum ties -0.0 with +0.0: either zero may come
@@ -378,6 +507,18 @@ class TestDropout:
         y, _ = kernels.dropout(x, 0.3, train=True, rng=rng)
         zero_frac = float((y == 0).mean())
         assert abs(zero_frac - 0.3) < 0.005
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bool_mask_byte_equal_to_float_mask_form(self, dtype):
+        # the float mask that the bool mask replaced, from the same draw
+        x = _rand(3, 4, 5, 6, seed=26).astype(dtype)
+        g = _rand(3, 4, 5, 6, seed=27).astype(dtype)
+        float_mask = (np.random.default_rng(5).random(x.shape) >= 0.3).astype(dtype)
+        y, mask = kernels.dropout(x, 0.3, train=True, rng=np.random.default_rng(5))
+        assert mask.dtype == bool and np.array_equal(mask, float_mask)
+        assert y.dtype == dtype and y.tobytes() == (x * float_mask / (1.0 - 0.3)).tobytes()
+        gx = kernels.dropout_backward(mask, 0.3, g)
+        assert gx.dtype == dtype and gx.tobytes() == (g * float_mask / (1.0 - 0.3)).tobytes()
 
     def test_survivors_scaled(self):
         rng = np.random.default_rng(43)

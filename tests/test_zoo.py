@@ -287,6 +287,39 @@ class TestFoldedInference:
         assert outputs[0] == outputs[1]
 
 
+class TestTrainCaches:
+    def test_elu_caches_its_output_and_no_cache_holds_wide_indices(self):
+        # ELU's backward reads its output, which is already the next layer's input;
+        # max pooling keeps a uint8 index and dropout a bool mask
+        model = zoo.init_weights(zoo.build_conv_sep(4, 4, input_shape=(8, 16, 1)), seed=2)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        outputs = []
+        _, _, caches = zoo.run_graph(
+            model, x, train=True, rng=np.random.default_rng(4), keep_caches=True, record_activations=outputs
+        )
+        kinds = [layer.kind for layer in model.layers]
+        assert kinds.count("elu") == 4
+        for i, kind in enumerate(kinds):
+            if kind == "elu":
+                assert caches[i] is outputs[i]
+                assert kinds[i + 1] != "depthwise_conv2d" or caches[i + 1] is outputs[i]
+
+        def arrays(cache):
+            if isinstance(cache, np.ndarray):
+                yield cache
+            elif isinstance(cache, tuple):
+                for item in cache:
+                    yield from arrays(item)
+
+        for kind, cache in zip(kinds, caches):
+            for arr in arrays(cache):
+                assert arr.dtype != np.int64
+            if kind == "max_pool":
+                assert cache[2].dtype == np.uint8
+            if kind == "dropout":
+                assert cache.dtype == bool
+
+
 class TestInitWeights:
     def test_same_seed_identical(self):
         a = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=11)
