@@ -236,13 +236,15 @@ def build_conv_mixer(*args, **kwargs):
 
 @dataclass
 class Run:
-    """State of one walk: the mode, the dropout rng, the open residual skips
-    and whether backward caches are kept."""
+    """State of one walk: the mode, the dropout rng, the open residual skips,
+    whether backward caches are kept and whether a backward step's input
+    gradient is read (a conv2d skips it when it is not)."""
 
     train: bool = False
     rng: object = None
     skips: list = field(default_factory=list)
     keep_caches: bool = False
+    input_grad: bool = True
 
 
 def _fail(where, problem):
@@ -332,13 +334,13 @@ def _conv_args(layer):
 
 def _linear_op(linear, backward, fans, shape=_conv_shape, **flags):
     """A conv or dense kind: ``linear(layer, x, w, b)`` is its kernel and
-    ``backward(layer, x, w, grad, with_bias)`` returns (gx, gw, gb)."""
+    ``backward(layer, x, w, grad, with_bias, run)`` returns (gx, gw, gb)."""
 
     def forward(layer, x, run):
         return linear(layer, x, layer.weights["w"], layer.weights.get("b")), x
 
     def grads(layer, x, g, run):
-        gx, gw, gb = backward(layer, x, layer.weights["w"], g, "b" in layer.weights)
+        gx, gw, gb = backward(layer, x, layer.weights["w"], g, "b" in layer.weights, run)
         return gx, ({"w": gw} if gb is None else {"w": gw, "b": gb})
 
     def params(layer, convention):
@@ -395,25 +397,27 @@ def _add_skip(layer, x, run):
 OPS = {
     "conv2d": _linear_op(
         lambda layer, x, w, b: kernels.conv2d(x, w, b, **_conv_args(layer)),
-        lambda layer, x, w, g, bias: kernels.conv2d_backward(x, w, g, with_bias=bias, **_conv_args(layer)),
+        lambda layer, x, w, g, bias, run: kernels.conv2d_backward(
+            x, w, g, with_bias=bias, with_input=run.input_grad, **_conv_args(layer)
+        ),
         fans=lambda kh, kw, cin, cout: (kh * kw * cin, kh * kw * cout),
         folds_norm=True,
     ),
     "depthwise_conv2d": _linear_op(
         lambda layer, x, w, b: kernels.depthwise_conv2d(x, w, b),
-        lambda layer, x, w, g, bias: kernels.depthwise_conv2d_backward(x, w, g, with_bias=bias),
+        lambda layer, x, w, g, bias, run: kernels.depthwise_conv2d_backward(x, w, g, with_bias=bias),
         fans=lambda kh, kw, c: (kh * kw * c, kh * kw),
         folds_norm=True,
     ),
     "pointwise_conv2d": _linear_op(
         lambda layer, x, w, b: kernels.pointwise_conv2d(x, w, b),
-        lambda layer, x, w, g, bias: kernels.pointwise_conv2d_backward(x, w, g, with_bias=bias),
+        lambda layer, x, w, g, bias, run: kernels.pointwise_conv2d_backward(x, w, g, with_bias=bias),
         fans=lambda kh, kw, cin, cout: (cin, cout),
         folds_norm=True,
     ),
     "dense": _linear_op(
         lambda layer, x, w, b: kernels.dense(x, w, b),
-        lambda layer, x, w, g, bias: kernels.dense_backward(x, w, g),
+        lambda layer, x, w, g, bias, run: kernels.dense_backward(x, w, g),
         fans=lambda n, m: (n, m),
         shape=_dense_shape,
         logits=True,
@@ -551,8 +555,10 @@ def run_graph(model, x, train=False, rng=None, keep_caches=False, record_activat
 def backward_graph(model, caches, grad_out):
     """Backpropagate through the graph given forward caches.
 
-    Returns a dict mapping layer index to {weight_name: gradient} for
-    every trainable weight. Raises if a cache a layer needs is missing.
+    Returns (grads, None): grads maps layer index to {weight_name: gradient}
+    for every trainable weight. Nothing reads the input gradient of layer 0,
+    so a conv2d there does not compute it. Raises if a cache a layer needs
+    is missing.
     """
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")
@@ -564,10 +570,11 @@ def backward_graph(model, caches, grad_out):
         op = layer_op(layer, idx)
         if op.needs_cache and caches[idx] is None:
             raise ShapeError(f"missing forward cache for layer {idx} ({layer.name})")
+        run.input_grad = idx > 0
         g, layer_grads = op.backward(layer, caches[idx], g, run)
         if layer_grads is not None:
             grads[idx] = layer_grads
-    return grads, g
+    return grads, None
 
 
 def stack_inputs(model, specs, dtype):

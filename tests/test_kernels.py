@@ -432,6 +432,22 @@ class TestPooling:
         gx = kernels.max_pool_backward(cache, g)
         assert gx.dtype == dtype and gx.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("keep_cache", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", [(1, 4), (1, 2), (2, 2), (1, 1)])
+    def test_running_maximum_byte_equal_to_reduction(self, pool, dtype, keep_cache):
+        # the blocks.max(axis=(2, 4)) form that the running np.maximum replaced
+        rng = np.random.default_rng(26)
+        x = (np.round(rng.normal(size=(2, 7, 11, 3)) * 1.5) + 0.0).astype(dtype)  # ties; no -0.0
+        x[1, rng.integers(0, 7, 12), rng.integers(0, 11, 12), rng.integers(0, 3, 12)] = np.nan
+        (ph, pw), (n, h, w, c) = pool, x.shape
+        blocks = x[:, : h // ph * ph, : w // pw * pw].reshape(n, h // ph, ph, w // pw, pw, c)
+        want = blocks.max(axis=(2, 4))
+        assert np.isnan(want).any()
+        y, cache = kernels.max_pool(x, pool, keep_cache=keep_cache)
+        assert y.dtype == dtype and y.shape == want.shape and y.tobytes() == want.tobytes()
+        assert (cache is not None) == keep_cache
+
     def test_cache_free_path_signed_zero_tie(self):
         # a window whose maximum ties -0.0 with +0.0: either zero may come
         # back from the cache-free path, but the values compare equal

@@ -7,11 +7,14 @@ where L is a fixed random projection of the kernel's output. Draws are
 derandomized, so every run sees the same examples.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyasc import kernels
+from tinyasc import kernels, zoo
 from tinyasc.reference import (
     naive_batch_norm_train,
     naive_conv2d,
@@ -92,12 +95,13 @@ def test_depthwise_matches_reference_and_differences(data, k, dtype, seed):
 
 
 @PROPERTY
-@given(st.data(), KERNELS, st.booleans(), DTYPES, SEEDS)
-def test_one_channel_conv2d_matches_reference_and_differences(data, k, patch, dtype, seed):
-    # one input channel: the tap-column GEMM, or for k = 1 the BLAS-free contraction
-    n, h, w, _ = data.draw(batches(min_h=k, min_w=k, max_hw=k + 4))
+@given(st.data(), KERNELS, st.integers(1, 4), st.booleans(), DTYPES, SEEDS)
+def test_conv2d_matches_reference_and_differences(data, k, cout, patch, dtype, seed):
+    # the per-clip row GEMM, or for one tap of one channel one GEMM with K = 1;
+    # the input gradient is the flipped-kernel correlation (same) or the row scatter (patch)
+    n, h, w, cin = data.draw(batches(min_h=k, min_w=k, max_hw=k + 4))
     stride, padding = (k, "valid") if patch else (1, "same")
-    rng, (x, wt, b) = _draw_arrays(seed, dtype, (n, h, w, 1), (k, k, 1, 3), (3,))
+    rng, (x, wt, b) = _draw_arrays(seed, dtype, (n, h, w, cin), (k, k, cin, cout), (cout,))
     y = kernels.conv2d(x, wt, b, stride=stride, padding=padding)
     x64, w64, b64 = (a.astype(np.float64) for a in (x, wt, b))
     want = np.stack([naive_conv2d(x64[i], w64, b64, stride=stride, padding=padding) for i in range(n)])
@@ -108,7 +112,11 @@ def test_one_channel_conv2d_matches_reference_and_differences(data, k, patch, dt
         return float((kernels.conv2d(x_, w_, b_, stride=stride, padding=padding) * r).sum())
 
     gx, gw, gb = kernels.conv2d_backward(x, wt, r, stride=stride, padding=padding)
+    assert gx.dtype == gw.dtype == gb.dtype == dtype
     check_directional(loss, (x, wt, b), (gx, gw, gb), dtype, rng)
+    no_input = kernels.conv2d_backward(x, wt, r, stride=stride, padding=padding, with_input=False)
+    assert no_input[0] is None
+    assert no_input[1].tobytes() == gw.tobytes() and no_input[2].tobytes() == gb.tobytes()
 
 
 @PROPERTY
@@ -150,6 +158,63 @@ def test_max_pool_matches_reference_and_differences(data, pool, dtype, seed):
         return float((kernels.max_pool(x_, pool)[0] * r).sum())
 
     check_directional(loss, (x,), (kernels.max_pool_backward(cache, r),), dtype, rng)
+
+
+@PROPERTY
+@given(st.data(), POOLS, DTYPES, SEEDS)
+def test_cache_free_max_pool_matches_reference(data, pool, dtype, seed):
+    shape = data.draw(batches(min_h=pool[0], min_w=pool[1], max_hw=9))
+    x = np.round(np.random.default_rng(seed).normal(size=shape) * 2).astype(dtype) + dtype(0.0)  # ties; no -0.0
+    y, cache = kernels.max_pool(x, pool, keep_cache=False)
+    assert cache is None and y.dtype == dtype
+    assert y.tobytes() == np.stack([naive_max_pool(clip, pool) for clip in x]).tobytes()
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["conv_sep", "conv_mixer"]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([1, 3]),
+    st.integers(2, 5),
+    st.integers(8, 12),
+    SEEDS,
+)
+def test_backward_graph_skips_only_the_first_input_gradient(arch, batch, f1, f2, k, h, w, seed):
+    model = zoo.init_weights(zoo.build(arch, f1, f2, kernel_size=k, input_shape=(h, w, 1)), seed)
+    # the same graph behind an identity layer, so that its first conv's input gradient is read
+    lead = zoo.LayerSpec("dropout", "lead", {"rate": 0.0})
+    shifted = dataclasses.replace(model, layers=[lead, *model.layers])
+    zoo.infer_shapes(shifted)
+    x = np.random.default_rng(seed).normal(size=(batch, h, w, 1)).astype(np.float32)
+    gx_none = []
+    backward = kernels.conv2d_backward
+
+    def spy(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        gx_none.append(grads[0] is None)
+        return grads
+
+    def layer_grads(graph):
+        gx_none.clear()
+        probs, _, caches = zoo.run_graph(graph, x, train=True, rng=np.random.default_rng(1), keep_caches=True)
+        grad = np.random.default_rng(2).normal(size=probs.shape).astype(np.float32)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "conv2d_backward", spy)
+            grads, gx = zoo.backward_graph(graph, caches, grad)
+        return grads, gx, list(gx_none)
+
+    grads, gx, skipped = layer_grads(model)
+    shifted_grads, _, shifted_skipped = layer_grads(shifted)
+    convs = sum(layer.kind == "conv2d" for layer in model.layers)
+    assert gx is None
+    # backward runs last layer first: only the first layer's conv skips its input gradient
+    assert skipped == [False] * (convs - 1) + [True] and shifted_skipped == [False] * convs
+    assert sorted(shifted_grads) == [i + 1 for i in sorted(grads)]
+    for i, weights in grads.items():
+        for name, g in weights.items():
+            assert g.tobytes() == shifted_grads[i + 1][name].tobytes(), (i, name)
 
 
 @PROPERTY

@@ -427,6 +427,22 @@ class TestIntegerExactness:
         elif k == 518:
             assert k * 255 * 127 == 16_775_430
 
+    @pytest.mark.parametrize("k", [518, 519])
+    def test_random_codes_on_the_conv_path_sum_exactly(self, k):
+        # random codes through the per-clip row GEMM: float32 sums at K = 518, float64 at 519
+        w_shape, _ = _EXTREME["conv2d"][k]
+        kh, _, cin, _ = w_shape
+        rng = np.random.default_rng(k)
+        layer = zoo.LayerSpec("conv2d", "conv2d", {}, {"w": np.zeros(w_shape, np.float32)})
+        in_params = quantize.affine_params(0.0, 255.0)
+        codes = rng.integers(-127, 128, size=w_shape).astype(np.int8)
+        x = rng.uniform(0.0, 255.0, size=(2, kh + 2, 3, cin))
+        integer = quantize.IntegerLayer.build(codes, 1.0, in_params)
+        assert integer.w.dtype == (np.float32 if k == 518 else np.float64)
+        got = integer(layer, x)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, _reference_layer(layer, x, codes, 1.0, in_params))
+
     def test_tiny_weights_with_unit_bias_do_not_wrap(self):
         # a near-zero classifier makes bias / out_scale far beyond int32
         model = _small_model()
