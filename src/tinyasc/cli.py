@@ -14,7 +14,7 @@ import sys
 
 from . import audit as audit_mod
 from . import data, metrics, quantize, trainer, zoo
-from .errors import TinyAscError
+from .errors import ConfigError, TinyAscError
 from .frontend import FrontendConfig, log_mel, spectrogram_to_csv
 
 EXIT_OK = 0
@@ -144,8 +144,8 @@ def _build_model(args):
 
 
 def _cmd_features(args):
-    wav = data.read_wav(args.wav)
     cfg = FrontendConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FrontendConfig)})
+    wav = data.read_wav(args.wav)
     spec = log_mel(wav, cfg)
     csv = spectrogram_to_csv(spec)
     if args.out:
@@ -160,6 +160,8 @@ def _cmd_features(args):
 
 
 def _cmd_train(args):
+    if args.lr == 0.0:
+        raise ConfigError("lr must be > 0 to train, got 0.0")
     examples = _load_examples(args)
     model = zoo.init_weights(_build_model(args), seed=args.seed)
     cfg = trainer.TrainingConfig(
@@ -250,38 +252,38 @@ _COMMANDS = {
 }
 
 
+def _config_defaults(parser, path):
+    """Set the config file's values as defaults of each subparser that has the key.
+
+    Strings go through each flag's type converter at parse time; a switch
+    takes ``true`` or ``false``.
+    """
+    values = _read_config_file(path)
+    subparsers = parser._subcommands.choices.values()
+    actions = {a.dest: a for p in subparsers for a in p._actions}
+    unknown = sorted(set(values) - set(actions))
+    if unknown:
+        raise TinyAscError(f"unknown config key {unknown[0]!r}")
+    for key, value in values.items():
+        if actions[key].nargs == 0:
+            if value not in ("true", "false"):
+                raise TinyAscError(f"config key {key!r} is a switch: true or false, got {value!r}")
+            values[key] = value == "true"
+    for p in subparsers:
+        p.set_defaults(**{k: v for k, v in values.items() if k in {a.dest for a in p._actions}})
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-
-    # a config file provides defaults; explicit flags still win
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            parser.error("--config needs a path")
-        try:
-            defaults = _read_config_file(argv[idx + 1])
-        except (OSError, TinyAscError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        subparsers = parser._subcommands.choices.values()
-        known = {a.dest for p in subparsers for a in p._actions}
-        unknown = sorted(set(defaults) - known)
-        if unknown:
-            print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
-            return EXIT_RUNTIME
-        # string defaults go through each flag's type converter at parse time
-        for p in subparsers:
-            p.set_defaults(**{k: v for k, v in defaults.items()
-                              if k in {a.dest for a in p._actions}})
-
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # a config file provides defaults; explicit flags still win
+            _config_defaults(parser, args.config)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except TinyAscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (TinyAscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

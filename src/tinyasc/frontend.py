@@ -20,7 +20,8 @@ All functions are pure; identical inputs give bit-identical outputs.
 """
 
 import functools
-from dataclasses import astuple, dataclass
+import math
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class FrontendConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 < self.hop_fraction < 1.0:
             raise ConfigError(f"hop_fraction must be in (0, 1), got {self.hop_fraction}")
         if self.n_mels < 1:

@@ -224,16 +224,12 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         raise ValueError(f"batch norm eps must be positive, got {eps}")
     axes = tuple(range(x.ndim - 1))
     if train:
-        # np.mean and np.var's own arithmetic, with one centred buffer: x_hat is
-        # scaled from it in place and y is written into the squares buffer
-        m = np.intp(math.prod(x.shape[:-1]))
-        mean = np.add.reduce(x, axis=axes, keepdims=True)
-        np.true_divide(mean, m, out=mean, casting="unsafe")
+        # np.var's arithmetic with one centred buffer: x_hat is scaled from it
+        # in place and y is written into the squares buffer
+        mean = x.mean(axis=axes)
         x_hat = np.subtract(x, mean)
         y = np.multiply(x_hat, x_hat)
-        var = np.add.reduce(y, axis=axes)
-        np.true_divide(var, m, out=var, casting="unsafe")
-        mean = mean.reshape(var.shape)
+        var = y.mean(axis=axes)
         new_mm = momentum * moving_mean + (1.0 - momentum) * mean
         new_mv = momentum * moving_var + (1.0 - momentum) * var
         inv_std = 1.0 / np.sqrt(var + eps)

@@ -51,6 +51,9 @@ class TrainingConfig:
             raise ConfigError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        # 0 is allowed: the loop then runs with frozen weights
+        if not 0.0 <= self.adam.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.adam.lr}")
 
 
 @dataclass
@@ -206,7 +209,7 @@ def validate_run_invariants(run: TrainRun, cfg: TrainingConfig = None):
     return True
 
 
-def _loss_grad(probs, labels, n_classes):
+def _loss_grad(probs, labels):
     """Mean cross-entropy over the batch and its gradient w.r.t. the probabilities."""
     n = probs.shape[0]
     p_true = np.clip(probs[np.arange(n), labels], PROB_CLAMP, 1.0)
@@ -218,7 +221,7 @@ def _loss_grad(probs, labels, n_classes):
 
 def _infer_metrics(model, xs, ys):
     probs, _ = zoo.forward_chunked(model, xs)
-    loss, _ = _loss_grad(probs.astype(np.float64), ys, model.n_classes)
+    loss, _ = _loss_grad(probs.astype(np.float64), ys)
     acc = float((probs.argmax(axis=1) == ys).mean())
     return loss, acc
 
@@ -269,7 +272,7 @@ def train(model, examples, cfg: TrainingConfig = None):
             sel = perm[start : start + cfg.batch_size]
             xb, yb = xs_tr[sel], ys_tr[sel]
             probs, _, caches = zoo.run_graph(model, xb, train=True, rng=rng, keep_caches=True)
-            loss, grad_p = _loss_grad(probs.astype(np.float64), yb, model.n_classes)
+            loss, grad_p = _loss_grad(probs.astype(np.float64), yb)
             if not math.isfinite(loss):
                 zoo.restore_weights(model, last_good)
                 raise TrainingDivergedError(

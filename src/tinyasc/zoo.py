@@ -30,10 +30,6 @@ from .frontend import Spectrogram
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 DROPOUT_RATE = 0.3
-# Clips per run_graph call in whole-dataset inference (evaluate, epoch-end
-# metrics). Per-clip cost grows with the batch once a layer's activations
-# outgrow the CPU cache; one clip was fastest for both 48-48 models, see README.
-INFER_CHUNK = 1
 
 
 @dataclass
@@ -76,39 +72,39 @@ class Prediction:
     logits: np.ndarray
 
 
-def _kernel(shape, use_bias, dtype):
-    """A zero kernel and, with ``use_bias``, a zero bias over its last axis."""
-    weights = {"w": np.zeros(shape, dtype=dtype)}
+def _kernel(shape, use_bias):
+    """A zero float32 kernel and, with ``use_bias``, a zero bias over its last axis."""
+    weights = {"w": np.zeros(shape, dtype=np.float32)}
     if use_bias:
-        weights["b"] = np.zeros(shape[-1], dtype=dtype)
+        weights["b"] = np.zeros(shape[-1], dtype=np.float32)
     return weights
 
 
-def _conv(name, kernel, cin, cout, use_bias, stride=1, padding="same", dtype=np.float32):
-    weights = _kernel((kernel, kernel, cin, cout), use_bias, dtype)
+def _conv(name, kernel, cin, cout, use_bias, stride=1, padding="same"):
+    weights = _kernel((kernel, kernel, cin, cout), use_bias)
     return LayerSpec("conv2d", name, {"stride": stride, "padding": padding}, weights)
 
 
-def _depthwise(name, kernel, channels, use_bias, dtype=np.float32):
-    return LayerSpec("depthwise_conv2d", name, {}, _kernel((kernel, kernel, channels), use_bias, dtype))
+def _depthwise(name, kernel, channels, use_bias):
+    return LayerSpec("depthwise_conv2d", name, {}, _kernel((kernel, kernel, channels), use_bias))
 
 
-def _pointwise(name, cin, cout, use_bias, dtype=np.float32):
-    return LayerSpec("pointwise_conv2d", name, {}, _kernel((1, 1, cin, cout), use_bias, dtype))
+def _pointwise(name, cin, cout, use_bias):
+    return LayerSpec("pointwise_conv2d", name, {}, _kernel((1, 1, cin, cout), use_bias))
 
 
-def _batch_norm(name, channels, dtype=np.float32):
+def _batch_norm(name, channels):
     weights = {
-        "gamma": np.ones(channels, dtype=dtype),
-        "beta": np.zeros(channels, dtype=dtype),
-        "moving_mean": np.zeros(channels, dtype=dtype),
-        "moving_var": np.ones(channels, dtype=dtype),
+        "gamma": np.ones(channels, dtype=np.float32),
+        "beta": np.zeros(channels, dtype=np.float32),
+        "moving_mean": np.zeros(channels, dtype=np.float32),
+        "moving_var": np.ones(channels, dtype=np.float32),
     }
     return LayerSpec("batch_norm", name, {"eps": BN_EPS, "momentum": BN_MOMENTUM}, weights)
 
 
-def _dense(name, n_in, n_out, dtype=np.float32):
-    return LayerSpec("dense", name, {}, _kernel((n_in, n_out), True, dtype))
+def _dense(name, n_in, n_out):
+    return LayerSpec("dense", name, {}, _kernel((n_in, n_out), True))
 
 
 def _simple(kind, name, **cfg):
@@ -630,9 +626,9 @@ def fold_norms(model):
 
 
 def forward(model, spec):
-    """Deterministic single-example inference: Spectrogram -> Prediction.
-    Runs the ``fold_norms`` graph of ``model``."""
-    probs, logits, _ = run_graph(fold_norms(model), stack_inputs(model, [spec], model.dtype), train=False)
+    """Deterministic single-example inference: Spectrogram -> Prediction,
+    by ``forward_batch`` on the one stacked clip."""
+    probs, logits = forward_batch(model, stack_inputs(model, [spec], model.dtype))
     p = probs[0]
     return Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
 
@@ -645,10 +641,10 @@ def forward_batch(model, batch):
 
 
 def forward_chunked(model, batch):
-    """``forward_batch`` over consecutive INFER_CHUNK-clip slices of a non-empty
-    batch, concatenated: the same bits, with each slice's activations small
-    enough to stay in cache. Returns (probs, logits)."""
-    parts = [forward_batch(model, batch[i : i + INFER_CHUNK]) for i in range(0, len(batch), INFER_CHUNK)]
+    """``forward_batch`` on each clip of a non-empty batch, concatenated: the
+    same bits as one batch, with one clip's activations small enough to stay
+    in cache. Returns (probs, logits)."""
+    parts = [forward_batch(model, clip[None]) for clip in batch]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

@@ -294,6 +294,15 @@ class TestOutOfRangeValues:
             (["features", "--n-mels", "4000"], "empty mel band"),
             (["train", "--synthetic", "8", "--epochs", "0"], "max_epochs must be >= 1"),
             (["train", "--synthetic", "8", "--batch-size", "0"], "batch_size must be >= 1"),
+            # the range checks alone let NaN through
+            (["features", "--log-floor", "nan"], "log_floor must be finite, got nan"),
+            (["features", "--log-floor", "inf"], "log_floor must be finite, got inf"),
+            (["features", "--window-ms", "nan"], "window_ms must be finite, got nan"),
+            (["features", "--window-ms", "inf"], "window_ms must be finite, got inf"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "-1"], "lr must be finite and >= 0, got -1.0"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "0"], "lr must be > 0 to train, got 0.0"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "nan"], "lr must be finite and >= 0, got nan"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "inf"], "lr must be finite and >= 0, got inf"),
         ],
     )
     def test_one_error_line(self, args, message, tmp_path, capsys):
@@ -333,3 +342,29 @@ class TestConfigFile:
         code = run_cli(["--config", str(cfg), "audit", "--filters", "48,48"])
         out = capsys.readouterr().out
         assert "params_total=28090" in out  # explicit flag wins
+
+    @pytest.mark.parametrize("value, totals", [("false", (28090, 28367328)), ("true", (27898, 29141472))])
+    def test_config_switch_takes_true_or_false(self, value, totals, tmp_path, capsys):
+        cfg = tmp_path / "switches.conf"
+        cfg.write_text(f"no-bias={value}\ncount-bn-macs={value}\n")
+        assert run_cli(["--config", str(cfg), "audit", "--arch", "conv_sep"]) == 0
+        out = capsys.readouterr().out
+        assert f"params_total={totals[0]}\n" in out and f"macs_total={totals[1]}\n" in out
+
+    @pytest.mark.parametrize("value", ["yes", "False", "1", ""])
+    def test_config_switch_other_value_is_one_error_line(self, value, tmp_path, capsys):
+        cfg = tmp_path / "switches.conf"
+        cfg.write_text(f"count-bn-macs={value}\n")
+        assert run_cli(["--config", str(cfg), "audit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config key 'count_bn_macs' is a switch: true or false, got {value!r}\n"
+
+    def test_config_equals_form_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "mixer.conf"
+        cfg.write_text("arch=conv_mixer\n")
+        assert run_cli([f"--config={cfg}", "audit"]) == 0
+        assert "params_total=7210\n" in capsys.readouterr().out  # conv_mixer 48-48
+        assert run_cli([f"--config={tmp_path / 'absent.conf'}", "audit"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "absent.conf" in err

@@ -3,7 +3,8 @@
 Each forward kernel is compared with its loop oracle in ``tinyasc.reference``
 and each backward with float64 central differences along random directions:
 for every argument a, <grad_a, v> must match (L(a + hv) - L(a - hv)) / 2h,
-where L is a fixed random projection of the kernel's output. Draws are
+where L is a fixed random projection of the kernel's output. Inference on
+drawn graphs is compared with the unfolded graph run as one batch. Draws are
 derandomized, so every run sees the same examples.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_audit import _random_small_graph
 
 from tinyasc import kernels, zoo
 from tinyasc.reference import (
@@ -215,6 +217,49 @@ def test_backward_graph_skips_only_the_first_input_gradient(arch, batch, f1, f2,
     for i, weights in grads.items():
         for name, g in weights.items():
             assert g.tobytes() == shifted_grads[i + 1][name].tobytes(), (i, name)
+
+
+def _random_norm_stats(model, rng):
+    """Random affine norm parameters and moving statistics, so folding changes the weights."""
+    for layer in model.layers:
+        if layer.kind == "batch_norm":
+            c = layer.weights["gamma"].shape[0]
+            layer.weights["gamma"] = rng.uniform(0.5, 1.5, c).astype(np.float32)
+            layer.weights["beta"] = rng.normal(0, 0.3, c).astype(np.float32)
+            layer.weights["moving_mean"] = rng.normal(0, 0.3, c).astype(np.float32)
+            layer.weights["moving_var"] = rng.uniform(0.1, 2.0, c).astype(np.float32)
+    return model
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["random", "conv_sep", "conv_mixer"]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([1, 3]),
+    st.integers(2, 5),
+    st.integers(8, 12),
+    SEEDS,
+)
+def test_folded_per_clip_inference_matches_the_unfolded_batch(source, batch, f1, f2, k, h, w, seed):
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        model = _random_small_graph(rng)
+    else:
+        model = zoo.build(source, f1, f2, kernel_size=k, input_shape=(h, w, 1))
+    model = _random_norm_stats(zoo.init_weights(model, seed), rng)
+    before = zoo.weights_fingerprint(model)
+    x = rng.normal(size=(batch, *model.input_shape)).astype(np.float32)
+    probs, logits = zoo.forward_batch(model, x)
+    for got, want in zip(zoo.forward_chunked(model, x), (probs, logits)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the fold tolerance of test_zoo: 1e-5 of the largest unfolded logit
+    want_probs, want_logits, _ = zoo.run_graph(model, x)
+    atol = 1e-5 * np.abs(want_logits).max()
+    np.testing.assert_allclose(logits, want_logits, rtol=1e-5, atol=atol)
+    np.testing.assert_allclose(probs, want_probs, rtol=1e-5, atol=atol)
+    assert zoo.weights_fingerprint(model) == before
 
 
 @PROPERTY

@@ -183,25 +183,30 @@ class TestForward:
         assert zoo.weights_fingerprint(model) == before
 
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
-    @pytest.mark.parametrize("chunk", [zoo.INFER_CHUNK, 4])
+    @pytest.mark.parametrize("chunk", [1, 4])
     @pytest.mark.parametrize("n", [3, 9])  # at chunk 4: smaller than a chunk, not a multiple of it
-    def test_chunked_equals_one_batch(self, arch, chunk, n, monkeypatch):
-        monkeypatch.setattr(zoo, "INFER_CHUNK", chunk)
+    def test_chunked_equals_one_batch(self, arch, chunk, n):
+        # the bits do not depend on how a batch is sliced: per clip, as
+        # forward_chunked runs it, or 4 clips per forward_batch call
         model = zoo.init_weights(zoo.build(arch, 8, 8), seed=11)
         x = np.random.default_rng(12).normal(size=(n, 64, 51, 1)).astype(np.float32)
-        chunked = zoo.forward_chunked(model, x)
+        if chunk == 1:
+            sliced = zoo.forward_chunked(model, x)
+        else:
+            parts = [zoo.forward_batch(model, x[i : i + chunk]) for i in range(0, n, chunk)]
+            sliced = tuple(np.concatenate(arrays) for arrays in zip(*parts))
         whole = zoo.forward_batch(model, x)
-        for got, want in zip(chunked, whole):
+        for got, want in zip(sliced, whole):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_evaluate_runs_in_chunks(self, monkeypatch):
+        # chunks of one clip: one size-1 forward_batch call per clip
         model = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=13)
         sizes = []
         forward_batch = zoo.forward_batch
         monkeypatch.setattr(zoo, "forward_batch", lambda m, b: sizes.append(len(b)) or forward_batch(m, b))
-        monkeypatch.setattr(zoo, "INFER_CHUNK", 4)
         metrics.evaluate(model, [(_rand_spec(i), i % 10) for i in range(9)])
-        assert sizes == [4, 4, 1]
+        assert sizes == [1] * 9
 
 
 def _with_norm_stats(model, seed):
