@@ -260,7 +260,7 @@ def _config_defaults(parser, path):
     """
     values = _read_config_file(path)
     subparsers = parser._subcommands.choices.values()
-    actions = {a.dest: a for p in subparsers for a in p._actions}
+    actions = {a.dest: a for p in subparsers for a in p._actions if not isinstance(a, argparse._HelpAction)}
     unknown = sorted(set(values) - set(actions))
     if unknown:
         raise TinyAscError(f"unknown config key {unknown[0]!r}")

@@ -20,6 +20,24 @@ GELU_COEF = 0.044715
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+def _clips(*arrays, scratch=()):
+    """Yield matching views of ``arrays``, one clip (index of the first axis)
+    at a time, followed by one reused buffer of the first array's clip shape
+    for each dtype in ``scratch``. An array with fewer than two axes is one clip.
+
+    Elementwise kernels run clip by clip into a preallocated output, so their
+    passes stay in cache where whole-batch temporaries streamed through
+    memory. Each element gets the same ufuncs in the same order, so the bits
+    are those of the whole-array form, except which NaN comes back where two
+    NaNs meet: numpy's SIMD loop and its remainder loop may differ there.
+    """
+    whole = arrays[0].ndim < 2
+    shape = arrays[0].shape if whole else arrays[0].shape[1:]
+    buffers = tuple(np.empty(shape, dtype=dtype) for dtype in scratch)
+    for views in [arrays] if whole else zip(*arrays, strict=True):
+        yield (*views, *buffers)
+
+
 def _conv_geometry(x_shape, kh, kw, stride, padding):
     n, h, w, _ = x_shape
     if padding == "same":
@@ -225,7 +243,7 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
     axes = tuple(range(x.ndim - 1))
     if train:
         # np.var's arithmetic with one centred buffer: x_hat is scaled from it
-        # in place and y is written into the squares buffer
+        # in place and y is written into the squares buffer, one clip at a time
         mean = x.mean(axis=axes)
         x_hat = np.subtract(x, mean)
         y = np.multiply(x_hat, x_hat)
@@ -233,8 +251,10 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         new_mm = momentum * moving_mean + (1.0 - momentum) * mean
         new_mv = momentum * moving_var + (1.0 - momentum) * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat *= inv_std
-        np.multiply(gamma, x_hat, out=y)
+        for xh, out in _clips(x_hat, y):
+            xh *= inv_std
+            np.multiply(gamma, xh, out=out)
+            out += beta
     else:
         if np.any(moving_var < 0):
             raise ValueError("negative variance estimate in batch norm")
@@ -242,7 +262,7 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         inv_std = 1.0 / np.sqrt(moving_var + eps)
         x_hat = (x - moving_mean) * inv_std
         y = gamma * x_hat
-    y += beta
+        y += beta
     cache = (x_hat, inv_std, gamma, train, axes)
     return y, cache, (new_mm, new_mv)
 
@@ -251,86 +271,107 @@ def batch_norm_backward(cache, grad_y):
     """Gradients w.r.t. input, gamma, beta from a batch_norm cache.
 
     In train mode the input gradient uses sum(g * gamma) = gamma * g_beta and
-    sum(g * gamma * x_hat) = gamma * g_gamma. The products are formed one clip
-    at a time in one reused buffer, so gx is the only full-size array.
+    sum(g * gamma * x_hat) = gamma * g_gamma. The products and gx are formed
+    one clip at a time, the products in one reused buffer, so gx is the only
+    full-size array.
     """
     x_hat, inv_std, gamma, train, axes = cache
-    product = np.empty(x_hat.shape[1:], dtype=np.result_type(grad_y, x_hat))
-    g_gamma = np.zeros(x_hat.shape[-1], dtype=product.dtype)
-    for g, xh in zip(grad_y, x_hat):
+    dtype = np.result_type(grad_y, x_hat)
+    g_gamma = np.zeros(x_hat.shape[-1], dtype=dtype)
+    for g, xh, product in _clips(grad_y, x_hat, scratch=(dtype,)):
         g_gamma += np.add.reduce(np.multiply(g, xh, out=product), axis=axes[:-1])
     g_beta = grad_y.sum(axis=axes)
     if not train:
         return grad_y * gamma * inv_std, g_gamma, g_beta
     m = math.prod(x_hat.shape[:-1])
     # gx = (gamma * inv_std / m) * (m * g - g_beta - x_hat * g_gamma)
-    gx = np.multiply(grad_y, m)
-    gx -= g_beta
-    for g, xh in zip(gx, x_hat):
-        g -= np.multiply(xh, g_gamma, out=product)
-    gx *= gamma * inv_std / m
+    scale = gamma * inv_std / m
+    gx = np.empty(grad_y.shape, dtype=grad_y.dtype)
+    for g, xh, out, product in _clips(grad_y, x_hat, gx, scratch=(dtype,)):
+        np.multiply(g, m, out=out)
+        out -= g_beta
+        out -= np.multiply(xh, g_gamma, out=product)
+        out *= scale
     return gx, g_gamma, g_beta
 
 
 def elu(x):
     """x for x > 0, exp(x) - 1 otherwise."""
     # max(x, expm1(min(x, 0))): expm1(x) >= x, and min/max skip np.where's masked copy
-    y = np.minimum(x, 0)
-    np.expm1(y, out=y)
-    return np.maximum(x, y, out=y)
+    y = np.empty(x.shape, dtype=x.dtype)
+    for clip, out in _clips(x, y):
+        np.minimum(clip, 0, out=out)
+        np.expm1(out, out=out)
+        np.maximum(clip, out, out=out)
+    return y
 
 
 def elu_backward(y, grad_y):
     """ELU's gradient from its output y: 1 where y > 0, else exp(x) = y + 1."""
-    factor = np.minimum(y, 0)
-    factor += 1
-    factor *= grad_y
-    return factor
+    gx = np.empty(y.shape, dtype=y.dtype)
+    for clip, g, factor in _clips(y, grad_y, gx):
+        np.minimum(clip, 0, out=factor)
+        factor += 1
+        factor *= g
+    return gx
+
+
+def _tanh_inner(x, t):
+    """t = tanh(sqrt(2/pi) * (x + 0.044715 * x^3)), GELU's inner tanh, in t."""
+    np.multiply(x, x, out=t)  # x**3 goes through slow pow
+    t *= x
+    t *= GELU_COEF
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
 
 
 def gelu(x):
     """Gaussian error linear unit, tanh approximation:
     0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
-    Computed in one buffer. The bits equal 0.5 * x * (1 + tanh(inner)): the
-    factors 0.5 * (1 + t) and 0.5 * x are exact wherever x is normal, and
-    1 + t is exactly 1 where it is not.
+    Computed in the output, one clip at a time. The bits equal 0.5 * x *
+    (1 + tanh(inner)): the factors 0.5 * (1 + t) and 0.5 * x are exact
+    wherever x is normal, and 1 + t is exactly 1 where it is not.
     """
-    t = x * x  # x**3 goes through slow pow
-    t *= x
-    t *= GELU_COEF
-    t += x
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)
-    t += 1.0
-    t *= 0.5
-    t *= x
-    return t
+    y = np.empty(x.shape, dtype=x.dtype)
+    for clip, t in _clips(x, y):
+        _tanh_inner(clip, t)
+        t += 1.0
+        t *= 0.5
+        t *= clip
+    return y
 
 
 def gelu_backward(x, grad_y):
     """grad_y * (0.5*(1 + t) + 0.5*x*(1 - t^2) * sqrt(2/pi)*(1 + 3*0.044715*x^2)),
-    t = tanh(inner), in three buffers and in that order of operations."""
-    t = x * x
-    t *= x
-    t *= GELU_COEF
-    t += x
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)
-    d_inner = x * x
-    d_inner *= 3.0 * GELU_COEF
-    d_inner += 1.0
-    d_inner *= _SQRT_2_OVER_PI
-    slope = t * t
-    np.subtract(1.0, slope, out=slope)
-    slope *= 0.5
-    slope *= x
-    slope *= d_inner
-    t += 1.0
-    t *= 0.5
-    t += slope
-    t *= grad_y
-    return t
+    t = tanh(inner), in that order of operations, one clip at a time in the
+    output and two clip-sized buffers."""
+    gx = np.empty(x.shape, dtype=x.dtype)
+    for clip, g, t, d_inner, slope in _clips(x, grad_y, gx, scratch=(x.dtype, x.dtype)):
+        _tanh_inner(clip, t)
+        np.multiply(clip, clip, out=d_inner)
+        d_inner *= 3.0 * GELU_COEF
+        d_inner += 1.0
+        d_inner *= _SQRT_2_OVER_PI
+        np.multiply(t, t, out=slope)
+        np.subtract(1.0, slope, out=slope)
+        slope *= 0.5
+        slope *= clip
+        slope *= d_inner
+        t += 1.0
+        t *= 0.5
+        t += slope
+        t *= g
+    return gx
+
+
+def _pool_cells(clip, pool):
+    """Strided views of one (H, W, C) clip, one per window cell in row-major
+    (dh, dw) order, each (H', W', C); remainder rows and columns are left out."""
+    ph, pw = pool
+    hout, wout = clip.shape[0] // ph, clip.shape[1] // pw
+    return [clip[dh : hout * ph : ph, dw : wout * pw : pw] for dh in range(ph) for dw in range(pw)]
 
 
 def max_pool(x, pool, keep_cache=True):
@@ -349,34 +390,33 @@ def max_pool(x, pool, keep_cache=True):
     hout, wout = h // ph, w // pw
     if hout < 1 or wout < 1:
         raise ShapeError(f"pool {pool} larger than input {h}x{w}")
-    blocks = x[:, : hout * ph, : wout * pw, :].reshape(n, hout, ph, wout, pw, c)
-    cells = [blocks[:, :, k // pw, :, k % pw, :] for k in range(ph * pw)]
-    # a running maximum over the cells: the bits of blocks.max(axis=(2, 4)), NaN included
-    y = np.maximum(cells[0], cells[-1])
-    for cell in cells[1:-1]:
-        np.maximum(y, cell, out=y)
-    if not keep_cache:
-        return y, None
-    # idx counts the cells before the first one that holds the maximum
-    before = np.not_equal(cells[0], y)
-    idx = before.astype(np.min_scalar_type(ph * pw - 1))
-    differs = np.empty_like(before)
-    for cell in cells[1:-1]:
-        before &= np.not_equal(cell, y, out=differs)
-        idx += before
-    return y, (x.shape, pool, idx)
+    y = np.empty((n, hout, wout, c), dtype=x.dtype)
+    idx = np.empty(y.shape, dtype=np.min_scalar_type(ph * pw - 1)) if keep_cache else None
+    for i, (out, clip, before, differs) in enumerate(_clips(y, x, scratch=(bool, bool))):
+        cells = _pool_cells(clip, pool)
+        # a running maximum over the cells: the bits of a max over each window, NaN included
+        np.maximum(cells[0], cells[-1], out=out)
+        for cell in cells[1:-1]:
+            np.maximum(out, cell, out=out)
+        if idx is None:
+            continue
+        # idx counts the cells before the first one that holds the maximum
+        np.not_equal(cells[0], out, out=before)
+        counts = idx[i]
+        counts[...] = before
+        for cell in cells[1:-1]:
+            before &= np.not_equal(cell, out, out=differs)
+            counts += before
+    return y, (None if idx is None else (x.shape, pool, idx))
 
 
 def max_pool_backward(cache, grad_y):
-    (n, h, w, c), (ph, pw), idx = cache
-    hout, wout = h // ph, w // pw
-    gx = np.zeros((n, h, w, c), dtype=grad_y.dtype)
-    # a view: splitting an axis never needs a copy
-    cells = gx[:, : hout * ph, : wout * pw, :].reshape(n, hout, ph, wout, pw, c)
-    for k in range(ph * pw):
-        cell = cells[:, :, k // pw, :, k % pw, :]
-        np.multiply(grad_y, idx == k, out=cell)
-        cell += 0.0  # a negative gradient times False is -0.0; unrouted cells stay +0.0
+    x_shape, pool, idx = cache
+    gx = np.zeros(x_shape, dtype=grad_y.dtype)
+    for g, counts, clip, routed in _clips(grad_y, idx, gx, scratch=(bool,)):
+        for k, cell in enumerate(_pool_cells(clip, pool)):
+            np.multiply(g, np.equal(counts, k, out=routed), out=cell)
+            cell += 0.0  # a negative gradient times False is -0.0; unrouted cells stay +0.0
     return gx
 
 
@@ -428,7 +468,10 @@ def dropout(x, rate, train=False, rng=None):
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    mask = rng.random(x.shape) >= rate
+    # the mask is allocated before the float64 draw, so that freeing the draw
+    # leaves no hole under the mask in the heap, which would raise peak memory
+    mask = np.empty(x.shape, dtype=bool)
+    np.greater_equal(rng.random(x.shape), rate, out=mask)
     y = x * mask
     y /= 1.0 - rate
     return y, mask

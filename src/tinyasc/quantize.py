@@ -223,7 +223,16 @@ def _float_norm(qm, i, layer):
     """Inference batch norm in float64 from the stored float32 parameters."""
     gamma, beta, mean, var = (qm.float_weights[(i, n)].astype(np.float64) for n in layer.weight_names())
     denom = np.sqrt(var + layer.config["eps"])
-    return lambda _, x: (x - mean) / denom * gamma + beta
+
+    def norm(_, x):
+        # (x - mean) / denom * gamma + beta in one float64 buffer, in that order
+        y = np.subtract(x, mean)
+        y /= denom
+        y *= gamma
+        y += beta
+        return y
+
+    return norm
 
 
 def _steps(qm):

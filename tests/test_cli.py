@@ -368,3 +368,11 @@ class TestConfigFile:
         assert run_cli([f"--config={tmp_path / 'absent.conf'}", "audit"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "absent.conf" in err
+
+    @pytest.mark.parametrize("value", ["true", "x"])
+    def test_help_is_not_a_config_key(self, value, tmp_path, capsys):
+        cfg = tmp_path / "help.conf"
+        cfg.write_text(f"help={value}\n")
+        assert run_cli(["--config", str(cfg), "audit", "--arch", "conv_mixer"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: unknown config key 'help'\n"

@@ -5,10 +5,13 @@ and each backward with float64 central differences along random directions:
 for every argument a, <grad_a, v> must match (L(a + hv) - L(a - hv)) / 2h,
 where L is a fixed random projection of the kernel's output. Inference on
 drawn graphs is compared with the unfolded graph run as one batch. Draws are
-derandomized, so every run sees the same examples.
+derandomized, so every run sees the same examples. The elementwise kernels
+that run one clip at a time are compared byte for byte with their whole-array
+forms, written out below.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -303,3 +306,242 @@ def test_max_index_fits_the_largest_pool():
     gx = kernels.max_pool_backward(cache, np.full_like(y, 2.0))
     assert gx[0, 15, 15, 0] == 2.0 and gx.sum() == 2.0
     assert kernels.max_pool(np.zeros((1, 17, 16, 1)), (17, 16))[1][2].dtype == np.uint16
+
+
+# The whole-array forms of the kernels that run one clip at a time: each
+# element gets the same ufuncs in the same order, so the bits must be equal.
+def _whole_gelu(x):
+    t = x * x
+    t *= x
+    t *= kernels.GELU_COEF
+    t += x
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    t *= x
+    return t
+
+
+def _whole_gelu_backward(x, grad_y):
+    c = math.sqrt(2.0 / math.pi)
+    t = x * x
+    t *= x
+    t *= kernels.GELU_COEF
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    d_inner = x * x
+    d_inner *= 3.0 * kernels.GELU_COEF
+    d_inner += 1.0
+    d_inner *= c
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= 0.5
+    slope *= x
+    slope *= d_inner
+    t += 1.0
+    t *= 0.5
+    t += slope
+    t *= grad_y
+    return t
+
+
+def _whole_elu(x):
+    y = np.minimum(x, 0)
+    np.expm1(y, out=y)
+    return np.maximum(x, y, out=y)
+
+
+def _whole_elu_backward(y, grad_y):
+    factor = np.minimum(y, 0)
+    factor += 1
+    factor *= grad_y
+    return factor
+
+
+def _whole_max_pool(x, pool):
+    (ph, pw), (n, h, w, c) = pool, x.shape
+    hout, wout = h // ph, w // pw
+    blocks = x[:, : hout * ph, : wout * pw, :].reshape(n, hout, ph, wout, pw, c)
+    cells = [blocks[:, :, k // pw, :, k % pw, :] for k in range(ph * pw)]
+    y = np.maximum(cells[0], cells[-1])
+    for cell in cells[1:-1]:
+        np.maximum(y, cell, out=y)
+    before = np.not_equal(cells[0], y)
+    idx = before.astype(np.min_scalar_type(ph * pw - 1))
+    for cell in cells[1:-1]:
+        before &= np.not_equal(cell, y)
+        idx += before
+    return y, idx
+
+
+def _whole_max_pool_backward(x_shape, pool, idx, grad_y):
+    (n, h, w, c), (ph, pw) = x_shape, pool
+    hout, wout = h // ph, w // pw
+    gx = np.zeros(x_shape, dtype=grad_y.dtype)
+    cells = gx[:, : hout * ph, : wout * pw, :].reshape(n, hout, ph, wout, pw, c)
+    for k in range(ph * pw):
+        cell = cells[:, :, k // pw, :, k % pw, :]
+        np.multiply(grad_y, idx == k, out=cell)
+        cell += 0.0
+    return gx
+
+
+def _whole_batch_norm_train(x, gamma, beta, moving_mean, moving_var, eps, momentum):
+    axes = tuple(range(x.ndim - 1))
+    mean = x.mean(axis=axes)
+    x_hat = np.subtract(x, mean)
+    y = np.multiply(x_hat, x_hat)
+    var = y.mean(axis=axes)
+    new_mm = momentum * moving_mean + (1.0 - momentum) * mean
+    new_mv = momentum * moving_var + (1.0 - momentum) * var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat *= inv_std
+    np.multiply(gamma, x_hat, out=y)
+    y += beta
+    return y, x_hat, inv_std, new_mm, new_mv
+
+
+def _whole_batch_norm_backward(x_hat, inv_std, gamma, grad_y):
+    axes = tuple(range(x_hat.ndim - 1))
+    product = np.empty(x_hat.shape[1:], dtype=np.result_type(grad_y, x_hat))
+    g_gamma = np.zeros(x_hat.shape[-1], dtype=product.dtype)
+    for g, xh in zip(grad_y, x_hat):
+        g_gamma += np.add.reduce(np.multiply(g, xh, out=product), axis=axes[:-1])
+    g_beta = grad_y.sum(axis=axes)
+    m = math.prod(x_hat.shape[:-1])
+    gx = np.multiply(grad_y, m)
+    gx -= g_beta
+    gx -= x_hat * g_gamma
+    gx *= gamma * inv_std / m
+    return gx, g_gamma, g_beta
+
+
+SPECIALS = {
+    np.float32: [0.0, -0.0, 1e-40, -1.4e-45, np.inf, -np.inf, np.nan],
+    np.float64: [0.0, -0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan],
+}
+
+
+@st.composite
+def special_batches(draw, dtype, shape):
+    """A normal (N, ...) array of ``dtype`` with up to six signed zeros,
+    subnormals, infinities or NaNs drawn for each clip on its own, and
+    integer values (ties) in some draws."""
+    rng = np.random.default_rng(draw(SEEDS))
+    x = (rng.normal(size=shape) * 3).astype(dtype)
+    if draw(st.booleans()):
+        x = np.round(x)
+    for clip in x:
+        flat = clip.reshape(-1)
+        values = draw(st.lists(st.sampled_from(SPECIALS[dtype]), max_size=min(6, flat.size)))
+        flat[rng.choice(flat.size, len(values), replace=False)] = values
+    return x
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bytes, with every NaN written as one NaN: where two
+    NaNs meet, the one numpy returns depends on where the element falls in its
+    loop (SIMD lanes or the remainder; a cast or a broadcast runs another loop),
+    so the sign and payload of a NaN may change with the clip size."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype.kind == "f":
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
+    assert got.tobytes() == want.tobytes()
+
+
+def unchanged(*arrays):
+    """A check that none of ``arrays`` was written to since this call."""
+    before = [a.copy() for a in arrays]
+    return lambda: all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+
+
+CLIP_SHAPES = st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(3, 9), st.integers(1, 4))
+
+
+@PROPERTY
+@given(st.data(), CLIP_SHAPES, DTYPES, DTYPES)
+def test_per_clip_activations_byte_equal_to_whole_array(data, shape, dtype, grad_dtype):
+    x = data.draw(special_batches(dtype, shape))
+    g = data.draw(special_batches(grad_dtype, shape))
+    intact = unchanged(x, g)
+    with np.errstate(all="ignore"):  # infinities and NaN on purpose
+        # the backward output keeps its first argument's dtype
+        assert_same_bits(kernels.gelu(x), _whole_gelu(x))
+        assert_same_bits(kernels.gelu_backward(x, g), _whole_gelu_backward(x, g))
+        y = kernels.elu(x)
+        assert_same_bits(y, _whole_elu(x))
+        assert_same_bits(kernels.elu_backward(y, g), _whole_elu_backward(y, g))
+    assert intact()
+
+
+@PROPERTY
+@given(st.data(), CLIP_SHAPES, st.sampled_from([(1, 4), (2, 2), (2, 3)]), DTYPES)
+def test_per_clip_max_pool_byte_equal_to_whole_array(data, shape, pool, dtype):
+    n, h, w, c = shape
+    shape = (n, max(h, pool[0]), max(w, pool[1]), c)
+    x = data.draw(special_batches(dtype, shape))
+    intact = unchanged(x)
+    want_y, want_idx = _whole_max_pool(x, pool)
+    fast, none = kernels.max_pool(x, pool, keep_cache=False)
+    y, cache = kernels.max_pool(x, pool)
+    assert none is None and cache[:2] == (x.shape, pool)
+    for got, want in ((fast, want_y), (y, want_y), (cache[2], want_idx)):
+        assert_same_bits(got, want)
+    g = data.draw(special_batches(dtype, y.shape))
+    intact_g = unchanged(g, cache[2])
+    with np.errstate(all="ignore"):
+        assert_same_bits(kernels.max_pool_backward(cache, g), _whole_max_pool_backward(x.shape, pool, want_idx, g))
+    assert intact() and intact_g()
+
+
+@PROPERTY
+@given(
+    st.data(),
+    st.one_of(CLIP_SHAPES, st.tuples(st.integers(2, 9), st.integers(1, 4))),
+    DTYPES,
+    DTYPES,
+    st.booleans(),
+)
+def test_per_clip_batch_norm_byte_equal_to_whole_array(data, shape, dtype, grad_dtype, specials):
+    c = shape[-1]
+    rng = np.random.default_rng(data.draw(SEEDS))
+    if specials:  # one special value sets its channel's statistics to inf or NaN
+        x = data.draw(special_batches(dtype, shape))
+    else:
+        x = (rng.normal(size=shape) * rng.uniform(0.5, 4.0, c) + 3.0).astype(dtype)
+    gamma, beta = rng.uniform(0.5, 1.5, c).astype(dtype), rng.normal(size=c).astype(dtype)
+    moving = (rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype))
+    intact = unchanged(x, gamma, beta, *moving)
+    with np.errstate(all="ignore"):
+        y, cache, (mm, mv) = kernels.batch_norm(x, gamma, beta, *moving, eps=1e-3, momentum=0.9, train=True)
+        want = _whole_batch_norm_train(x, gamma, beta, *moving, 1e-3, 0.9)
+        for got, ref in zip((y, cache[0], cache[1], mm, mv), want):
+            assert_same_bits(got, ref)
+        g = data.draw(special_batches(grad_dtype, shape))
+        intact_grad = unchanged(g, cache[0])
+        # the input gradient keeps grad_y's dtype
+        got = kernels.batch_norm_backward(cache, g)
+        for got_part, ref in zip(got, _whole_batch_norm_backward(want[1], want[2], gamma, g)):
+            assert_same_bits(got_part, ref)
+    assert intact() and intact_grad()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_activations_accept_0d_and_1d_arrays(dtype):
+    x = np.array([-1.5, -0.0, 0.25, 2.0], dtype=dtype)
+    g = np.array([0.5, -1.0, 2.0, -3.0], dtype=dtype)
+    for kernel, whole, args in (
+        (kernels.gelu, _whole_gelu, (x,)),
+        (kernels.elu, _whole_elu, (x,)),
+        (kernels.gelu_backward, _whole_gelu_backward, (x, g)),
+        (kernels.elu_backward, _whole_elu_backward, (x, g)),
+    ):
+        assert_same_bits(kernel(*args), whole(*args))
+        # a 0-d array is one clip: the first entry of the 1-D result
+        scalar = kernel(*(a[0].reshape(()) for a in args))
+        assert scalar.shape == () and scalar.dtype == dtype
+        assert np.asarray(scalar).tobytes() == kernel(*args)[:1].tobytes()

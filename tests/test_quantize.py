@@ -229,6 +229,23 @@ class TestQuantizedForward:
         assert report == quantize.agreement_report(model, qm_specs, specs)
         assert report["n_inputs"] == 4
 
+    def test_float_norm_byte_equal_to_the_expression(self):
+        # the norm step runs (x - mean) / denom * gamma + beta in one buffer, same order
+        model = _small_model(arch="conv_mixer")
+        qm = quantize.quantize_model(model, [_rand_spec(i + 80) for i in range(2)])
+        i = next(i for i, layer in enumerate(qm.graph.layers) if layer.kind == "batch_norm")
+        layer = qm.graph.layers[i]
+        gamma, beta, mean, var = (qm.float_weights[(i, n)].astype(np.float64) for n in layer.weight_names())
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 5, 7, gamma.shape[0])) * 4
+        specials = [0.0, -0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan]
+        x.reshape(-1)[rng.choice(x.size, 40, replace=False)] = rng.choice(specials, 40)
+        x_before = x.copy()
+        got = quantize._float_norm(qm, i, layer)(None, x)
+        want = (x - mean) / np.sqrt(var + layer.config["eps"]) * gamma + beta
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
     def test_layer_errors_cover_conv_dense_and_norm_layers(self):
         model = _small_model(arch="conv_mixer")
         specs = [_rand_spec(i + 60) for i in range(3)]
