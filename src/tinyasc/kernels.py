@@ -38,6 +38,16 @@ def _clips(*arrays, scratch=()):
         yield (*views, *buffers)
 
 
+def _output(out, shape, dtype):
+    """A new array of ``shape`` and ``dtype``, or ``out`` when it has them;
+    an ``out`` of another shape or dtype raises ValueError."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out is {out.dtype} {out.shape}, the result is {np.dtype(dtype)} {shape}")
+    return out
+
+
 def _conv_geometry(x_shape, kh, kw, stride, padding):
     n, h, w, _ = x_shape
     if padding == "same":
@@ -267,13 +277,15 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
     return y, cache, (new_mm, new_mv)
 
 
-def batch_norm_backward(cache, grad_y):
+def batch_norm_backward(cache, grad_y, out=None):
     """Gradients w.r.t. input, gamma, beta from a batch_norm cache.
 
     In train mode the input gradient uses sum(g * gamma) = gamma * g_beta and
     sum(g * gamma * x_hat) = gamma * g_gamma. The products and gx are formed
     one clip at a time, the products in one reused buffer, so gx is the only
-    full-size array.
+    full-size array. ``out`` receives gx in place of a new array and must
+    have its shape and dtype (grad_y's in train mode); it may be the cached
+    x_hat, as each clip's x_hat * g_gamma is formed before gx overwrites it.
     """
     x_hat, inv_std, gamma, train, axes = cache
     dtype = np.result_type(grad_y, x_hat)
@@ -282,16 +294,20 @@ def batch_norm_backward(cache, grad_y):
         g_gamma += np.add.reduce(np.multiply(g, xh, out=product), axis=axes[:-1])
     g_beta = grad_y.sum(axis=axes)
     if not train:
-        return grad_y * gamma * inv_std, g_gamma, g_beta
+        gx = _output(out, grad_y.shape, np.result_type(grad_y, gamma, inv_std))
+        np.multiply(grad_y, gamma, out=gx)
+        gx *= inv_std
+        return gx, g_gamma, g_beta
     m = math.prod(x_hat.shape[:-1])
     # gx = (gamma * inv_std / m) * (m * g - g_beta - x_hat * g_gamma)
     scale = gamma * inv_std / m
-    gx = np.empty(grad_y.shape, dtype=grad_y.dtype)
-    for g, xh, out, product in _clips(grad_y, x_hat, gx, scratch=(dtype,)):
-        np.multiply(g, m, out=out)
-        out -= g_beta
-        out -= np.multiply(xh, g_gamma, out=product)
-        out *= scale
+    gx = _output(out, grad_y.shape, grad_y.dtype)
+    for g, xh, clip, product in _clips(grad_y, x_hat, gx, scratch=(dtype,)):
+        np.multiply(xh, g_gamma, out=product)
+        np.multiply(g, m, out=clip)
+        clip -= g_beta
+        clip -= product
+        clip *= scale
     return gx, g_gamma, g_beta
 
 
@@ -306,9 +322,13 @@ def elu(x):
     return y
 
 
-def elu_backward(y, grad_y):
-    """ELU's gradient from its output y: 1 where y > 0, else exp(x) = y + 1."""
-    gx = np.empty(y.shape, dtype=y.dtype)
+def elu_backward(y, grad_y, out=None):
+    """ELU's gradient from its output y: 1 where y > 0, else exp(x) = y + 1.
+
+    ``out`` receives it in place of a new array and must have y's shape and
+    dtype; it may be y itself, which each clip reads before it writes.
+    """
+    gx = _output(out, y.shape, y.dtype)
     for clip, g, factor in _clips(y, grad_y, gx):
         np.minimum(clip, 0, out=factor)
         factor += 1
@@ -468,10 +488,10 @@ def dropout(x, rate, train=False, rng=None):
         return x, None
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    # the mask is allocated before the float64 draw, so that freeing the draw
-    # leaves no hole under the mask in the heap, which would raise peak memory
+    # one clip's draw at a time: the same stream as rng.random(x.shape)
     mask = np.empty(x.shape, dtype=bool)
-    np.greater_equal(rng.random(x.shape), rate, out=mask)
+    for clip, draw in _clips(mask, scratch=(np.float64,)):
+        np.greater_equal(rng.random(out=draw), rate, out=clip)
     y = x * mask
     y /= 1.0 - rate
     return y, mask

@@ -366,7 +366,10 @@ def _norm_forward(layer, x, run):
 
 
 def _norm_backward(layer, cache, g, run):
-    g, g_gamma, g_beta = kernels.batch_norm_backward(cache, g)
+    # a train-mode x_hat is this norm's own array, read last by this step
+    x_hat, _, _, train, _ = cache
+    out = x_hat if train and x_hat.dtype == g.dtype else None
+    g, g_gamma, g_beta = kernels.batch_norm_backward(cache, g, out=out)
     return g, {"gamma": g_gamma, "beta": g_beta}
 
 
@@ -379,6 +382,12 @@ def _elu_forward(layer, x, run):
     # the backward needs only the output, which is already the next layer's input
     y = kernels.elu(x)
     return y, y
+
+
+def _elu_backward(layer, y, g, run):
+    # y is this layer's own array; the next layer, which may cache it too, has
+    # run its backward step and let go of it
+    return kernels.elu_backward(y, g, out=y), None
 
 
 def _push_skip(layer, x, run):
@@ -429,7 +438,7 @@ OPS = {
             2 * int(np.prod(layer.output_shape)) if convention.count_bn_macs else 0
         ),
     ),
-    "elu": Op(_elu_forward),
+    "elu": Op(_elu_forward, _elu_backward),
     "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x)),
     "max_pool": Op(
         lambda layer, x, run: kernels.max_pool(x, layer.config["pool"], keep_cache=run.keep_caches),
@@ -555,6 +564,12 @@ def backward_graph(model, caches, grad_out):
     for every trainable weight. Nothing reads the input gradient of layer 0,
     so a conv2d there does not compute it. Raises if a cache a layer needs
     is missing.
+
+    Consumes ``caches``: each entry is set to None once its layer's step has
+    run, so that its arrays are freed. A train-mode batch norm writes its
+    input gradient into its cached x_hat and an ELU into its cached output;
+    an activation list recorded in the same forward pass sees the ELU
+    outputs overwritten.
     """
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")
@@ -568,6 +583,7 @@ def backward_graph(model, caches, grad_out):
             raise ShapeError(f"missing forward cache for layer {idx} ({layer.name})")
         run.input_grad = idx > 0
         g, layer_grads = op.backward(layer, caches[idx], g, run)
+        caches[idx] = None
         if layer_grads is not None:
             grads[idx] = layer_grads
     return grads, None
@@ -641,9 +657,11 @@ def forward_batch(model, batch):
 
 
 def forward_chunked(model, batch):
-    """``forward_batch`` on each clip of a non-empty batch, concatenated: the
-    same bits as one batch, with one clip's activations small enough to stay
-    in cache. Returns (probs, logits)."""
+    """``forward_batch`` on each clip of a non-empty batch, concatenated, with
+    one clip's activations small enough to stay in cache. Each clip gets the
+    bits ``forward_batch`` gives it alone, which may differ from its row of
+    one batched call: BLAS can round the dense layer's product of one row
+    differently from that of many. Returns (probs, logits)."""
     parts = [forward_batch(model, clip[None]) for clip in batch]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 

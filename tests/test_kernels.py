@@ -536,6 +536,17 @@ class TestDropout:
         gx = kernels.dropout_backward(mask, 0.3, g)
         assert gx.dtype == dtype and gx.tobytes() == (g * float_mask / (1.0 - 0.3)).tobytes()
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 6), (3, 4, 5, 2)])
+    def test_per_clip_draw_takes_the_whole_array_stream(self, shape):
+        # the mask drawn one clip at a time is the whole-array draw's, and the
+        # generator is left where the whole-array draw leaves it
+        x = np.ones(shape, dtype=np.float32)
+        ours, whole = np.random.default_rng(8), np.random.default_rng(8)
+        _, mask = kernels.dropout(x, 0.3, train=True, rng=ours)
+        want = whole.random(shape) >= 0.3
+        assert mask.shape == shape and mask.tobytes() == want.tobytes()
+        assert ours.random(5).tobytes() == whole.random(5).tobytes()
+
     def test_survivors_scaled(self):
         rng = np.random.default_rng(43)
         x = np.ones(1000)

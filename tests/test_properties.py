@@ -530,6 +530,42 @@ def test_per_clip_batch_norm_byte_equal_to_whole_array(data, shape, dtype, grad_
     assert intact() and intact_grad()
 
 
+@PROPERTY
+@given(st.data(), st.one_of(CLIP_SHAPES, st.tuples(st.integers(2, 9), st.integers(1, 4))), DTYPES, DTYPES)
+def test_backward_out_byte_equal_to_allocating_call(data, shape, dtype, grad_dtype):
+    # the zoo's backward steps write the input gradient into the layer's own cache
+    c = shape[-1]
+    rng = np.random.default_rng(data.draw(SEEDS))
+    x = data.draw(special_batches(dtype, shape))
+    g = data.draw(special_batches(grad_dtype, shape))
+    gamma, beta = rng.uniform(0.5, 1.5, c).astype(dtype), rng.normal(size=c).astype(dtype)
+    moving = (rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2.0, c).astype(dtype))
+    with np.errstate(all="ignore"):
+        y = kernels.elu(x)
+        want = kernels.elu_backward(y, g)
+        y_copy = y.copy()
+        assert kernels.elu_backward(y_copy, g, out=y_copy) is y_copy
+        assert_same_bits(y_copy, want)
+        for train in (True, False):
+            _, cache, _ = kernels.batch_norm(x, gamma, beta, *moving, train=train)
+            want = kernels.batch_norm_backward(cache, g)
+            x_hat = cache[0].copy()
+            if want[0].dtype != x_hat.dtype:
+                # an out of another dtype than the result is refused, not cast into
+                with pytest.raises(ValueError, match="out is"):
+                    kernels.batch_norm_backward((x_hat, *cache[1:]), g, out=x_hat)
+                assert x_hat.tobytes() == cache[0].tobytes()
+                continue
+            got = kernels.batch_norm_backward((x_hat, *cache[1:]), g, out=x_hat)
+            assert got[0] is x_hat
+            for got_part, want_part in zip(got, want):
+                assert_same_bits(got_part, want_part)
+    other = np.float64 if y.dtype == np.float32 else np.float32
+    for out in (y.astype(other), y[..., None]):
+        with pytest.raises(ValueError, match="out is"):
+            kernels.elu_backward(y, g, out=out)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_activations_accept_0d_and_1d_arrays(dtype):
     x = np.array([-1.5, -0.0, 0.25, 2.0], dtype=dtype)

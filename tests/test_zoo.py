@@ -4,6 +4,7 @@ import collections
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -292,6 +293,15 @@ class TestFoldedInference:
         assert outputs[0] == outputs[1]
 
 
+def _cache_arrays(cache):
+    """Every array in a layer's backward cache."""
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, tuple):
+        for item in cache:
+            yield from _cache_arrays(item)
+
+
 class TestTrainCaches:
     def test_elu_caches_its_output_and_no_cache_holds_wide_indices(self):
         # ELU's backward reads its output, which is already the next layer's input;
@@ -309,20 +319,39 @@ class TestTrainCaches:
                 assert caches[i] is outputs[i]
                 assert kinds[i + 1] != "depthwise_conv2d" or caches[i + 1] is outputs[i]
 
-        def arrays(cache):
-            if isinstance(cache, np.ndarray):
-                yield cache
-            elif isinstance(cache, tuple):
-                for item in cache:
-                    yield from arrays(item)
-
         for kind, cache in zip(kinds, caches):
-            for arr in arrays(cache):
+            for arr in _cache_arrays(cache):
                 assert arr.dtype != np.int64
             if kind == "max_pool":
                 assert cache[2].dtype == np.uint8
             if kind == "dropout":
                 assert cache.dtype == bool
+
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_backward_frees_each_cache_after_its_step(self, arch, monkeypatch):
+        # by the time layer 0's conv runs its backward, every later cache is freed;
+        # the one survivor allowed is a reused cache that now carries its gradient
+        model = zoo.init_weights(zoo.build(arch, 4, 4, input_shape=(8, 16, 1)), seed=2)
+        assert model.layers[0].kind == "conv2d"
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        grad = np.ones_like(probs)
+        del probs  # the softmax cache is the returned probabilities
+        weights = {id(w) for layer in model.layers for w in layer.weights.values()}
+        refs = [weakref.ref(a) for cache in caches[1:] for a in _cache_arrays(cache) if id(a) not in weights]
+        assert len(refs) >= len(model.layers) // 2
+        alive = []
+        backward = kernels.conv2d_backward
+
+        def spy(x, w, grad_y, **kwargs):
+            if w is model.layers[0].weights["w"]:
+                alive.append([ref() is not None and ref() is not grad_y for ref in refs])
+            return backward(x, w, grad_y, **kwargs)
+
+        monkeypatch.setattr(kernels, "conv2d_backward", spy)
+        zoo.backward_graph(model, caches, grad)
+        assert alive == [[False] * len(refs)]
+        assert caches == [None] * len(model.layers)
 
 
 class TestInitWeights:
