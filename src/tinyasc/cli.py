@@ -218,13 +218,13 @@ def _cmd_quantize(args):
     calibration = [spec for spec, _ in examples]
     qm = quantize.quantize_model(model, calibration)
     quantize.save_quantized(qm, args.out)
-    report = quantize.agreement_report(model, qm, calibration)
+    report, rows = quantize.quantization_report(model, qm, calibration)
     text = (
         f"n_inputs={report['n_inputs']}\n"
         f"top1_agreement={report['top1_agreement']:.4f}\n"
         f"max_logit_diff={report['max_logit_diff']:.6g}\n"
     )
-    for row in quantize.layer_errors(model, qm, calibration):
+    for row in rows:
         text += (
             f"layer={row['name']} kind={row['kind']} "
             f"sqnr_db={row['sqnr_db']:.2f} max_abs_diff={row['max_abs_diff']:.6g}\n"

@@ -263,8 +263,7 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         inv_std = 1.0 / np.sqrt(var + eps)
         for xh, out in _clips(x_hat, y):
             xh *= inv_std
-            np.multiply(gamma, xh, out=out)
-            out += beta
+            _norm_tail(gamma, xh, beta, out)
     else:
         if np.any(moving_var < 0):
             raise ValueError("negative variance estimate in batch norm")
@@ -273,8 +272,25 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         x_hat = (x - moving_mean) * inv_std
         y = gamma * x_hat
         y += beta
-    cache = (x_hat, inv_std, gamma, train, axes)
+    cache = (x_hat, inv_std, gamma, beta, train, axes)
     return y, cache, (new_mm, new_mv)
+
+
+def _norm_tail(gamma, x_hat, beta, out):
+    """out = gamma * x_hat + beta: the train-mode tail of one clip."""
+    np.multiply(gamma, x_hat, out=out)
+    out += beta
+
+
+def batch_norm_output(cache):
+    """The y of a train-mode ``batch_norm``, rebuilt from its cache by the
+    forward's own tail, one clip at a time, so it has the forward's bits. It
+    must run before ``batch_norm_backward`` writes into the cached x_hat."""
+    x_hat, _, gamma, beta, _, _ = cache
+    y = np.empty_like(x_hat)
+    for xh, out in _clips(x_hat, y):
+        _norm_tail(gamma, xh, beta, out)
+    return y
 
 
 def batch_norm_backward(cache, grad_y, out=None):
@@ -287,7 +303,7 @@ def batch_norm_backward(cache, grad_y, out=None):
     have its shape and dtype (grad_y's in train mode); it may be the cached
     x_hat, as each clip's x_hat * g_gamma is formed before gx overwrites it.
     """
-    x_hat, inv_std, gamma, train, axes = cache
+    x_hat, inv_std, gamma, _, train, axes = cache
     dtype = np.result_type(grad_y, x_hat)
     g_gamma = np.zeros(x_hat.shape[-1], dtype=dtype)
     for g, xh, product in _clips(grad_y, x_hat, scratch=(dtype,)):

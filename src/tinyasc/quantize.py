@@ -306,13 +306,38 @@ def layer_errors(model, qm: QuantizedModel, inputs):
     over error energy, summed over all inputs; inf when they agree exactly)
     and ``max_abs_diff``.
     """
+    return _layer_errors(model, qm, inputs, [])
+
+
+def quantization_report(model, qm: QuantizedModel, inputs):
+    """``(agreement_report(model, qm, inputs), layer_errors(model, qm, inputs))``
+    from one recorded float pass and one recorded ``quantized_forward`` per
+    input, where the two calls make two of each. The numbers are the same:
+    the float pass is ``zoo.forward``'s, on the same folded graph."""
+    if not inputs:
+        raise QuantizationError("agreement report needs at least one input")
+    pairs = []
+    rows = _layer_errors(model, qm, inputs, pairs)
+    agreement = {
+        "n_inputs": len(inputs),
+        "top1_agreement": sum(pf.top_class == pq.top_class for pf, pq in pairs) / len(inputs),
+        "max_logit_diff": max([0.0] + [float(np.max(np.abs(pf.logits - pq.logits))) for pf, pq in pairs]),
+    }
+    return agreement, rows
+
+
+def _layer_errors(model, qm, inputs, pairs):
+    """``layer_errors``; appends each input's (float, INT8) Predictions to ``pairs``."""
     folded = zoo.fold_norms(model)
     shown = sorted(_steps(qm))
     signal, noise, peak = (np.zeros(len(shown)) for _ in range(3))
     for spec in inputs:
         want, got = [], []
-        zoo.run_graph(folded, zoo.stack_inputs(folded, [spec], folded.dtype), record_activations=want)
-        quantized_forward(qm, spec, record=got)
+        probs, logits, _ = zoo.run_graph(
+            folded, zoo.stack_inputs(folded, [spec], folded.dtype), record_activations=want
+        )
+        pf = zoo.Prediction(probabilities=probs[0], top_class=int(np.argmax(probs[0])), logits=logits[0])
+        pairs.append((pf, quantized_forward(qm, spec, record=got)))
         for j, i in enumerate(shown):
             diff = got[i] - want[i]
             signal[j] += float(np.sum(np.square(want[i], dtype=np.float64)))

@@ -251,6 +251,17 @@ def _kernel_backward(layer, cache, g, run):
     return getattr(kernels, f"{layer.kind}_backward")(cache, g), None
 
 
+@dataclass(frozen=True)
+class Rebuild:
+    """Kept in place of a train-mode cache that is the layer's own input, when
+    that input is the output of layer ``source`` and the source's op can
+    ``rebuild`` it from the source's cache (a train-mode batch norm, from x_hat,
+    gamma and beta). Backward rebuilds it just before the layer's step, so
+    the forward pass keeps x_hat and not also y."""
+
+    source: int
+
+
 @dataclass
 class Op:
     """One layer kind.
@@ -258,6 +269,7 @@ class Op:
     forward(layer, x, run) -> (output, cache for backward)
     backward(layer, cache, grad, run) -> (input grad, {weight: grad} or None)
     shape(layer, shape, skips, where) -> output shape, or GraphBuildError
+    rebuild(cache) -> the train-mode output again, bit for bit, from its cache
     linear(layer, x, w, b) -> conv or dense output; INT8 runs it on codes
     fans(*w.shape) -> Glorot (fan_in, fan_out)
     params(layer, convention), macs(layer, convention) -> analytic counts
@@ -266,6 +278,7 @@ class Op:
     forward: object
     backward: object = _kernel_backward  # kernels.<kind>_backward(cache, grad)
     shape: object = lambda layer, shape, skips, where: shape
+    rebuild: object = None
     weights: tuple = ()  # storage order: init, Adam state, serialization
     trainable: tuple = ()
     linear: object = None
@@ -367,7 +380,7 @@ def _norm_forward(layer, x, run):
 
 def _norm_backward(layer, cache, g, run):
     # a train-mode x_hat is this norm's own array, read last by this step
-    x_hat, _, _, train, _ = cache
+    x_hat, _, _, _, train, _ = cache
     out = x_hat if train and x_hat.dtype == g.dtype else None
     g, g_gamma, g_beta = kernels.batch_norm_backward(cache, g, out=out)
     return g, {"gamma": g_gamma, "beta": g_beta}
@@ -431,6 +444,7 @@ OPS = {
         _norm_forward,
         _norm_backward,
         _norm_shape,
+        rebuild=lambda cache: kernels.batch_norm_output(cache),
         weights=("gamma", "beta", "moving_mean", "moving_var"),
         trainable=("gamma", "beta"),
         params=lambda layer, convention: convention.bn_params_per_channel * layer.weights["gamma"].shape[0],
@@ -525,19 +539,27 @@ def walk(model, x, run, steps=None, caches=None, record=None):
     its ``steps[idx](layer, x) -> output`` in its place (with no cache).
 
     Returns (output, logits). Each layer's backward cache is appended to
-    ``caches`` and its output to ``record`` when those are lists.
+    ``caches`` and its output to ``record`` when those are lists. In train
+    mode a cache that is the layer's own input becomes a ``Rebuild`` when the
+    layer that made that input has a ``rebuild``; a layer that returns its
+    input passes on who made it.
     """
-    logits = None
+    logits = source = None
     steps = steps or {}
     run.keep_caches = caches is not None
     for idx, layer in enumerate(model.layers):
         op = layer_op(layer, idx)
-        x, cache = (steps[idx](layer, x), None) if idx in steps else op.forward(layer, x, run)
+        y, cache = (steps[idx](layer, x), None) if idx in steps else op.forward(layer, x, run)
         if op.logits:
-            logits = x
+            logits = y
         if caches is not None:
+            if run.train and cache is x and source is not None and OPS[model.layers[source].kind].rebuild:
+                cache = Rebuild(source)
             caches.append(cache)
         del cache  # unless kept, a layer's cache must not outlive its step
+        if y is not x:
+            source = idx
+        x = y
         if record is not None:
             record.append(x)
     return x, logits
@@ -569,7 +591,9 @@ def backward_graph(model, caches, grad_out):
     run, so that its arrays are freed. A train-mode batch norm writes its
     input gradient into its cached x_hat and an ELU into its cached output;
     an activation list recorded in the same forward pass sees the ELU
-    outputs overwritten.
+    outputs overwritten. A ``Rebuild`` cache is rebuilt from its source's
+    cache just before its layer's step, which in reverse order comes before
+    the source's own step.
     """
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")
@@ -582,8 +606,11 @@ def backward_graph(model, caches, grad_out):
         if op.needs_cache and caches[idx] is None:
             raise ShapeError(f"missing forward cache for layer {idx} ({layer.name})")
         run.input_grad = idx > 0
-        g, layer_grads = op.backward(layer, caches[idx], g, run)
-        caches[idx] = None
+        cache = caches[idx]
+        if isinstance(cache, Rebuild):
+            cache = OPS[model.layers[cache.source].kind].rebuild(caches[cache.source])
+        g, layer_grads = op.backward(layer, cache, g, run)
+        caches[idx] = cache = None
         if layer_grads is not None:
             grads[idx] = layer_grads
     return grads, None

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, reproducible outputs."""
 
+import collections
 import dataclasses
 import os
 import subprocess
@@ -206,6 +207,25 @@ class TestTrainEvalQuantize:
             ]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_quantize_runs_each_clip_once_through_each_model(self, artifacts, tmp_path, monkeypatch, capsys):
+        # calibration walks each clip once, then the agreement and the per-layer
+        # errors share one float pass and one quantized_forward per clip
+        _, ckpt, _ = artifacts
+        calls = collections.Counter()
+        for module, name in ((quantize, "quantized_forward"), (zoo, "run_graph")):
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert run_cli([
+            "quantize", "--checkpoint", str(ckpt), "--synthetic", "5", "--seed", "5",
+            "--out", str(tmp_path / "once.tasq"),
+        ]) == 0
+        capsys.readouterr()
+        assert calls == {"quantized_forward": 5, "run_graph": 10}
 
     def test_eval_truncated_checkpoint_exits_1_without_traceback(self, artifacts, tmp_path):
         _, ckpt, _ = artifacts

@@ -234,3 +234,30 @@ class TestGraphBackward:
         analytic = grads[0]["w"]
         numeric = fd_grad(loss, conv1.weights["w"], h=1e-6)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("patch_norm", [True, False])
+    def test_train_mode_mixer_weights_behind_a_norm(self, patch_norm):
+        # mix1_pw and mix2_pw (and mix1_dw behind patch_bn) rebuild their input from the
+        # train-mode norm in front of them; beta is not zero, so it must be in the rebuild
+        model = zoo.build("conv_mixer", 3, 3, input_shape=(4, 8, 1), patch_norm=patch_norm)
+        zoo.init_weights(model, seed=5, dtype=np.float64)
+        rng = np.random.default_rng(6)
+        for layer in model.layers:
+            if layer.kind == "batch_norm":
+                c = layer.weights["gamma"].shape[0]
+                layer.weights["gamma"] = rng.uniform(0.5, 1.5, c)
+                layer.weights["beta"] = rng.normal(0, 0.5, c)
+        x = rng.normal(size=(3, 4, 8, 1))
+        r = rng.normal(size=(3, 10))
+
+        def loss():
+            probs, _, _ = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(7))
+            return float((probs * r).sum())
+
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(7), keep_caches=True)
+        assert sum(isinstance(cache, zoo.Rebuild) for cache in caches) == (3 if patch_norm else 2)
+        grads, _ = zoo.backward_graph(model, caches, r)
+        for i, layer in enumerate(model.layers):
+            if layer.name in ("mix1_dw", "mix1_pw", "mix2_pw"):
+                for name in ("w", "b"):
+                    check(grads[i][name], fd_grad(loss, layer.weights[name]))

@@ -261,7 +261,7 @@ class TestBatchNorm:
         g = rng.normal(size=x.shape).astype(np.float32)
         _, cache, _ = kernels.batch_norm(x, gamma, np.zeros(48, np.float32), np.zeros(48), np.ones(48), train=True)
         del x
-        x_hat, inv_std, _, _, axes = cache
+        x_hat, inv_std, _, _, _, axes = cache
 
         def three_sums(x_hat, inv_std, gamma, g):
             g_xhat = g * gamma

@@ -263,6 +263,16 @@ class TestQuantizedForward:
         assert rows[-1]["max_abs_diff"] == want
         assert all(10.0 < r["sqnr_db"] < np.inf for r in rows)
 
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_one_pass_report_equals_the_two_reports(self, arch):
+        model = _small_model(arch)
+        specs = [_rand_spec(i + 90) for i in range(3)]
+        qm = quantize.quantize_model(model, specs)
+        want = (quantize.agreement_report(model, qm, specs), quantize.layer_errors(model, qm, specs))
+        assert quantize.quantization_report(model, qm, specs) == want
+        with pytest.raises(QuantizationError, match="at least one input"):
+            quantize.quantization_report(model, qm, [])
+
     def test_wrong_input_shape_rejected(self, setup):
         _, qm, _ = setup
         with pytest.raises(QuantizationError, match="shape"):

@@ -294,12 +294,33 @@ class TestFoldedInference:
 
 
 def _cache_arrays(cache):
-    """Every array in a layer's backward cache."""
+    """Every array in a layer's backward cache; a ``Rebuild`` holds none."""
     if isinstance(cache, np.ndarray):
         yield cache
     elif isinstance(cache, tuple):
         for item in cache:
             yield from _cache_arrays(item)
+    else:
+        assert cache is None or isinstance(cache, (int, zoo.Rebuild)), type(cache)
+
+
+LINEAR_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense")
+
+
+def _spy_linear_inputs(monkeypatch, model):
+    """A copy of the input of each linear kernel call, forward and backward,
+    keyed by (layer name, "forward" or "backward"); a layer is known by its kernel."""
+    names = {id(layer.weights["w"]): layer.name for layer in model.layers if "w" in layer.weights}
+    seen = {}
+    for kind in LINEAR_KINDS:
+        for suffix, step in (("", "forward"), ("_backward", "backward")):
+
+            def spy(x, w, *args, _fn=getattr(kernels, kind + suffix), _step=step, **kwargs):
+                seen[names[id(w)], _step] = x.copy()
+                return _fn(x, w, *args, **kwargs)
+
+            monkeypatch.setattr(kernels, kind + suffix, spy)
+    return seen
 
 
 class TestTrainCaches:
@@ -352,6 +373,54 @@ class TestTrainCaches:
         zoo.backward_graph(model, caches, grad)
         assert alive == [[False] * len(refs)]
         assert caches == [None] * len(model.layers)
+
+    @pytest.mark.parametrize("patch_norm", [True, False])
+    def test_a_layer_behind_a_train_norm_rebuilds_its_input(self, patch_norm, monkeypatch):
+        # mix1_dw (behind patch_bn, past mix1_skip), mix1_pw and mix2_pw keep a reference
+        # to the norm in front of them, not its output, and backward rebuilds the very
+        # bytes each received; beta is not zero, so a rebuild without it shows
+        build = zoo.build("conv_mixer", 4, 6, input_shape=(8, 16, 1), patch_norm=patch_norm)
+        model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
+        names = [layer.name for layer in model.layers]
+        behind = {"mix1_pw": "mix1_bn_a", "mix2_pw": "mix2_bn_a", **({"mix1_dw": "patch_bn"} if patch_norm else {})}
+        norms = {id(layer.weights["gamma"]): layer.name for layer in model.layers if layer.kind == "batch_norm"}
+        outputs = {}
+        norm = kernels.batch_norm
+
+        def spy_norm(x, gamma, *args, **kwargs):
+            y, cache, stats = norm(x, gamma, *args, **kwargs)
+            outputs[norms[id(gamma)]] = weakref.ref(y)
+            return y, cache, stats
+
+        monkeypatch.setattr(kernels, "batch_norm", spy_norm)
+        seen = _spy_linear_inputs(monkeypatch, model)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        rebuilt = {names[i]: names[c.source] for i, c in enumerate(caches) if isinstance(c, zoo.Rebuild)}
+        assert rebuilt == behind
+        assert [outputs[name]() for name in behind.values()] == [None] * len(behind)
+
+        zoo.backward_graph(model, caches, np.ones_like(probs))
+        linear = [layer.name for layer in model.layers if layer.kind in LINEAR_KINDS]
+        assert set(seen) == {(name, step) for name in linear for step in ("forward", "backward")}
+        for name in linear:
+            got, want = seen[name, "backward"], seen[name, "forward"]
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("arch, train", [("conv_sep", True), ("conv_sep", False), ("conv_mixer", False)])
+    def test_other_linear_layers_cache_their_input_itself(self, arch, train):
+        # conv_sep has no linear layer right behind a norm (an ELU sits between),
+        # and an eval-mode walk rebuilds nothing
+        model = _with_norm_stats(zoo.init_weights(zoo.build(arch, 4, 4, input_shape=(8, 16, 1)), seed=2), seed=3)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        outputs = []
+        _, _, caches = zoo.run_graph(
+            model, x, train=train, rng=np.random.default_rng(4), keep_caches=True, record_activations=outputs
+        )
+        assert not any(isinstance(cache, zoo.Rebuild) for cache in caches)
+        inputs = [x, *outputs]
+        for i, layer in enumerate(model.layers):
+            assert layer.kind not in LINEAR_KINDS or caches[i] is inputs[i], layer.name
 
 
 class TestInitWeights:
