@@ -33,6 +33,17 @@ def _parse_filters(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _parse_seed(text):
+    """A seed for numpy's generators, which take no negative one."""
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _read_config_file(path):
     values = {}
     for line_num, line in enumerate(io.StringIO(data.read_text(path), newline=None), start=1):
@@ -81,7 +92,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_model_flags(p)
     _add_data_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -91,7 +102,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     _add_data_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for --synthetic data")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="seed for --synthetic data")
     p.add_argument("--report", help="write the text report here too")
     p.add_argument("--csv", help="metrics CSV path")
     p.add_argument("--confusion", help="confusion matrix CSV path")
@@ -110,7 +121,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="quantized model path")
     _add_data_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for --synthetic calibration data")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="seed for --synthetic calibration data")
     p.add_argument("--report", help="agreement and per-layer error report path")
 
     p = sub.add_parser("reconcile", help="convention sweep against published totals")

@@ -239,7 +239,7 @@ def pointwise_conv2d_backward(x, w, grad_y, with_bias=True):
     return gx, gw, gb
 
 
-def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99, train=False):
+def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99, train=False, keep_x_hat=True):
     """Per-channel normalization over all leading axes.
 
     Returns (y, cache, (new_moving_mean, new_moving_var)). In inference
@@ -247,23 +247,42 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
     statistics (biased variance) normalize and the moving values are
     blended with momentum. Zero variance is tolerated (eps keeps the
     denominator positive); a negative variance estimate is rejected.
+
+    A train-mode call with ``keep_x_hat=False`` forms each clip's x_hat in
+    scratch and keeps the batch mean in its cache instead, as
+    ``(None, inv_std, gamma, beta, True, axes, mean)``; ``batch_norm_restore``
+    makes the full cache from it and the same input again, with the same bits.
     """
     if eps <= 0:
         raise ValueError(f"batch norm eps must be positive, got {eps}")
     axes = tuple(range(x.ndim - 1))
     if train:
-        # np.var's arithmetic with one centred buffer: x_hat is scaled from it
-        # in place and y is written into the squares buffer, one clip at a time
         mean = x.mean(axis=axes)
-        x_hat = np.subtract(x, mean)
-        y = np.multiply(x_hat, x_hat)
+        if keep_x_hat:
+            # np.var's arithmetic with one centred buffer: x_hat is scaled from it
+            # in place and y is written into the squares buffer, one clip at a time
+            x_hat = np.subtract(x, mean)
+            y = np.multiply(x_hat, x_hat)
+        else:
+            # the same squares, each clip centred in scratch: y is the only full-size buffer
+            y = np.empty(x.shape, dtype=np.result_type(x, mean))
+            for clip, out, centred in _clips(x, y, scratch=(y.dtype,)):
+                np.subtract(clip, mean, out=centred)
+                np.multiply(centred, centred, out=out)
         var = y.mean(axis=axes)
         new_mm = momentum * moving_mean + (1.0 - momentum) * mean
         new_mv = momentum * moving_var + (1.0 - momentum) * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        for xh, out in _clips(x_hat, y):
-            xh *= inv_std
-            _norm_tail(gamma, xh, beta, out)
+        if keep_x_hat:
+            for xh, out in _clips(x_hat, y):
+                xh *= inv_std
+                _norm_tail(gamma, xh, beta, out)
+            cache = (x_hat, inv_std, gamma, beta, train, axes)
+        else:
+            for clip, out, xh in _clips(x, y, scratch=(y.dtype,)):
+                _x_hat(clip, mean, inv_std, out=xh)
+                _norm_tail(gamma, xh, beta, out)
+            cache = (None, inv_std, gamma, beta, train, axes, mean)
     else:
         if np.any(moving_var < 0):
             raise ValueError("negative variance estimate in batch norm")
@@ -272,14 +291,31 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         x_hat = (x - moving_mean) * inv_std
         y = gamma * x_hat
         y += beta
-    cache = (x_hat, inv_std, gamma, beta, train, axes)
+        cache = (x_hat, inv_std, gamma, beta, train, axes)
     return y, cache, (new_mm, new_mv)
+
+
+def _x_hat(clip, mean, inv_std, out):
+    """out = (clip - mean) * inv_std: one clip's train-mode x_hat, in the
+    order of the whole-array form (centre, then scale)."""
+    np.subtract(clip, mean, out=out)
+    out *= inv_std
 
 
 def _norm_tail(gamma, x_hat, beta, out):
     """out = gamma * x_hat + beta: the train-mode tail of one clip."""
     np.multiply(gamma, x_hat, out=out)
     out += beta
+
+
+def batch_norm_restore(x, cache):
+    """The full train-mode cache of a ``batch_norm(..., keep_x_hat=False)`` call
+    from its cache and the same input x, which becomes x_hat in place, clip by
+    clip with the forward's own ufuncs: the bits a ``keep_x_hat=True`` call caches."""
+    _, inv_std, gamma, beta, train, axes, mean = cache
+    for (clip,) in _clips(x):
+        _x_hat(clip, mean, inv_std, out=clip)
+    return x, inv_std, gamma, beta, train, axes
 
 
 def batch_norm_output(cache):

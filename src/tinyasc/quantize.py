@@ -304,8 +304,10 @@ def layer_errors(model, qm: QuantizedModel, inputs):
 
     Returns one dict per such layer: ``name``, ``kind``, ``sqnr_db`` (signal
     over error energy, summed over all inputs; inf when they agree exactly)
-    and ``max_abs_diff``.
+    and ``max_abs_diff``. No inputs raises QuantizationError.
     """
+    if not inputs:
+        raise QuantizationError("layer errors need at least one input")
     return _layer_errors(model, qm, inputs, [])
 
 
@@ -348,7 +350,7 @@ def _layer_errors(model, qm, inputs, pairs):
         with np.errstate(divide="ignore"):
             sqnr = 10.0 * np.log10(signal[j] / noise[j]) if noise[j] else np.inf
         layer = qm.graph.layers[i]
-        rows.append({"name": layer.name, "kind": layer.kind, "sqnr_db": float(sqnr), "max_abs_diff": peak[j]})
+        rows.append({"name": layer.name, "kind": layer.kind, "sqnr_db": float(sqnr), "max_abs_diff": float(peak[j])})
     return rows
 
 

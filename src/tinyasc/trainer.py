@@ -51,6 +51,8 @@ class TrainingConfig:
             raise ConfigError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # 0 is allowed: the loop then runs with frozen weights
         if not 0.0 <= self.adam.lr < math.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.adam.lr}")

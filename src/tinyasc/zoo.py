@@ -233,14 +233,16 @@ def build_conv_mixer(*args, **kwargs):
 @dataclass
 class Run:
     """State of one walk: the mode, the dropout rng, the open residual skips,
-    whether backward caches are kept and whether a backward step's input
-    gradient is read (a conv2d skips it when it is not)."""
+    whether backward caches are kept, whether a backward step's input
+    gradient is read (a conv2d skips it when it is not) and, for the layer
+    being walked, a ``Rebuild`` of its input when backward can rebuild it."""
 
     train: bool = False
     rng: object = None
     skips: list = field(default_factory=list)
     keep_caches: bool = False
     input_grad: bool = True
+    rebuild: object = None
 
 
 def _fail(where, problem):
@@ -253,13 +255,20 @@ def _kernel_backward(layer, cache, g, run):
 
 @dataclass(frozen=True)
 class Rebuild:
-    """Kept in place of a train-mode cache that is the layer's own input, when
-    that input is the output of layer ``source`` and the source's op can
-    ``rebuild`` it from the source's cache (a train-mode batch norm, from x_hat,
-    gamma and beta). Backward rebuilds it just before the layer's step, so
-    the forward pass keeps x_hat and not also y."""
+    """Kept in place of a train-mode cache that backward can make from the
+    layer's input, when that input is the output of layer ``source`` and the
+    source's op can ``rebuild`` it from the source's cache: a train-mode batch
+    norm its y from x_hat, gamma and beta, a GELU its output from its input.
+
+    Without ``rest`` the cache is that input itself. With ``rest``, what the
+    layer's forward kept besides, the layer's op ``restore``s its cache from
+    the two: a train-mode batch norm its x_hat, from its batch mean and
+    inv_std. Backward makes the cache at its first reader, the layer's step
+    or a later layer's rebuild, and keeps it in the layer's slot for the other.
+    """
 
     source: int
+    rest: tuple = None
 
 
 @dataclass
@@ -270,6 +279,8 @@ class Op:
     backward(layer, cache, grad, run) -> (input grad, {weight: grad} or None)
     shape(layer, shape, skips, where) -> output shape, or GraphBuildError
     rebuild(cache) -> the train-mode output again, bit for bit, from its cache
+    restore(x, rest) -> the train-mode cache again from the input x, which it
+        may overwrite, and the ``rest`` its forward kept when told ``run.rebuild``
     linear(layer, x, w, b) -> conv or dense output; INT8 runs it on codes
     fans(*w.shape) -> Glorot (fan_in, fan_out)
     params(layer, convention), macs(layer, convention) -> analytic counts
@@ -279,6 +290,7 @@ class Op:
     backward: object = _kernel_backward  # kernels.<kind>_backward(cache, grad)
     shape: object = lambda layer, shape, skips, where: shape
     rebuild: object = None
+    restore: object = None
     weights: tuple = ()  # storage order: init, Adam state, serialization
     trainable: tuple = ()
     linear: object = None
@@ -369,13 +381,19 @@ def _linear_op(linear, backward, fans, shape=_conv_shape, **flags):
 
 
 def _norm_forward(layer, x, run):
+    # when backward can rebuild x, x_hat is restored from it and not kept
     w, cfg = layer.weights, layer.config
     y, cache, (mm, mv) = kernels.batch_norm(
-        x, *(w[n] for n in layer.weight_names()), eps=cfg["eps"], momentum=cfg["momentum"], train=run.train
+        x,
+        *(w[n] for n in layer.weight_names()),
+        eps=cfg["eps"],
+        momentum=cfg["momentum"],
+        train=run.train,
+        keep_x_hat=run.rebuild is None,
     )
     if run.train:
         w["moving_mean"], w["moving_var"] = mm.astype(y.dtype), mv.astype(y.dtype)
-    return y, cache
+    return y, (cache if run.rebuild is None else replace(run.rebuild, rest=cache))
 
 
 def _norm_backward(layer, cache, g, run):
@@ -445,6 +463,7 @@ OPS = {
         _norm_backward,
         _norm_shape,
         rebuild=lambda cache: kernels.batch_norm_output(cache),
+        restore=lambda x, rest: kernels.batch_norm_restore(x, rest),
         weights=("gamma", "beta", "moving_mean", "moving_var"),
         trainable=("gamma", "beta"),
         params=lambda layer, convention: convention.bn_params_per_channel * layer.weights["gamma"].shape[0],
@@ -453,7 +472,7 @@ OPS = {
         ),
     ),
     "elu": Op(_elu_forward, _elu_backward),
-    "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x)),
+    "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x), rebuild=lambda x: kernels.gelu(x)),
     "max_pool": Op(
         lambda layer, x, run: kernels.max_pool(x, layer.config["pool"], keep_cache=run.keep_caches),
         shape=_pool_shape,
@@ -539,23 +558,24 @@ def walk(model, x, run, steps=None, caches=None, record=None):
     its ``steps[idx](layer, x) -> output`` in its place (with no cache).
 
     Returns (output, logits). Each layer's backward cache is appended to
-    ``caches`` and its output to ``record`` when those are lists. In train
-    mode a cache that is the layer's own input becomes a ``Rebuild`` when the
-    layer that made that input has a ``rebuild``; a layer that returns its
-    input passes on who made it.
+    ``caches`` and its output to ``record`` when those are lists. In a train
+    walk that keeps caches, a layer whose input was made by a layer with a
+    ``rebuild`` gets ``run.rebuild``, a ``Rebuild`` of that maker; a cache
+    that is the layer's own input becomes that ``Rebuild``. A layer that
+    returns its input passes on who made it.
     """
     logits = source = None
     steps = steps or {}
     run.keep_caches = caches is not None
     for idx, layer in enumerate(model.layers):
         op = layer_op(layer, idx)
+        rebuilds = run.train and run.keep_caches and source is not None and OPS[model.layers[source].kind].rebuild
+        run.rebuild = Rebuild(source) if rebuilds else None
         y, cache = (steps[idx](layer, x), None) if idx in steps else op.forward(layer, x, run)
         if op.logits:
             logits = y
         if caches is not None:
-            if run.train and cache is x and source is not None and OPS[model.layers[source].kind].rebuild:
-                cache = Rebuild(source)
-            caches.append(cache)
+            caches.append(run.rebuild if cache is x and run.rebuild else cache)
         del cache  # unless kept, a layer's cache must not outlive its step
         if y is not x:
             source = idx
@@ -591,9 +611,9 @@ def backward_graph(model, caches, grad_out):
     run, so that its arrays are freed. A train-mode batch norm writes its
     input gradient into its cached x_hat and an ELU into its cached output;
     an activation list recorded in the same forward pass sees the ELU
-    outputs overwritten. A ``Rebuild`` cache is rebuilt from its source's
-    cache just before its layer's step, which in reverse order comes before
-    the source's own step.
+    outputs overwritten. A ``Rebuild`` cache is made from its source's
+    cache at its first reader, which in reverse order comes before the
+    source's own step.
     """
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")
@@ -606,14 +626,20 @@ def backward_graph(model, caches, grad_out):
         if op.needs_cache and caches[idx] is None:
             raise ShapeError(f"missing forward cache for layer {idx} ({layer.name})")
         run.input_grad = idx > 0
-        cache = caches[idx]
-        if isinstance(cache, Rebuild):
-            cache = OPS[model.layers[cache.source].kind].rebuild(caches[cache.source])
-        g, layer_grads = op.backward(layer, cache, g, run)
-        caches[idx] = cache = None
+        g, layer_grads = op.backward(layer, _cache(model, caches, idx), g, run)
+        caches[idx] = None
         if layer_grads is not None:
             grads[idx] = layer_grads
     return grads, None
+
+
+def _cache(model, caches, idx):
+    """``caches[idx]``, made first and kept there when it is a ``Rebuild``."""
+    cache = caches[idx]
+    if isinstance(cache, Rebuild):
+        x = OPS[model.layers[cache.source].kind].rebuild(_cache(model, caches, cache.source))
+        cache = caches[idx] = x if cache.rest is None else OPS[model.layers[idx].kind].restore(x, cache.rest)
+    return cache
 
 
 def stack_inputs(model, specs, dtype):

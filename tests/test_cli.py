@@ -335,6 +335,21 @@ class TestOutOfRangeValues:
         assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+    @pytest.mark.parametrize("command, seed", [("train", "-1"), ("eval", "-1"), ("quantize", "-5")])
+    def test_negative_seed_exits_2(self, command, seed, artifacts, tmp_path, capsys):
+        # numpy's generators refuse a negative seed with a traceback; the flag refuses it first
+        _, ckpt, _ = artifacts
+        args = {
+            "train": ["train", "--synthetic", "3", "--epochs", "1", "--filters", "2,2"],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--synthetic", "3"],
+            "quantize": ["quantize", "--checkpoint", str(ckpt), "--synthetic", "3", "--out", str(tmp_path / "q.tasq")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--seed", seed])
+        assert exc.value.code == 2
+        assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -379,6 +394,14 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: config key 'count_bn_macs' is a switch: true or false, got {value!r}\n"
+
+    def test_negative_seed_in_a_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.conf"
+        cfg.write_text("seed=-1\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--config", str(cfg), "train", "--synthetic", "3", "--epochs", "1", "--filters", "2,2"])
+        assert exc.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_config_equals_form_reads_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "mixer.conf"

@@ -238,7 +238,10 @@ class TestGraphBackward:
     @pytest.mark.parametrize("patch_norm", [True, False])
     def test_train_mode_mixer_weights_behind_a_norm(self, patch_norm):
         # mix1_pw and mix2_pw (and mix1_dw behind patch_bn) rebuild their input from the
-        # train-mode norm in front of them; beta is not zero, so it must be in the rebuild
+        # train-mode norm in front of them; beta is not zero, so it must be in the rebuild.
+        # Every norm restores x_hat from the GELU in front of it, and without the patch
+        # norm mix1_dw rebuilds its input from patch_gelu; patch_embed's gradient passes
+        # through all of them
         model = zoo.build("conv_mixer", 3, 3, input_shape=(4, 8, 1), patch_norm=patch_norm)
         zoo.init_weights(model, seed=5, dtype=np.float64)
         rng = np.random.default_rng(6)
@@ -255,9 +258,9 @@ class TestGraphBackward:
             return float((probs * r).sum())
 
         probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(7), keep_caches=True)
-        assert sum(isinstance(cache, zoo.Rebuild) for cache in caches) == (3 if patch_norm else 2)
+        assert sum(isinstance(cache, zoo.Rebuild) for cache in caches) == (8 if patch_norm else 7)
         grads, _ = zoo.backward_graph(model, caches, r)
         for i, layer in enumerate(model.layers):
-            if layer.name in ("mix1_dw", "mix1_pw", "mix2_pw"):
-                for name in ("w", "b"):
+            if layer.name in ("patch_embed", "mix1_dw", "mix1_pw", "mix2_pw") or layer.kind == "batch_norm":
+                for name in zoo.TRAINABLE_WEIGHTS[layer.kind]:
                     check(grads[i][name], fd_grad(loss, layer.weights[name]))

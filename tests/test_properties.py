@@ -521,6 +521,14 @@ def test_per_clip_batch_norm_byte_equal_to_whole_array(data, shape, dtype, grad_
         want = _whole_batch_norm_train(x, gamma, beta, *moving, 1e-3, 0.9)
         for got, ref in zip((y, cache[0], cache[1], mm, mv), want):
             assert_same_bits(got, ref)
+        # without x_hat: the same y and statistics, and x_hat restored from a copy of the input
+        y, lean, (mm, mv) = kernels.batch_norm(
+            x, gamma, beta, *moving, eps=1e-3, momentum=0.9, train=True, keep_x_hat=False
+        )
+        restored = kernels.batch_norm_restore(x.copy(), lean)
+        assert lean[0] is None and len(restored) == len(cache) and restored[4:] == cache[4:]
+        for got, ref in zip((y, restored[0], restored[1], mm, mv), want):
+            assert_same_bits(got, ref)
         g = data.draw(special_batches(grad_dtype, shape))
         intact_grad = unchanged(g, cache[0])
         # the input gradient keeps grad_y's dtype

@@ -262,6 +262,7 @@ class TestQuantizedForward:
         want = max(float(np.max(np.abs(d))) for d in diffs)
         assert rows[-1]["max_abs_diff"] == want
         assert all(10.0 < r["sqnr_db"] < np.inf for r in rows)
+        assert all(type(r[key]) is float for r in rows for key in ("sqnr_db", "max_abs_diff"))
 
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
     def test_one_pass_report_equals_the_two_reports(self, arch):
@@ -270,8 +271,10 @@ class TestQuantizedForward:
         qm = quantize.quantize_model(model, specs)
         want = (quantize.agreement_report(model, qm, specs), quantize.layer_errors(model, qm, specs))
         assert quantize.quantization_report(model, qm, specs) == want
-        with pytest.raises(QuantizationError, match="at least one input"):
-            quantize.quantization_report(model, qm, [])
+        # no inputs is no score, not a perfect one
+        for report in (quantize.quantization_report, quantize.layer_errors):
+            with pytest.raises(QuantizationError, match="at least one input"):
+                report(model, qm, [])
 
     def test_wrong_input_shape_rejected(self, setup):
         _, qm, _ = setup

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tinyasc import data, zoo
-from tinyasc.errors import TinyAscError, TrainingDivergedError
+from tinyasc.errors import ConfigError, TinyAscError, TrainingDivergedError
 from tinyasc.trainer import (
     AdamConfig,
     AdamState,
@@ -164,6 +164,11 @@ def _toy_model(seed=0, dtype=None):
 
 
 class TestTrainLoop:
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed; only TinyAscError leaves the library
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainingConfig(seed=-1)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(TinyAscError, match="empty"):
             train(_toy_model(), [], TrainingConfig(max_epochs=1))

@@ -294,14 +294,16 @@ class TestFoldedInference:
 
 
 def _cache_arrays(cache):
-    """Every array in a layer's backward cache; a ``Rebuild`` holds none."""
+    """Every array in a layer's backward cache; a ``Rebuild`` holds those of its ``rest``."""
     if isinstance(cache, np.ndarray):
         yield cache
     elif isinstance(cache, tuple):
         for item in cache:
             yield from _cache_arrays(item)
+    elif isinstance(cache, zoo.Rebuild):
+        yield from _cache_arrays(cache.rest)
     else:
-        assert cache is None or isinstance(cache, (int, zoo.Rebuild)), type(cache)
+        assert cache is None or isinstance(cache, int), type(cache)
 
 
 LINEAR_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense")
@@ -378,24 +380,38 @@ class TestTrainCaches:
     def test_a_layer_behind_a_train_norm_rebuilds_its_input(self, patch_norm, monkeypatch):
         # mix1_dw (behind patch_bn, past mix1_skip), mix1_pw and mix2_pw keep a reference
         # to the norm in front of them, not its output, and backward rebuilds the very
-        # bytes each received; beta is not zero, so a rebuild without it shows
+        # bytes each received; beta is not zero, so a rebuild without it shows. Each
+        # norm keeps one to the GELU in front of it, and without the patch norm so
+        # does mix1_dw; no cache holds the output of any of them
         build = zoo.build("conv_mixer", 4, 6, input_shape=(8, 16, 1), patch_norm=patch_norm)
         model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
         names = [layer.name for layer in model.layers]
-        behind = {"mix1_pw": "mix1_bn_a", "mix2_pw": "mix2_bn_a", **({"mix1_dw": "patch_bn"} if patch_norm else {})}
         norms = {id(layer.weights["gamma"]): layer.name for layer in model.layers if layer.kind == "batch_norm"}
-        outputs = {}
-        norm = kernels.batch_norm
+        behind = {
+            "mix1_pw": "mix1_bn_a",
+            "mix2_pw": "mix2_bn_a",
+            "mix1_dw": "patch_bn" if patch_norm else "patch_gelu",
+            **{name: name.replace("_bn", "_gelu") for name in norms.values()},
+        }
+        outputs, gelu_outputs = {}, []
+        norm, gelu = kernels.batch_norm, kernels.gelu
 
         def spy_norm(x, gamma, *args, **kwargs):
             y, cache, stats = norm(x, gamma, *args, **kwargs)
             outputs[norms[id(gamma)]] = weakref.ref(y)
             return y, cache, stats
 
+        def spy_gelu(x):
+            gelu_outputs.append(weakref.ref(y := gelu(x)))
+            return y
+
         monkeypatch.setattr(kernels, "batch_norm", spy_norm)
+        monkeypatch.setattr(kernels, "gelu", spy_gelu)
         seen = _spy_linear_inputs(monkeypatch, model)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        gelus = [layer.name for layer in model.layers if layer.kind == "gelu"]
+        outputs.update(zip(gelus, gelu_outputs, strict=True))
         rebuilt = {names[i]: names[c.source] for i, c in enumerate(caches) if isinstance(c, zoo.Rebuild)}
         assert rebuilt == behind
         assert [outputs[name]() for name in behind.values()] == [None] * len(behind)
@@ -406,6 +422,42 @@ class TestTrainCaches:
         for name in linear:
             got, want = seen[name, "backward"], seen[name, "forward"]
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("patch_norm", [True, False])
+    def test_a_norm_behind_a_gelu_restores_x_hat_with_its_bits(self, patch_norm, monkeypatch):
+        # the forward keeps no activation-sized array for such a norm, and the x_hat its
+        # backward step reads is the one a train-mode batch_norm caches for the same input
+        build = zoo.build("conv_mixer", 4, 6, input_shape=(8, 16, 1), patch_norm=patch_norm)
+        model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
+        norms = {id(layer.weights["gamma"]): layer.name for layer in model.layers if layer.kind == "batch_norm"}
+        calls, restored = {}, {}
+        norm, norm_backward = kernels.batch_norm, kernels.batch_norm_backward
+
+        def spy_norm(x, *args, **kwargs):
+            calls[norms[id(args[0])]] = (x.copy(), *args), kwargs
+            return norm(x, *args, **kwargs)
+
+        def spy_backward(cache, g, **kwargs):
+            restored[norms[id(cache[2])]] = cache[0].copy(), cache[1]
+            return norm_backward(cache, g, **kwargs)
+
+        monkeypatch.setattr(kernels, "batch_norm", spy_norm)
+        monkeypatch.setattr(kernels, "batch_norm_backward", spy_backward)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        for i, layer in enumerate(model.layers):
+            if layer.kind == "batch_norm":
+                assert model.layers[i - 1].kind == "gelu"
+                size = len(x) * int(np.prod(layer.output_shape))
+                assert max(a.size for a in _cache_arrays(caches[i])) < size, layer.name
+
+        zoo.backward_graph(model, caches, np.ones_like(probs))
+        assert set(restored) == set(calls) == set(norms.values())
+        for name, (args, kwargs) in calls.items():
+            _, (x_hat, inv_std, *_), _ = norm(*args, **{**kwargs, "keep_x_hat": True})
+            got_x_hat, got_inv_std = restored[name]
+            for got, want in ((got_x_hat, x_hat), (got_inv_std, inv_std)):
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("arch, train", [("conv_sep", True), ("conv_sep", False), ("conv_mixer", False)])
     def test_other_linear_layers_cache_their_input_itself(self, arch, train):
@@ -618,7 +670,9 @@ class TestLayerTable:
         want = kinds(model, "conv2d", "gelu", "batch_norm")
         assert seen == {k: n for k, n in want.items() if n}
         _, seen = calls(lambda: zoo.backward_graph(model, caches, np.ones_like(probs)))
-        assert seen == {"batch_norm_backward": want["batch_norm"]}
+        # each of the mixer's norms, all behind a GELU, restores x_hat by one GELU
+        restores = {"gelu": want["batch_norm"]} if arch == "conv_mixer" else {}
+        assert seen == {"batch_norm_backward": want["batch_norm"], **restores}
         _, seen = calls(lambda: quantize.quantized_forward(qm, specs[0]))
         assert seen == {k: n for k, n in kinds(qm.graph, "conv2d", "gelu").items() if n}
         assert seen["conv2d"] >= 1
