@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AudioFormatError, ManifestError, TinyAscError
+from .errors import AudioFormatError, ConfigError, ManifestError, TinyAscError
 from .frontend import Spectrogram, Waveform
 
 SCENE_LABELS = (
@@ -241,8 +241,13 @@ def synth_dataset(n_per_class, seed, n_mels=64, n_frames=51, n_classes=10, ampli
     Class c is Gaussian noise plus a deterministic pattern of alternating
     +/- amplitude offsets over frequency bands whose width is distinct per
     class. Band width is a translation-invariant texture cue, so the
-    classes stay separable through convolution and global pooling.
+    classes stay separable through convolution and global pooling. A
+    negative count or seed raises ConfigError.
     """
+    if n_per_class < 0:
+        raise ConfigError(f"n_per_class must be >= 0, got {n_per_class}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     periods = _band_periods(n_classes)
     rows = np.arange(n_mels)
@@ -256,9 +261,10 @@ def synth_dataset(n_per_class, seed, n_mels=64, n_frames=51, n_classes=10, ampli
 
 
 def synth_examples(n_total, seed, n_mels=64, n_frames=51, n_classes=10):
-    """As-balanced-as-possible synthetic set with exactly ``n_total`` examples."""
+    """As-balanced-as-possible synthetic set with exactly ``n_total`` examples;
+    ``n_total`` below 1 or a negative seed raises ConfigError."""
     if n_total < 1:
-        raise ValueError("n_total must be >= 1")
+        raise ConfigError(f"n_total must be >= 1, got {n_total}")
     base = synth_dataset((n_total + n_classes - 1) // n_classes, seed, n_mels, n_frames, n_classes)
     counts = [n_total // n_classes + (1 if c < n_total % n_classes else 0) for c in range(n_classes)]
     per_class = {c: [ex for ex in base if ex[1] == c] for c in range(n_classes)}

@@ -25,6 +25,7 @@ float-agreement check rather than per-op.
 """
 
 import copy
+import math
 import struct
 from dataclasses import dataclass
 
@@ -43,8 +44,8 @@ class QuantParams:
     scheme: str  # symmetric_weight | affine_activation
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise QuantizationError(f"scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise QuantizationError(f"scale must be finite and positive, got {self.scale}")
         if self.scheme == "symmetric_weight" and self.zero_point != 0:
             raise QuantizationError("symmetric scheme requires zero_point 0")
         if not -128 <= self.zero_point <= 127:
@@ -400,16 +401,15 @@ def load_quantized(path) -> QuantizedModel:
         for i, layer, name in reader.records(graph):
             (tag,) = reader.unpack("<B")
             if tag == 1:
-                scale, zp = reader.unpack("<dh")
+                wparams[(i, name)] = _read_params(reader, "symmetric_weight", reader.where)
                 payloads[(i, name)] = reader.array(layer.weights[name].shape, np.int8)
-                wparams[(i, name)] = QuantParams(scale, zp, "symmetric_weight")
             else:
                 floats[(i, name)] = reader.weight(name, layer.weights[name].shape)
-        in_scale, in_zp = reader.unpack("<dh")
+        input_params = _read_params(reader, "affine_activation", "input")
         (n_acts,) = reader.unpack("<H")
         if n_acts != len(graph.layers):
             reader.fail(f"{n_acts} activation params stored, {len(graph.layers)} expected")
-        act_params = [QuantParams(*reader.unpack("<dh"), "affine_activation") for _ in range(n_acts)]
+        act_params = [_read_params(reader, "affine_activation", f"layer {i} activation") for i in range(n_acts)]
         reader.end()
     return QuantizedModel(
         graph=graph,
@@ -417,5 +417,16 @@ def load_quantized(path) -> QuantizedModel:
         weight_params=wparams,
         float_weights=floats,
         activation_params=act_params,
-        input_params=QuantParams(in_scale, in_zp, "affine_activation"),
+        input_params=input_params,
     )
+
+
+def _read_params(reader, scheme, where):
+    """The next stored (scale, zero point) as QuantParams of ``scheme``; a pair
+    that QuantParams rejects fails naming the file, ``where`` and its byte offset."""
+    offset = reader.offset
+    scale, zero_point = reader.unpack("<dh")
+    try:
+        return QuantParams(scale, zero_point, scheme)
+    except QuantizationError as exc:
+        reader.fail(f"{where}: {exc}, at byte {offset}")

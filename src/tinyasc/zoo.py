@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .errors import GraphBuildError, ShapeError
+from .errors import ConfigError, GraphBuildError, ShapeError
 from .frontend import Spectrogram
 
 BN_EPS = 1e-3
@@ -258,7 +258,8 @@ class Rebuild:
     """Kept in place of a train-mode cache that backward can make from the
     layer's input, when that input is the output of layer ``source`` and the
     source's op can ``rebuild`` it from the source's cache: a train-mode batch
-    norm its y from x_hat, gamma and beta, a GELU its output from its input.
+    norm its y from x_hat, gamma and beta, a GELU its output from its input,
+    a one-channel conv its output from its input.
 
     Without ``rest`` the cache is that input itself. With ``rest``, what the
     layer's forward kept besides, the layer's op ``restore``s its cache from
@@ -278,7 +279,8 @@ class Op:
     forward(layer, x, run) -> (output, cache for backward)
     backward(layer, cache, grad, run) -> (input grad, {weight: grad} or None)
     shape(layer, shape, skips, where) -> output shape, or GraphBuildError
-    rebuild(cache) -> the train-mode output again, bit for bit, from its cache
+    rebuild(layer, cache) -> the train-mode output again, bit for bit, from its
+        cache, for the layers ``rebuilds(layer)`` admits
     restore(x, rest) -> the train-mode cache again from the input x, which it
         may overwrite, and the ``rest`` its forward kept when told ``run.rebuild``
     linear(layer, x, w, b) -> conv or dense output; INT8 runs it on codes
@@ -290,6 +292,7 @@ class Op:
     backward: object = _kernel_backward  # kernels.<kind>_backward(cache, grad)
     shape: object = lambda layer, shape, skips, where: shape
     rebuild: object = None
+    rebuilds: object = lambda layer: True
     restore: object = None
     weights: tuple = ()  # storage order: init, Adam state, serialization
     trainable: tuple = ()
@@ -430,14 +433,22 @@ def _add_skip(layer, x, run):
     return x + run.skips.pop(), None
 
 
+def _conv2d(layer, x, w, b):
+    return kernels.conv2d(x, w, b, **_conv_args(layer))
+
+
 OPS = {
     "conv2d": _linear_op(
-        lambda layer, x, w, b: kernels.conv2d(x, w, b, **_conv_args(layer)),
+        _conv2d,
         lambda layer, x, w, g, bias, run: kernels.conv2d_backward(
             x, w, g, with_bias=bias, with_input=run.input_grad, **_conv_args(layer)
         ),
         fans=lambda kh, kw, cin, cout: (kh * kw * cin, kh * kw * cout),
         folds_norm=True,
+        # with one input channel an output costs kh * kw MACs, less than a GELU, so it
+        # is rerun on the cached input; a wider conv's rerun costs more than it saves
+        rebuild=lambda layer, x: _conv2d(layer, x, layer.weights["w"], layer.weights.get("b")),
+        rebuilds=lambda layer: layer.weights["w"].shape[2] == 1,
     ),
     "depthwise_conv2d": _linear_op(
         lambda layer, x, w, b: kernels.depthwise_conv2d(x, w, b),
@@ -462,7 +473,7 @@ OPS = {
         _norm_forward,
         _norm_backward,
         _norm_shape,
-        rebuild=lambda cache: kernels.batch_norm_output(cache),
+        rebuild=lambda layer, cache: kernels.batch_norm_output(cache),
         restore=lambda x, rest: kernels.batch_norm_restore(x, rest),
         weights=("gamma", "beta", "moving_mean", "moving_var"),
         trainable=("gamma", "beta"),
@@ -472,7 +483,7 @@ OPS = {
         ),
     ),
     "elu": Op(_elu_forward, _elu_backward),
-    "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x), rebuild=lambda x: kernels.gelu(x)),
+    "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x), rebuild=lambda layer, x: kernels.gelu(x)),
     "max_pool": Op(
         lambda layer, x, run: kernels.max_pool(x, layer.config["pool"], keep_cache=run.keep_caches),
         shape=_pool_shape,
@@ -534,8 +545,11 @@ def init_weights(model, seed, dtype=None):
     """Glorot-uniform kernels, zero biases, identity batch norm; seeded.
 
     ``dtype`` overrides the model's storage dtype (float64 for gradient
-    tests). Returns the model with weights replaced in place.
+    tests). Returns the model with weights replaced in place. A negative
+    seed raises ConfigError.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if dtype is not None:
         model.dtype = dtype
     dt = model.dtype
@@ -553,14 +567,20 @@ def init_weights(model, seed, dtype=None):
     return model
 
 
+def _rebuilds(layer):
+    """Whether backward can rebuild ``layer``'s train-mode output from its cache."""
+    op = OPS[layer.kind]
+    return op.rebuild is not None and op.rebuilds(layer)
+
+
 def walk(model, x, run, steps=None, caches=None, record=None):
     """Run every layer's forward step on x, or for a layer index in ``steps``
     its ``steps[idx](layer, x) -> output`` in its place (with no cache).
 
     Returns (output, logits). Each layer's backward cache is appended to
     ``caches`` and its output to ``record`` when those are lists. In a train
-    walk that keeps caches, a layer whose input was made by a layer with a
-    ``rebuild`` gets ``run.rebuild``, a ``Rebuild`` of that maker; a cache
+    walk that keeps caches, a layer whose input was made by a layer that can
+    ``rebuild`` it gets ``run.rebuild``, a ``Rebuild`` of that maker; a cache
     that is the layer's own input becomes that ``Rebuild``. A layer that
     returns its input passes on who made it.
     """
@@ -569,7 +589,7 @@ def walk(model, x, run, steps=None, caches=None, record=None):
     run.keep_caches = caches is not None
     for idx, layer in enumerate(model.layers):
         op = layer_op(layer, idx)
-        rebuilds = run.train and run.keep_caches and source is not None and OPS[model.layers[source].kind].rebuild
+        rebuilds = run.train and run.keep_caches and source is not None and _rebuilds(model.layers[source])
         run.rebuild = Rebuild(source) if rebuilds else None
         y, cache = (steps[idx](layer, x), None) if idx in steps else op.forward(layer, x, run)
         if op.logits:
@@ -637,7 +657,8 @@ def _cache(model, caches, idx):
     """``caches[idx]``, made first and kept there when it is a ``Rebuild``."""
     cache = caches[idx]
     if isinstance(cache, Rebuild):
-        x = OPS[model.layers[cache.source].kind].rebuild(_cache(model, caches, cache.source))
+        source = model.layers[cache.source]
+        x = OPS[source.kind].rebuild(source, _cache(model, caches, cache.source))
         cache = caches[idx] = x if cache.rest is None else OPS[model.layers[idx].kind].restore(x, cache.rest)
     return cache
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tinyasc import data
-from tinyasc.errors import AudioFormatError, ManifestError
+from tinyasc.errors import AudioFormatError, ConfigError, ManifestError, TinyAscError
 from tinyasc.frontend import Waveform
 
 
@@ -195,6 +195,22 @@ class TestSynthData:
     def test_shapes(self):
         examples = data.synth_dataset(1, seed=2)
         assert all(s.data.shape == (64, 51) for s, _ in examples)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: data.synth_examples(3, seed=-1),
+            lambda: data.synth_examples(0, 1),
+            lambda: data.synth_dataset(2, seed=-1),
+            lambda: data.synth_dataset(-1, seed=1),
+        ],
+        ids=["examples-seed", "examples-count", "dataset-seed", "dataset-count"],
+    )
+    def test_negative_seed_or_count_is_a_config_error(self, make):
+        # not numpy's "expected non-negative integer" or a plain ValueError
+        with pytest.raises(ConfigError, match="must be >= ") as info:
+            make()
+        assert isinstance(info.value, TinyAscError) and isinstance(info.value, ValueError)
 
     def test_nearest_class_mean_oracle_over_90pct(self):
         examples = data.synth_dataset(20, seed=3)

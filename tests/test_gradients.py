@@ -240,27 +240,54 @@ class TestGraphBackward:
         # mix1_pw and mix2_pw (and mix1_dw behind patch_bn) rebuild their input from the
         # train-mode norm in front of them; beta is not zero, so it must be in the rebuild.
         # Every norm restores x_hat from the GELU in front of it, and without the patch
-        # norm mix1_dw rebuilds its input from patch_gelu; patch_embed's gradient passes
+        # norm mix1_dw rebuilds its input from patch_gelu; patch_gelu reruns the one-channel
+        # patch_embed, whose bias is not zero either; patch_embed's gradient passes
         # through all of them
-        model = zoo.build("conv_mixer", 3, 3, input_shape=(4, 8, 1), patch_norm=patch_norm)
-        zoo.init_weights(model, seed=5, dtype=np.float64)
-        rng = np.random.default_rng(6)
-        for layer in model.layers:
-            if layer.kind == "batch_norm":
-                c = layer.weights["gamma"].shape[0]
-                layer.weights["gamma"] = rng.uniform(0.5, 1.5, c)
-                layer.weights["beta"] = rng.normal(0, 0.5, c)
-        x = rng.normal(size=(3, 4, 8, 1))
-        r = rng.normal(size=(3, 10))
-
-        def loss():
-            probs, _, _ = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(7))
-            return float((probs * r).sum())
-
+        model, x, r, loss = _train_mode_case("conv_mixer", 3, (4, 8, 1), patch_norm=patch_norm)
         probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(7), keep_caches=True)
-        assert sum(isinstance(cache, zoo.Rebuild) for cache in caches) == (8 if patch_norm else 7)
+        assert sum(isinstance(cache, zoo.Rebuild) for cache in caches) == (9 if patch_norm else 8)
         grads, _ = zoo.backward_graph(model, caches, r)
         for i, layer in enumerate(model.layers):
             if layer.name in ("patch_embed", "mix1_dw", "mix1_pw", "mix2_pw") or layer.kind == "batch_norm":
                 for name in zoo.TRAINABLE_WEIGHTS[layer.kind]:
                     check(grads[i][name], fd_grad(loss, layer.weights[name]))
+
+    @pytest.mark.parametrize("arch, patch", [("conv_sep", 1), ("conv_mixer", 1), ("conv_mixer", 2)])
+    def test_train_mode_one_channel_conv_and_the_norm_behind_it(self, arch, patch):
+        # the first layer's output is rerun from the batch in backward: bn1a restores its
+        # x_hat from conv1's rerun output, patch_gelu's input is patch_embed's (a strided,
+        # valid 2x2 conv at patch size 2); bias and beta are not zero. Checked: conv1 and
+        # bn1a, or patch_embed and patch_bn
+        model, x, r, loss = _train_mode_case(arch, 3, (4, 16, 1), patch_size=patch)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(7), keep_caches=True)
+        assert isinstance(caches[1], zoo.Rebuild) and caches[1].source == 0
+        grads, _ = zoo.backward_graph(model, caches, r)
+        norm = next(i for i, layer in enumerate(model.layers) if layer.kind == "batch_norm")
+        for i, layer in enumerate(model.layers):
+            if i in (0, norm):
+                for name in zoo.TRAINABLE_WEIGHTS[layer.kind]:
+                    check(grads[i][name], fd_grad(loss, layer.weights[name]))
+
+
+def _train_mode_case(arch, filters, input_shape, **build_args):
+    """A float64 model with random biases, gammas and betas, a batch, a random
+    projection r of its output and the train-mode loss sum(probs * r), which
+    draws the same dropout masks on every call."""
+    model = zoo.build(arch, filters, filters, input_shape=input_shape, **build_args)
+    zoo.init_weights(model, seed=5, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    for layer in model.layers:
+        if layer.kind == "batch_norm":
+            c = layer.weights["gamma"].shape[0]
+            layer.weights["gamma"] = rng.uniform(0.5, 1.5, c)
+            layer.weights["beta"] = rng.normal(0, 0.5, c)
+        elif "b" in layer.weights:
+            layer.weights["b"] = rng.normal(0, 0.5, layer.weights["b"].shape)
+    x = rng.normal(size=(3, *input_shape))
+    r = rng.normal(size=(3, 10))
+
+    def loss():
+        probs, _, _ = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(7))
+        return float((probs * r).sum())
+
+    return model, x, r, loss

@@ -1,6 +1,7 @@
 """Quantization roundtrips, calibration, batch-norm folding, integer inference."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -72,6 +73,13 @@ class TestQuantizeTensor:
     def test_non_finite_rejected(self):
         with pytest.raises(QuantizationError):
             quantize.quantize_tensor(np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -0.5])
+    @pytest.mark.parametrize("scheme", ["symmetric_weight", "affine_activation"])
+    def test_params_need_a_finite_positive_scale(self, scale, scheme):
+        # nan <= 0 is False, so a NaN scale once passed
+        with pytest.raises(QuantizationError, match="scale must be finite and positive"):
+            quantize.QuantParams(scale, 0, scheme)
 
 
 class TestCalibrate:
@@ -369,6 +377,41 @@ class TestQuantizedSerialization:
         path = tmp_path / "m.tasq"
         quantize.save_quantized(qm, path)
         problem = r"m\.tasq: layer 2 weight moving_var: negative moving variance -5\.0 at channel 1$"
+        with pytest.raises(QuantizationError, match=problem):
+            quantize.load_quantized(path)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -0.5])
+    @pytest.mark.parametrize("record", ["weight", "input", "activation"])
+    def test_bad_stored_scale_names_file_record_and_offset(self, tmp_path, setup, record, scale):
+        # a NaN or inf scale once loaded and gave NaN logits; each is refused at its record.
+        # Layer 0's weight scale follows magic, header, layer count, tensor count and tag;
+        # the input's precedes the activation count and ten bytes per activation
+        _, qm, _ = setup
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(qm, path)
+        blob = bytearray(path.read_bytes())
+        n = len(qm.graph.layers)
+        at, where, params = {
+            "weight": (4 + 25 + 2 + 1 + 1, "layer 0 weight w", qm.weight_params[(0, "w")]),
+            "input": (len(blob) - 10 * n - 2 - 10, "input", qm.input_params),
+            "activation": (len(blob) - 10 * (n - 3), "layer 3 activation", qm.activation_params[3]),
+        }[record]
+        assert struct.unpack_from("<dh", blob, at) == (params.scale, params.zero_point)
+        struct.pack_into("<d", blob, at, scale)
+        path.write_bytes(bytes(blob))
+        problem = re.escape(f"m.tasq: {where}: scale must be finite and positive, got {scale}, at byte {at}")
+        with pytest.raises(QuantizationError, match=problem + "$"):
+            quantize.load_quantized(path)
+
+    def test_nonzero_weight_zero_point_names_file_record_and_offset(self, tmp_path, setup):
+        _, qm, _ = setup
+        path = tmp_path / "m.tasq"
+        quantize.save_quantized(qm, path)
+        blob = bytearray(path.read_bytes())
+        at = 4 + 25 + 2 + 1 + 1
+        struct.pack_into("<h", blob, at + 8, 3)
+        path.write_bytes(bytes(blob))
+        problem = rf"m\.tasq: layer 0 weight w: symmetric scheme requires zero_point 0, at byte {at}$"
         with pytest.raises(QuantizationError, match=problem):
             quantize.load_quantized(path)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tinyasc import audit, kernels, metrics, quantize, zoo
-from tinyasc.errors import GraphBuildError, QuantizationError, ShapeError, TinyAscError
+from tinyasc.errors import ConfigError, GraphBuildError, QuantizationError, ShapeError, TinyAscError
 from tinyasc.frontend import Spectrogram
 
 CONV_SEP_GOLDEN = [
@@ -293,6 +293,44 @@ class TestFoldedInference:
         assert outputs[0] == outputs[1]
 
 
+def _with_biases(model, seed):
+    """Random biases, so a rebuild that leaves one out shows."""
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        if "b" in layer.weights:
+            layer.weights["b"] = rng.normal(0, 0.3, layer.weights["b"].shape).astype(np.float32)
+    return model
+
+
+def _spy_norm_x_hats(monkeypatch, model):
+    """For each norm by name, the x_hat and inv_std that a ``keep_x_hat=True`` call
+    caches for the input of its train forward, and those its backward step read."""
+    norms = {id(layer.weights["gamma"]): layer.name for layer in model.layers if layer.kind == "batch_norm"}
+    kept, restored = {}, {}
+    norm, norm_backward = kernels.batch_norm, kernels.batch_norm_backward
+
+    def spy_norm(x, *args, **kwargs):
+        _, (x_hat, inv_std, *_), _ = norm(x, *args, **{**kwargs, "keep_x_hat": True})
+        kept[norms[id(args[0])]] = x_hat, inv_std
+        return norm(x, *args, **kwargs)
+
+    def spy_backward(cache, g, **kwargs):
+        restored[norms[id(cache[2])]] = cache[0].copy(), cache[1]
+        return norm_backward(cache, g, **kwargs)
+
+    monkeypatch.setattr(kernels, "batch_norm", spy_norm)
+    monkeypatch.setattr(kernels, "batch_norm_backward", spy_backward)
+    return kept, restored
+
+
+def _assert_same_x_hats(kept, restored):
+    """Each norm's backward step read the very bytes a ``keep_x_hat=True`` call caches."""
+    assert set(restored) == set(kept)
+    for name, pairs in kept.items():
+        for got, want in zip(restored[name], pairs, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
 def _cache_arrays(cache):
     """Every array in a layer's backward cache; a ``Rebuild`` holds those of its ``rest``."""
     if isinstance(cache, np.ndarray):
@@ -382,9 +420,10 @@ class TestTrainCaches:
         # to the norm in front of them, not its output, and backward rebuilds the very
         # bytes each received; beta is not zero, so a rebuild without it shows. Each
         # norm keeps one to the GELU in front of it, and without the patch norm so
-        # does mix1_dw; no cache holds the output of any of them
+        # does mix1_dw; patch_gelu keeps one to the one-channel patch_embed, whose
+        # bias is not zero; no cache holds the output of any of them
         build = zoo.build("conv_mixer", 4, 6, input_shape=(8, 16, 1), patch_norm=patch_norm)
-        model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
+        model = _with_biases(_with_norm_stats(zoo.init_weights(build, seed=2), seed=3), seed=4)
         names = [layer.name for layer in model.layers]
         norms = {id(layer.weights["gamma"]): layer.name for layer in model.layers if layer.kind == "batch_norm"}
         behind = {
@@ -392,9 +431,11 @@ class TestTrainCaches:
             "mix2_pw": "mix2_bn_a",
             "mix1_dw": "patch_bn" if patch_norm else "patch_gelu",
             **{name: name.replace("_bn", "_gelu") for name in norms.values()},
+            "patch_gelu": "patch_embed",
         }
         outputs, gelu_outputs = {}, []
-        norm, gelu = kernels.batch_norm, kernels.gelu
+        norm, gelu, conv = kernels.batch_norm, kernels.gelu, kernels.conv2d
+        embed = model.layers[0].weights["w"]
 
         def spy_norm(x, gamma, *args, **kwargs):
             y, cache, stats = norm(x, gamma, *args, **kwargs)
@@ -405,8 +446,15 @@ class TestTrainCaches:
             gelu_outputs.append(weakref.ref(y := gelu(x)))
             return y
 
+        def spy_conv(x, w, *args, **kwargs):
+            y = conv(x, w, *args, **kwargs)
+            if w is embed:
+                outputs["patch_embed"] = weakref.ref(y)
+            return y
+
         monkeypatch.setattr(kernels, "batch_norm", spy_norm)
         monkeypatch.setattr(kernels, "gelu", spy_gelu)
+        monkeypatch.setattr(kernels, "conv2d", spy_conv)
         seen = _spy_linear_inputs(monkeypatch, model)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
@@ -429,20 +477,8 @@ class TestTrainCaches:
         # backward step reads is the one a train-mode batch_norm caches for the same input
         build = zoo.build("conv_mixer", 4, 6, input_shape=(8, 16, 1), patch_norm=patch_norm)
         model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
-        norms = {id(layer.weights["gamma"]): layer.name for layer in model.layers if layer.kind == "batch_norm"}
-        calls, restored = {}, {}
-        norm, norm_backward = kernels.batch_norm, kernels.batch_norm_backward
-
-        def spy_norm(x, *args, **kwargs):
-            calls[norms[id(args[0])]] = (x.copy(), *args), kwargs
-            return norm(x, *args, **kwargs)
-
-        def spy_backward(cache, g, **kwargs):
-            restored[norms[id(cache[2])]] = cache[0].copy(), cache[1]
-            return norm_backward(cache, g, **kwargs)
-
-        monkeypatch.setattr(kernels, "batch_norm", spy_norm)
-        monkeypatch.setattr(kernels, "batch_norm_backward", spy_backward)
+        norms = {layer.name for layer in model.layers if layer.kind == "batch_norm"}
+        kept, restored = _spy_norm_x_hats(monkeypatch, model)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
         for i, layer in enumerate(model.layers):
@@ -452,24 +488,96 @@ class TestTrainCaches:
                 assert max(a.size for a in _cache_arrays(caches[i])) < size, layer.name
 
         zoo.backward_graph(model, caches, np.ones_like(probs))
-        assert set(restored) == set(calls) == set(norms.values())
-        for name, (args, kwargs) in calls.items():
-            _, (x_hat, inv_std, *_), _ = norm(*args, **{**kwargs, "keep_x_hat": True})
-            got_x_hat, got_inv_std = restored[name]
-            for got, want in ((got_x_hat, x_hat), (got_inv_std, inv_std)):
-                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert set(kept) == norms
+        _assert_same_x_hats(kept, restored)
+
+    @pytest.mark.parametrize(
+        "arch, patch, patch_norm",
+        [
+            ("conv_sep", 1, True),
+            ("conv_mixer", 1, True),
+            ("conv_mixer", 1, False),
+            ("conv_mixer", 2, True),
+            ("conv_mixer", 2, False),
+        ],
+    )
+    def test_a_one_channel_conv_rebuilds_its_output(self, arch, patch, patch_norm, monkeypatch):
+        # layer 0 (conv1, or patch_embed with its 1x1 or strided 2x2 valid kernel) has one
+        # input channel: the layer behind it keeps a Rebuild of it and no array of its
+        # output's size, so at the end of the forward pass nothing holds that output.
+        # Backward reruns the conv once, on the batch, and gets the forward's bytes
+        build = zoo.build(arch, 4, 6, patch_size=patch, input_shape=(8, 16, 1), patch_norm=patch_norm)
+        model = _with_biases(_with_norm_stats(zoo.init_weights(build, seed=2), seed=3), seed=4)
+        first, conv, outputs = model.layers[0], kernels.conv2d, []
+
+        def spy(x, w, *args, **kwargs):
+            y = conv(x, w, *args, **kwargs)
+            if w is first.weights["w"]:
+                outputs.append((weakref.ref(y), y.tobytes()))
+            return y
+
+        monkeypatch.setattr(kernels, "conv2d", spy)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        assert isinstance(caches[1], zoo.Rebuild) and caches[1].source == 0
+        size = len(x) * int(np.prod(first.output_shape))
+        assert all(a.size < size for a in _cache_arrays(caches[1]))
+        assert len(outputs) == 1 and outputs[0][0]() is None
+
+        zoo.backward_graph(model, caches, np.ones_like(probs))
+        assert len(outputs) == 2 and outputs[1][1] == outputs[0][1]
+
+    def test_a_norm_behind_a_one_channel_conv_restores_x_hat_with_its_bits(self, monkeypatch):
+        # bn1a's x_hat is made from conv1's rerun output at its backward step: the bytes a
+        # train-mode batch_norm caches for conv1's output; conv1's bias is not zero
+        build = zoo.build("conv_sep", 4, 6, input_shape=(8, 16, 1))
+        model = _with_biases(_with_norm_stats(zoo.init_weights(build, seed=2), seed=3), seed=4)
+        kept, restored = _spy_norm_x_hats(monkeypatch, model)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        assert caches[1].rest[0] is None  # no x_hat kept
+        zoo.backward_graph(model, caches, np.ones_like(probs))
+        assert set(kept) == {"bn1a", "bn1b", "bn2a", "bn2b"}
+        _assert_same_x_hats(kept, restored)
+
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_only_a_one_channel_conv_rebuilds_its_output(self, arch, channels):
+        # a conv with more input channels costs more to rerun than its output takes
+        # to keep: behind conv2, or conv1 and patch_embed on a two-channel input, a
+        # norm keeps its x_hat and a GELU its input
+        build = zoo.build(arch, 4, 4, input_shape=(8, 16, channels))
+        model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, channels)).astype(np.float32)
+        outputs = []
+        _, _, caches = zoo.run_graph(
+            model, x, train=True, rng=np.random.default_rng(4), keep_caches=True, record_activations=outputs
+        )
+        convs = [i for i, layer in enumerate(model.layers) if layer.kind == "conv2d"]
+        rebuilt = [i for i in convs if isinstance(caches[i + 1], zoo.Rebuild)]
+        assert rebuilt == ([0] if channels == 1 else [])
+        for i in set(convs) - set(rebuilt):
+            behind = model.layers[i + 1]
+            if behind.kind == "gelu":
+                assert caches[i + 1] is outputs[i], behind.name
+                continue
+            weights = (behind.weights[n] for n in behind.weight_names())
+            _, (x_hat, *_), _ = kernels.batch_norm(outputs[i], *weights, eps=zoo.BN_EPS, train=True)
+            assert caches[i + 1][0].tobytes() == x_hat.tobytes(), behind.name
 
     @pytest.mark.parametrize("arch, train", [("conv_sep", True), ("conv_sep", False), ("conv_mixer", False)])
     def test_other_linear_layers_cache_their_input_itself(self, arch, train):
-        # conv_sep has no linear layer right behind a norm (an ELU sits between),
-        # and an eval-mode walk rebuilds nothing
+        # conv_sep has no linear layer right behind a norm (an ELU sits between); its
+        # only Rebuild is bn1a's of the one-channel conv1. An eval-mode walk rebuilds nothing
         model = _with_norm_stats(zoo.init_weights(zoo.build(arch, 4, 4, input_shape=(8, 16, 1)), seed=2), seed=3)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         outputs = []
         _, _, caches = zoo.run_graph(
             model, x, train=train, rng=np.random.default_rng(4), keep_caches=True, record_activations=outputs
         )
-        assert not any(isinstance(cache, zoo.Rebuild) for cache in caches)
+        names = [layer.name for layer in model.layers]
+        rebuilt = {names[i]: names[c.source] for i, c in enumerate(caches) if isinstance(c, zoo.Rebuild)}
+        assert rebuilt == ({"bn1a": "conv1"} if train else {})
         inputs = [x, *outputs]
         for i, layer in enumerate(model.layers):
             assert layer.kind not in LINEAR_KINDS or caches[i] is inputs[i], layer.name
@@ -500,6 +608,14 @@ class TestInitWeights:
         bn = next(l for l in model.layers if l.kind == "batch_norm")
         np.testing.assert_array_equal(bn.weights["gamma"], 1.0)
         np.testing.assert_array_equal(bn.weights["moving_var"], 1.0)
+
+    def test_negative_seed_is_a_config_error(self):
+        # not numpy's "expected non-negative integer"; the weights are left as they were
+        model = zoo.build_conv_sep(4, 4, 3)
+        before = zoo.weights_fingerprint(model)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            zoo.init_weights(model, seed=-1)
+        assert zoo.weights_fingerprint(model) == before
 
 
 class TestSerialization:
@@ -670,9 +786,10 @@ class TestLayerTable:
         want = kinds(model, "conv2d", "gelu", "batch_norm")
         assert seen == {k: n for k, n in want.items() if n}
         _, seen = calls(lambda: zoo.backward_graph(model, caches, np.ones_like(probs)))
-        # each of the mixer's norms, all behind a GELU, restores x_hat by one GELU
+        # each of the mixer's norms, all behind a GELU, restores x_hat by one GELU, and
+        # the one-channel first conv is rerun once
         restores = {"gelu": want["batch_norm"]} if arch == "conv_mixer" else {}
-        assert seen == {"batch_norm_backward": want["batch_norm"], **restores}
+        assert seen == {"batch_norm_backward": want["batch_norm"], "conv2d": 1, **restores}
         _, seen = calls(lambda: quantize.quantized_forward(qm, specs[0]))
         assert seen == {k: n for k, n in kinds(qm.graph, "conv2d", "gelu").items() if n}
         assert seen["conv2d"] >= 1
