@@ -239,7 +239,7 @@ def pointwise_conv2d_backward(x, w, grad_y, with_bias=True):
     return gx, gw, gb
 
 
-def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99, train=False, keep_x_hat=True):
+def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99, train=False):
     """Per-channel normalization over all leading axes.
 
     Returns (y, cache, (new_moving_mean, new_moving_var)). In inference
@@ -248,112 +248,87 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
     blended with momentum. Zero variance is tolerated (eps keeps the
     denominator positive); a negative variance estimate is rejected.
 
-    A train-mode call with ``keep_x_hat=False`` forms each clip's x_hat in
-    scratch and keeps the batch mean in its cache instead, as
-    ``(None, inv_std, gamma, beta, True, axes, mean)``; ``batch_norm_restore``
-    makes the full cache from it and the same input again, with the same bits.
+    The cache is ``(x, mean, inv_std, gamma, beta, train, axes)`` in both
+    modes, with the mean that normalized x: the input and its statistics,
+    from which ``batch_norm_backward`` forms x_hat again. A train-mode call
+    centres and squares each clip in y, its only full-size buffer, for
+    ``np.var``'s arithmetic, then ``batch_norm_output`` writes y over them.
     """
     if eps <= 0:
         raise ValueError(f"batch norm eps must be positive, got {eps}")
     axes = tuple(range(x.ndim - 1))
     if train:
         mean = x.mean(axis=axes)
-        if keep_x_hat:
-            # np.var's arithmetic with one centred buffer: x_hat is scaled from it
-            # in place and y is written into the squares buffer, one clip at a time
-            x_hat = np.subtract(x, mean)
-            y = np.multiply(x_hat, x_hat)
-        else:
-            # the same squares, each clip centred in scratch: y is the only full-size buffer
-            y = np.empty(x.shape, dtype=np.result_type(x, mean))
-            for clip, out, centred in _clips(x, y, scratch=(y.dtype,)):
-                np.subtract(clip, mean, out=centred)
-                np.multiply(centred, centred, out=out)
+        y = np.empty(x.shape, dtype=np.result_type(x, mean))
+        for clip, out in _clips(x, y):
+            np.subtract(clip, mean, out=out)
+            np.multiply(out, out, out=out)
         var = y.mean(axis=axes)
         new_mm = momentum * moving_mean + (1.0 - momentum) * mean
         new_mv = momentum * moving_var + (1.0 - momentum) * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        if keep_x_hat:
-            for xh, out in _clips(x_hat, y):
-                xh *= inv_std
-                _norm_tail(gamma, xh, beta, out)
-            cache = (x_hat, inv_std, gamma, beta, train, axes)
-        else:
-            for clip, out, xh in _clips(x, y, scratch=(y.dtype,)):
-                _x_hat(clip, mean, inv_std, out=xh)
-                _norm_tail(gamma, xh, beta, out)
-            cache = (None, inv_std, gamma, beta, train, axes, mean)
-    else:
-        if np.any(moving_var < 0):
-            raise ValueError("negative variance estimate in batch norm")
-        new_mm, new_mv = moving_mean, moving_var
-        inv_std = 1.0 / np.sqrt(moving_var + eps)
-        x_hat = (x - moving_mean) * inv_std
-        y = gamma * x_hat
-        y += beta
-        cache = (x_hat, inv_std, gamma, beta, train, axes)
-    return y, cache, (new_mm, new_mv)
+        cache = (x, mean, inv_std, gamma, beta, train, axes)
+        return batch_norm_output(cache, out=y), cache, (new_mm, new_mv)
+    if np.any(moving_var < 0):
+        raise ValueError("negative variance estimate in batch norm")
+    inv_std = 1.0 / np.sqrt(moving_var + eps)
+    y = gamma * ((x - moving_mean) * inv_std)
+    y += beta
+    return y, (x, moving_mean, inv_std, gamma, beta, train, axes), (moving_mean, moving_var)
 
 
 def _x_hat(clip, mean, inv_std, out):
-    """out = (clip - mean) * inv_std: one clip's train-mode x_hat, in the
-    order of the whole-array form (centre, then scale)."""
+    """out = (clip - mean) * inv_std: one clip's x_hat, in the order of the
+    whole-array form (centre, then scale)."""
     np.subtract(clip, mean, out=out)
     out *= inv_std
 
 
-def _norm_tail(gamma, x_hat, beta, out):
-    """out = gamma * x_hat + beta: the train-mode tail of one clip."""
-    np.multiply(gamma, x_hat, out=out)
-    out += beta
-
-
-def batch_norm_restore(x, cache):
-    """The full train-mode cache of a ``batch_norm(..., keep_x_hat=False)`` call
-    from its cache and the same input x, which becomes x_hat in place, clip by
-    clip with the forward's own ufuncs: the bits a ``keep_x_hat=True`` call caches."""
-    _, inv_std, gamma, beta, train, axes, mean = cache
-    for (clip,) in _clips(x):
-        _x_hat(clip, mean, inv_std, out=clip)
-    return x, inv_std, gamma, beta, train, axes
-
-
-def batch_norm_output(cache):
-    """The y of a train-mode ``batch_norm``, rebuilt from its cache by the
-    forward's own tail, one clip at a time, so it has the forward's bits. It
-    must run before ``batch_norm_backward`` writes into the cached x_hat."""
-    x_hat, _, gamma, beta, _, _ = cache
-    y = np.empty_like(x_hat)
-    for xh, out in _clips(x_hat, y):
-        _norm_tail(gamma, xh, beta, out)
+def batch_norm_output(cache, out=None):
+    """The y of a train-mode ``batch_norm``, gamma * x_hat + beta, from its
+    cache, one clip at a time with x_hat formed in y: the forward's own tail,
+    so a rebuild in backward has the forward's bits. ``out`` receives y in
+    place of a new array and must have the forward's shape and dtype. It
+    must run before ``batch_norm_backward`` writes into the cached input."""
+    x, mean, inv_std, gamma, beta, _, _ = cache
+    y = _output(out, x.shape, np.result_type(x, mean))
+    for clip, xh in _clips(x, y):
+        _x_hat(clip, mean, inv_std, out=xh)
+        np.multiply(gamma, xh, out=xh)
+        xh += beta
     return y
 
 
 def batch_norm_backward(cache, grad_y, out=None):
     """Gradients w.r.t. input, gamma, beta from a batch_norm cache.
 
-    In train mode the input gradient uses sum(g * gamma) = gamma * g_beta and
+    x_hat = (x - mean) * inv_std is formed again clip by clip, with the
+    forward's own ufuncs, in the buffer that then receives gx. In train mode
+    the input gradient uses sum(g * gamma) = gamma * g_beta and
     sum(g * gamma * x_hat) = gamma * g_gamma. The products and gx are formed
     one clip at a time, the products in one reused buffer, so gx is the only
     full-size array. ``out`` receives gx in place of a new array and must
     have its shape and dtype (grad_y's in train mode); it may be the cached
-    x_hat, as each clip's x_hat * g_gamma is formed before gx overwrites it.
+    input x, whose clips are read before they are written. Where x_hat's
+    dtype is not gx's, x_hat gets a buffer of its own.
     """
-    x_hat, inv_std, gamma, _, train, axes = cache
+    x, mean, inv_std, gamma, _, train, axes = cache
+    gx = _output(out, grad_y.shape, grad_y.dtype if train else np.result_type(grad_y, gamma, inv_std))
+    x_hat_dtype = np.result_type(x, mean, inv_std)
+    x_hat = gx if gx.dtype == x_hat_dtype else np.empty(x.shape, dtype=x_hat_dtype)
     dtype = np.result_type(grad_y, x_hat)
-    g_gamma = np.zeros(x_hat.shape[-1], dtype=dtype)
-    for g, xh, product in _clips(grad_y, x_hat, scratch=(dtype,)):
+    g_gamma = np.zeros(x.shape[-1], dtype=dtype)
+    for clip, g, xh, product in _clips(x, grad_y, x_hat, scratch=(dtype,)):
+        _x_hat(clip, mean, inv_std, out=xh)
         g_gamma += np.add.reduce(np.multiply(g, xh, out=product), axis=axes[:-1])
     g_beta = grad_y.sum(axis=axes)
     if not train:
-        gx = _output(out, grad_y.shape, np.result_type(grad_y, gamma, inv_std))
         np.multiply(grad_y, gamma, out=gx)
         gx *= inv_std
         return gx, g_gamma, g_beta
-    m = math.prod(x_hat.shape[:-1])
+    m = math.prod(x.shape[:-1])
     # gx = (gamma * inv_std / m) * (m * g - g_beta - x_hat * g_gamma)
     scale = gamma * inv_std / m
-    gx = _output(out, grad_y.shape, grad_y.dtype)
     for g, xh, clip, product in _clips(grad_y, x_hat, gx, scratch=(dtype,)):
         np.multiply(xh, g_gamma, out=product)
         np.multiply(g, m, out=clip)

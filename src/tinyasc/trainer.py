@@ -53,9 +53,18 @@ class TrainingConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the held-out share; the split clamps its size, so 0, 1 or beyond would pass unnoticed
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         # 0 is allowed: the loop then runs with frozen weights
         if not 0.0 <= self.adam.lr < math.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.adam.lr}")
+        # a beta of 1 zeroes Adam's bias correction, which then divides by zero
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self.adam, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self.adam, name)}")
+        if not 0.0 < self.adam.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.adam.eps}")
 
 
 @dataclass

@@ -233,16 +233,14 @@ def build_conv_mixer(*args, **kwargs):
 @dataclass
 class Run:
     """State of one walk: the mode, the dropout rng, the open residual skips,
-    whether backward caches are kept, whether a backward step's input
-    gradient is read (a conv2d skips it when it is not) and, for the layer
-    being walked, a ``Rebuild`` of its input when backward can rebuild it."""
+    whether backward caches are kept and whether a backward step's input
+    gradient is read (a conv2d skips it when it is not)."""
 
     train: bool = False
     rng: object = None
     skips: list = field(default_factory=list)
     keep_caches: bool = False
     input_grad: bool = True
-    rebuild: object = None
 
 
 def _fail(where, problem):
@@ -255,17 +253,16 @@ def _kernel_backward(layer, cache, g, run):
 
 @dataclass(frozen=True)
 class Rebuild:
-    """Kept in place of a train-mode cache that backward can make from the
-    layer's input, when that input is the output of layer ``source`` and the
-    source's op can ``rebuild`` it from the source's cache: a train-mode batch
-    norm its y from x_hat, gamma and beta, a GELU its output from its input,
-    a one-channel conv its output from its input.
+    """Kept in place of a train-mode cache that holds the layer's input, when
+    that input is the output of layer ``source`` and the source's op can
+    ``rebuild`` it from the source's cache: a train-mode batch norm its y from
+    its input and statistics, a GELU its output from its input, a one-channel
+    conv its output from its input.
 
-    Without ``rest`` the cache is that input itself. With ``rest``, what the
-    layer's forward kept besides, the layer's op ``restore``s its cache from
-    the two: a train-mode batch norm its x_hat, from its batch mean and
-    inv_std. Backward makes the cache at its first reader, the layer's step
-    or a later layer's rebuild, and keeps it in the layer's slot for the other.
+    Without ``rest`` the cache is that input itself; with ``rest``, it is the
+    tuple ``(input, *rest)``, as a batch norm keeps. Backward makes the cache
+    at its first reader, the layer's step or a later layer's rebuild, and
+    keeps it in the layer's slot for the other.
     """
 
     source: int
@@ -281,8 +278,6 @@ class Op:
     shape(layer, shape, skips, where) -> output shape, or GraphBuildError
     rebuild(layer, cache) -> the train-mode output again, bit for bit, from its
         cache, for the layers ``rebuilds(layer)`` admits
-    restore(x, rest) -> the train-mode cache again from the input x, which it
-        may overwrite, and the ``rest`` its forward kept when told ``run.rebuild``
     linear(layer, x, w, b) -> conv or dense output; INT8 runs it on codes
     fans(*w.shape) -> Glorot (fan_in, fan_out)
     params(layer, convention), macs(layer, convention) -> analytic counts
@@ -293,7 +288,6 @@ class Op:
     shape: object = lambda layer, shape, skips, where: shape
     rebuild: object = None
     rebuilds: object = lambda layer: True
-    restore: object = None
     weights: tuple = ()  # storage order: init, Adam state, serialization
     trainable: tuple = ()
     linear: object = None
@@ -384,25 +378,20 @@ def _linear_op(linear, backward, fans, shape=_conv_shape, **flags):
 
 
 def _norm_forward(layer, x, run):
-    # when backward can rebuild x, x_hat is restored from it and not kept
     w, cfg = layer.weights, layer.config
     y, cache, (mm, mv) = kernels.batch_norm(
-        x,
-        *(w[n] for n in layer.weight_names()),
-        eps=cfg["eps"],
-        momentum=cfg["momentum"],
-        train=run.train,
-        keep_x_hat=run.rebuild is None,
+        x, *(w[n] for n in layer.weight_names()), eps=cfg["eps"], momentum=cfg["momentum"], train=run.train
     )
     if run.train:
         w["moving_mean"], w["moving_var"] = mm.astype(y.dtype), mv.astype(y.dtype)
-    return y, (cache if run.rebuild is None else replace(run.rebuild, rest=cache))
+    return y, cache
 
 
 def _norm_backward(layer, cache, g, run):
-    # a train-mode x_hat is this norm's own array, read last by this step
-    x_hat, _, _, _, train, _ = cache
-    out = x_hat if train and x_hat.dtype == g.dtype else None
+    # a train-mode cached input is this norm's own array (walk sees to that),
+    # read last by this step
+    x, *_, train, _ = cache
+    out = x if train and x.dtype == g.dtype else None
     g, g_gamma, g_beta = kernels.batch_norm_backward(cache, g, out=out)
     return g, {"gamma": g_gamma, "beta": g_beta}
 
@@ -474,7 +463,6 @@ OPS = {
         _norm_backward,
         _norm_shape,
         rebuild=lambda layer, cache: kernels.batch_norm_output(cache),
-        restore=lambda x, rest: kernels.batch_norm_restore(x, rest),
         weights=("gamma", "beta", "moving_mean", "moving_var"),
         trainable=("gamma", "beta"),
         params=lambda layer, convention: convention.bn_params_per_channel * layer.weights["gamma"].shape[0],
@@ -573,29 +561,42 @@ def _rebuilds(layer):
     return op.rebuild is not None and op.rebuilds(layer)
 
 
+def _kept(model, caches, cache, x, source):
+    """What a train walk keeps of a layer's cache, given its input x, made by
+    layer ``source`` (None for the walk's input). A cache that is x, or a tuple
+    that starts with x (a norm's), becomes a ``Rebuild`` where the maker can
+    ``rebuild`` x. Else such a tuple keeps a copy of x where x is not the
+    layer's own, as its backward writes into it: the caller's batch, or the
+    maker's cache (an ELU's output), which the maker's step reads later."""
+    starts = isinstance(cache, tuple) and bool(cache) and cache[0] is x
+    if cache is not x and not starts:
+        return cache
+    if source is not None and _rebuilds(model.layers[source]):
+        return Rebuild(source, rest=cache[1:] if starts else None)
+    if starts and (source is None or caches[source] is x):
+        return (x.copy(), *cache[1:])
+    return cache
+
+
 def walk(model, x, run, steps=None, caches=None, record=None):
     """Run every layer's forward step on x, or for a layer index in ``steps``
     its ``steps[idx](layer, x) -> output`` in its place (with no cache).
 
     Returns (output, logits). Each layer's backward cache is appended to
-    ``caches`` and its output to ``record`` when those are lists. In a train
-    walk that keeps caches, a layer whose input was made by a layer that can
-    ``rebuild`` it gets ``run.rebuild``, a ``Rebuild`` of that maker; a cache
-    that is the layer's own input becomes that ``Rebuild``. A layer that
-    returns its input passes on who made it.
+    ``caches`` and its output to ``record`` when those are lists, a train-mode
+    cache as ``_kept`` makes it. A layer that returns its input passes on who
+    made it.
     """
     logits = source = None
     steps = steps or {}
     run.keep_caches = caches is not None
     for idx, layer in enumerate(model.layers):
         op = layer_op(layer, idx)
-        rebuilds = run.train and run.keep_caches and source is not None and _rebuilds(model.layers[source])
-        run.rebuild = Rebuild(source) if rebuilds else None
         y, cache = (steps[idx](layer, x), None) if idx in steps else op.forward(layer, x, run)
         if op.logits:
             logits = y
         if caches is not None:
-            caches.append(run.rebuild if cache is x and run.rebuild else cache)
+            caches.append(_kept(model, caches, cache, x, source) if run.train else cache)
         del cache  # unless kept, a layer's cache must not outlive its step
         if y is not x:
             source = idx
@@ -629,11 +630,10 @@ def backward_graph(model, caches, grad_out):
 
     Consumes ``caches``: each entry is set to None once its layer's step has
     run, so that its arrays are freed. A train-mode batch norm writes its
-    input gradient into its cached x_hat and an ELU into its cached output;
-    an activation list recorded in the same forward pass sees the ELU
-    outputs overwritten. A ``Rebuild`` cache is made from its source's
-    cache at its first reader, which in reverse order comes before the
-    source's own step.
+    input gradient into its cached input and an ELU into its cached output;
+    an activation list recorded in the same forward pass sees those arrays
+    overwritten. A ``Rebuild`` cache is made from its source's cache at its
+    first reader, which in reverse order comes before the source's own step.
     """
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")
@@ -659,7 +659,7 @@ def _cache(model, caches, idx):
     if isinstance(cache, Rebuild):
         source = model.layers[cache.source]
         x = OPS[source.kind].rebuild(source, _cache(model, caches, cache.source))
-        cache = caches[idx] = x if cache.rest is None else OPS[model.layers[idx].kind].restore(x, cache.rest)
+        cache = caches[idx] = x if cache.rest is None else (x, *cache.rest)
     return cache
 
 
@@ -828,11 +828,12 @@ class _Reader:
 
     def weight(self, name, expected):
         """The float32 array of weight ``name``; a moving variance with a negative
-        entry, which no inference norm accepts, is rejected here."""
+        entry, which no inference norm accepts, is rejected here, at that entry's byte."""
         arr = self.array(expected)
         if name == "moving_var" and np.any(arr < 0):
             channel = int(np.argmax(arr < 0))
-            self.fail(f"{self.where}: negative moving variance {arr[channel]} at channel {channel}")
+            at = self.offset - arr.nbytes + channel * arr.itemsize
+            self.fail(f"{self.where}: negative moving variance {arr[channel]} at channel {channel}, at byte {at}")
         return arr
 
     def graph(self):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 
@@ -243,10 +244,15 @@ class TestTrainEvalQuantize:
         model.layers[1].weights["moving_var"][0] = -5.0  # bn1a
         ckpt = tmp_path / "bad.tasc"
         zoo.save_model(model, ckpt)
+        # the one float32 -5.0 in the file is the offending entry
+        blob = ckpt.read_bytes()
+        assert blob.count(struct.pack("<f", -5.0)) == 1
+        at = blob.index(struct.pack("<f", -5.0))
         args = [command, "--checkpoint", str(ckpt), "--synthetic", "4"]
         result = run_cli_subprocess(args + (["--out", str(tmp_path / "bad.tasq")] if command == "quantize" else []))
         assert result.returncode == 1
-        assert result.stderr == f"error: {ckpt}: layer 1 weight moving_var: negative moving variance -5.0 at channel 0\n"
+        problem = f"layer 1 weight moving_var: negative moving variance -5.0 at channel 0, at byte {at}"
+        assert result.stderr == f"error: {ckpt}: {problem}\n"
         assert not (tmp_path / "bad.tasq").exists()
 
     def test_conv_mixer_checkpoint_feeds_eval_and_quantize(self, tmp_path, capsys):

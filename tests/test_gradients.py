@@ -239,7 +239,7 @@ class TestGraphBackward:
     def test_train_mode_mixer_weights_behind_a_norm(self, patch_norm):
         # mix1_pw and mix2_pw (and mix1_dw behind patch_bn) rebuild their input from the
         # train-mode norm in front of them; beta is not zero, so it must be in the rebuild.
-        # Every norm restores x_hat from the GELU in front of it, and without the patch
+        # Every norm rebuilds its input from the GELU in front of it, and without the patch
         # norm mix1_dw rebuilds its input from patch_gelu; patch_gelu reruns the one-channel
         # patch_embed, whose bias is not zero either; patch_embed's gradient passes
         # through all of them
@@ -254,8 +254,8 @@ class TestGraphBackward:
 
     @pytest.mark.parametrize("arch, patch", [("conv_sep", 1), ("conv_mixer", 1), ("conv_mixer", 2)])
     def test_train_mode_one_channel_conv_and_the_norm_behind_it(self, arch, patch):
-        # the first layer's output is rerun from the batch in backward: bn1a restores its
-        # x_hat from conv1's rerun output, patch_gelu's input is patch_embed's (a strided,
+        # the first layer's output is rerun from the batch in backward: bn1a's input is
+        # conv1's rerun output, patch_gelu's input is patch_embed's (a strided,
         # valid 2x2 conv at patch size 2); bias and beta are not zero. Checked: conv1 and
         # bn1a, or patch_embed and patch_bn
         model, x, r, loss = _train_mode_case(arch, 3, (4, 16, 1), patch_size=patch)

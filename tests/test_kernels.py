@@ -237,7 +237,8 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_forward_byte_equal_to_mean_var_form(self, dtype):
-        # the np.mean / np.var form that the one-buffer form replaced
+        # the np.mean / np.var form that the one-buffer form replaced; the cache is
+        # the input itself and its statistics, from which backward forms x_hat
         rng = np.random.default_rng(17)
         x = (rng.normal(1.5, 2.0, size=(5, 7, 9, 6)) * np.arange(1, 7)).astype(dtype)
         gamma, beta = rng.uniform(0.5, 1.5, 6).astype(dtype), rng.normal(size=6).astype(dtype)
@@ -246,9 +247,10 @@ class TestBatchNorm:
         inv_std = 1.0 / np.sqrt(var + 1e-3)
         x_hat = (x - mean) * inv_std
         blend = 1.0 - 0.99
-        want = (gamma * x_hat + beta, 0.99 * mm + blend * mean, 0.99 * mv + blend * var, x_hat, inv_std)
+        want = (gamma * x_hat + beta, 0.99 * mm + blend * mean, 0.99 * mv + blend * var, mean, inv_std)
         y, cache, (new_mm, new_mv) = kernels.batch_norm(x, gamma, beta, mm, mv, eps=1e-3, momentum=0.99, train=True)
-        for got, ref in zip((y, new_mm, new_mv, cache[0], cache[1]), want):
+        assert len(cache) == 7 and cache[0] is x and cache[3:] == (gamma, beta, True, (0, 1, 2))
+        for got, ref in zip((y, new_mm, new_mv, cache[1], cache[2]), want, strict=True):
             assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
 
     def test_backward_at_full_size_no_farther_from_float64(self):
@@ -260,8 +262,8 @@ class TestBatchNorm:
         gamma = rng.uniform(0.5, 1.5, 48).astype(np.float32)
         g = rng.normal(size=x.shape).astype(np.float32)
         _, cache, _ = kernels.batch_norm(x, gamma, np.zeros(48, np.float32), np.zeros(48), np.ones(48), train=True)
-        del x
-        x_hat, inv_std, _, _, _, axes = cache
+        _, mean, inv_std, _, _, _, axes = cache
+        x_hat = (x - mean) * inv_std
 
         def three_sums(x_hat, inv_std, gamma, g):
             g_xhat = g * gamma

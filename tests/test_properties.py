@@ -400,7 +400,7 @@ def _whole_batch_norm_train(x, gamma, beta, moving_mean, moving_var, eps, moment
     x_hat *= inv_std
     np.multiply(gamma, x_hat, out=y)
     y += beta
-    return y, x_hat, inv_std, new_mm, new_mv
+    return y, mean, inv_std, new_mm, new_mv, x_hat
 
 
 def _whole_batch_norm_backward(x_hat, inv_std, gamma, grad_y):
@@ -518,22 +518,17 @@ def test_per_clip_batch_norm_byte_equal_to_whole_array(data, shape, dtype, grad_
     intact = unchanged(x, gamma, beta, *moving)
     with np.errstate(all="ignore"):
         y, cache, (mm, mv) = kernels.batch_norm(x, gamma, beta, *moving, eps=1e-3, momentum=0.9, train=True)
-        want = _whole_batch_norm_train(x, gamma, beta, *moving, 1e-3, 0.9)
-        for got, ref in zip((y, cache[0], cache[1], mm, mv), want):
+        *want, x_hat = _whole_batch_norm_train(x, gamma, beta, *moving, 1e-3, 0.9)
+        # the cache is the input itself and its statistics
+        assert cache[0] is x and cache[3:] == (gamma, beta, True, tuple(range(len(shape) - 1)))
+        for got, ref in zip((y, cache[1], cache[2], mm, mv), want, strict=True):
             assert_same_bits(got, ref)
-        # without x_hat: the same y and statistics, and x_hat restored from a copy of the input
-        y, lean, (mm, mv) = kernels.batch_norm(
-            x, gamma, beta, *moving, eps=1e-3, momentum=0.9, train=True, keep_x_hat=False
-        )
-        restored = kernels.batch_norm_restore(x.copy(), lean)
-        assert lean[0] is None and len(restored) == len(cache) and restored[4:] == cache[4:]
-        for got, ref in zip((y, restored[0], restored[1], mm, mv), want):
-            assert_same_bits(got, ref)
+        # and the backward's x_hat, formed again from them, is the whole-array x_hat
         g = data.draw(special_batches(grad_dtype, shape))
-        intact_grad = unchanged(g, cache[0])
+        intact_grad = unchanged(g)
         # the input gradient keeps grad_y's dtype
         got = kernels.batch_norm_backward(cache, g)
-        for got_part, ref in zip(got, _whole_batch_norm_backward(want[1], want[2], gamma, g)):
+        for got_part, ref in zip(got, _whole_batch_norm_backward(x_hat, want[2], gamma, g), strict=True):
             assert_same_bits(got_part, ref)
     assert intact() and intact_grad()
 
@@ -557,15 +552,16 @@ def test_backward_out_byte_equal_to_allocating_call(data, shape, dtype, grad_dty
         for train in (True, False):
             _, cache, _ = kernels.batch_norm(x, gamma, beta, *moving, train=train)
             want = kernels.batch_norm_backward(cache, g)
-            x_hat = cache[0].copy()
-            if want[0].dtype != x_hat.dtype:
+            # the zoo's norm step passes its cached input as out
+            own = cache[0].copy()
+            if want[0].dtype != own.dtype:
                 # an out of another dtype than the result is refused, not cast into
                 with pytest.raises(ValueError, match="out is"):
-                    kernels.batch_norm_backward((x_hat, *cache[1:]), g, out=x_hat)
-                assert x_hat.tobytes() == cache[0].tobytes()
+                    kernels.batch_norm_backward((own, *cache[1:]), g, out=own)
+                assert own.tobytes() == cache[0].tobytes()
                 continue
-            got = kernels.batch_norm_backward((x_hat, *cache[1:]), g, out=x_hat)
-            assert got[0] is x_hat
+            got = kernels.batch_norm_backward((own, *cache[1:]), g, out=own)
+            assert got[0] is own
             for got_part, want_part in zip(got, want):
                 assert_same_bits(got_part, want_part)
     other = np.float64 if y.dtype == np.float32 else np.float32

@@ -376,8 +376,13 @@ class TestQuantizedSerialization:
         qm.float_weights[(2, "moving_var")][1] = -5.0
         path = tmp_path / "m.tasq"
         quantize.save_quantized(qm, path)
-        problem = r"m\.tasq: layer 2 weight moving_var: negative moving variance -5\.0 at channel 1$"
-        with pytest.raises(QuantizationError, match=problem):
+        # the one float32 -5.0 in the file is the offending entry
+        blob = path.read_bytes()
+        assert blob.count(struct.pack("<f", -5.0)) == 1
+        at = blob.index(struct.pack("<f", -5.0))
+        where = "layer 2 weight moving_var"
+        problem = re.escape(f"m.tasq: {where}: negative moving variance -5.0 at channel 1, at byte {at}")
+        with pytest.raises(QuantizationError, match=problem + "$"):
             quantize.load_quantized(path)
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -0.5])

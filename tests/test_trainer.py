@@ -169,6 +169,23 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             TrainingConfig(seed=-1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0, 1.0, 0.0, -1.0])
+    def test_val_fraction_outside_0_1_rejected(self, value):
+        # NaN once escaped as numpy's "cannot convert float NaN to integer"; 2.0 and
+        # -1.0 trained silently on a one-clip validation split
+        with pytest.raises(ConfigError, match=f"val_fraction must be in \\(0, 1\\), got {value}"):
+            TrainingConfig(val_fraction=value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1), ("beta2", math.nan),
+         ("eps", 0.0), ("eps", -1.0), ("eps", math.inf), ("eps", math.nan)],
+    )
+    def test_bad_adam_hyperparameter_rejected(self, field, value):
+        # a beta of 1 read as a "non-finite loss" divergence; a zero or negative eps trained
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            TrainingConfig(adam=AdamConfig(**{field: value}))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(TinyAscError, match="empty"):
             train(_toy_model(), [], TrainingConfig(max_epochs=1))

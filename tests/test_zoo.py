@@ -2,6 +2,8 @@
 
 import collections
 import os
+import re
+import struct
 import subprocess
 import sys
 import weakref
@@ -12,6 +14,8 @@ import pytest
 from tinyasc import audit, kernels, metrics, quantize, zoo
 from tinyasc.errors import ConfigError, GraphBuildError, QuantizationError, ShapeError, TinyAscError
 from tinyasc.frontend import Spectrogram
+
+from test_gradients import check, fd_grad
 
 CONV_SEP_GOLDEN = [
     "conv2d", "batch_norm", "elu", "depthwise_conv2d", "pointwise_conv2d", "batch_norm", "elu",
@@ -303,31 +307,35 @@ def _with_biases(model, seed):
 
 
 def _spy_norm_x_hats(monkeypatch, model):
-    """For each norm by name, the x_hat and inv_std that a ``keep_x_hat=True`` call
-    caches for the input of its train forward, and those its backward step read."""
+    """For each norm by name, the whole-array train-mode x_hat = (x - x.mean(axes))
+    * inv_std and inv_std = 1 / sqrt(x.var(axes) + eps) of the input of its train
+    forward, and (x - mean) * inv_std and inv_std from the cache its backward step
+    reads."""
     norms = {id(layer.weights["gamma"]): layer.name for layer in model.layers if layer.kind == "batch_norm"}
-    kept, restored = {}, {}
+    forward, backward = {}, {}
     norm, norm_backward = kernels.batch_norm, kernels.batch_norm_backward
 
-    def spy_norm(x, *args, **kwargs):
-        _, (x_hat, inv_std, *_), _ = norm(x, *args, **{**kwargs, "keep_x_hat": True})
-        kept[norms[id(args[0])]] = x_hat, inv_std
-        return norm(x, *args, **kwargs)
+    def spy_norm(x, gamma, *args, eps, **kwargs):
+        axes = tuple(range(x.ndim - 1))
+        inv_std = 1.0 / np.sqrt(x.var(axis=axes) + eps)
+        forward[norms[id(gamma)]] = (x - x.mean(axis=axes)) * inv_std, inv_std
+        return norm(x, gamma, *args, eps=eps, **kwargs)
 
     def spy_backward(cache, g, **kwargs):
-        restored[norms[id(cache[2])]] = cache[0].copy(), cache[1]
+        x, mean, inv_std, gamma = cache[:4]
+        backward[norms[id(gamma)]] = (x - mean) * inv_std, inv_std
         return norm_backward(cache, g, **kwargs)
 
     monkeypatch.setattr(kernels, "batch_norm", spy_norm)
     monkeypatch.setattr(kernels, "batch_norm_backward", spy_backward)
-    return kept, restored
+    return forward, backward
 
 
-def _assert_same_x_hats(kept, restored):
-    """Each norm's backward step read the very bytes a ``keep_x_hat=True`` call caches."""
-    assert set(restored) == set(kept)
-    for name, pairs in kept.items():
-        for got, want in zip(restored[name], pairs, strict=True):
+def _assert_same_x_hats(forward, backward):
+    """Each norm's backward step formed the very x_hat bytes of its forward's input."""
+    assert set(backward) == set(forward)
+    for name, pairs in forward.items():
+        for got, want in zip(backward[name], pairs, strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
@@ -472,13 +480,13 @@ class TestTrainCaches:
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("patch_norm", [True, False])
-    def test_a_norm_behind_a_gelu_restores_x_hat_with_its_bits(self, patch_norm, monkeypatch):
+    def test_a_norm_behind_a_gelu_rebuilds_its_input_with_its_bits(self, patch_norm, monkeypatch):
         # the forward keeps no activation-sized array for such a norm, and the x_hat its
-        # backward step reads is the one a train-mode batch_norm caches for the same input
+        # backward step forms from the rebuilt input is that of the forward's input
         build = zoo.build("conv_mixer", 4, 6, input_shape=(8, 16, 1), patch_norm=patch_norm)
         model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
         norms = {layer.name for layer in model.layers if layer.kind == "batch_norm"}
-        kept, restored = _spy_norm_x_hats(monkeypatch, model)
+        forward, backward = _spy_norm_x_hats(monkeypatch, model)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
         for i, layer in enumerate(model.layers):
@@ -488,8 +496,8 @@ class TestTrainCaches:
                 assert max(a.size for a in _cache_arrays(caches[i])) < size, layer.name
 
         zoo.backward_graph(model, caches, np.ones_like(probs))
-        assert set(kept) == norms
-        _assert_same_x_hats(kept, restored)
+        assert set(forward) == norms
+        _assert_same_x_hats(forward, backward)
 
     @pytest.mark.parametrize(
         "arch, patch, patch_norm",
@@ -527,25 +535,26 @@ class TestTrainCaches:
         zoo.backward_graph(model, caches, np.ones_like(probs))
         assert len(outputs) == 2 and outputs[1][1] == outputs[0][1]
 
-    def test_a_norm_behind_a_one_channel_conv_restores_x_hat_with_its_bits(self, monkeypatch):
-        # bn1a's x_hat is made from conv1's rerun output at its backward step: the bytes a
-        # train-mode batch_norm caches for conv1's output; conv1's bias is not zero
+    def test_a_norm_behind_a_one_channel_conv_rebuilds_its_input_with_its_bits(self, monkeypatch):
+        # bn1a's input is conv1's rerun output at its backward step, and the x_hat formed
+        # from it is that of the forward's input; conv1's bias is not zero
         build = zoo.build("conv_sep", 4, 6, input_shape=(8, 16, 1))
         model = _with_biases(_with_norm_stats(zoo.init_weights(build, seed=2), seed=3), seed=4)
-        kept, restored = _spy_norm_x_hats(monkeypatch, model)
+        forward, backward = _spy_norm_x_hats(monkeypatch, model)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
-        assert caches[1].rest[0] is None  # no x_hat kept
+        size = len(x) * int(np.prod(model.layers[0].output_shape))
+        assert isinstance(caches[1], zoo.Rebuild) and all(a.size < size for a in _cache_arrays(caches[1]))
         zoo.backward_graph(model, caches, np.ones_like(probs))
-        assert set(kept) == {"bn1a", "bn1b", "bn2a", "bn2b"}
-        _assert_same_x_hats(kept, restored)
+        assert set(forward) == {"bn1a", "bn1b", "bn2a", "bn2b"}
+        _assert_same_x_hats(forward, backward)
 
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
     @pytest.mark.parametrize("channels", [1, 2])
     def test_only_a_one_channel_conv_rebuilds_its_output(self, arch, channels):
         # a conv with more input channels costs more to rerun than its output takes
         # to keep: behind conv2, or conv1 and patch_embed on a two-channel input, a
-        # norm keeps its x_hat and a GELU its input
+        # norm and a GELU keep that output, their input, itself
         build = zoo.build(arch, 4, 4, input_shape=(8, 16, channels))
         model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, channels)).astype(np.float32)
@@ -558,12 +567,8 @@ class TestTrainCaches:
         assert rebuilt == ([0] if channels == 1 else [])
         for i in set(convs) - set(rebuilt):
             behind = model.layers[i + 1]
-            if behind.kind == "gelu":
-                assert caches[i + 1] is outputs[i], behind.name
-                continue
-            weights = (behind.weights[n] for n in behind.weight_names())
-            _, (x_hat, *_), _ = kernels.batch_norm(outputs[i], *weights, eps=zoo.BN_EPS, train=True)
-            assert caches[i + 1][0].tobytes() == x_hat.tobytes(), behind.name
+            cached = caches[i + 1] if behind.kind == "gelu" else caches[i + 1][0]
+            assert cached is outputs[i], behind.name
 
     @pytest.mark.parametrize("arch, train", [("conv_sep", True), ("conv_sep", False), ("conv_mixer", False)])
     def test_other_linear_layers_cache_their_input_itself(self, arch, train):
@@ -581,6 +586,70 @@ class TestTrainCaches:
         inputs = [x, *outputs]
         for i, layer in enumerate(model.layers):
             assert layer.kind not in LINEAR_KINDS or caches[i] is inputs[i], layer.name
+
+
+def _hand_graph(*layers, input_shape=(4, 5, 2)):
+    """A float64 graph of ``layers``, none of which ``build`` makes, then global
+    pooling and a 3-way classifier, with random weights, biases and norm parameters."""
+    head = [zoo._simple("global_avg_pool", "gap"), zoo._dense("classifier", 2, 3), zoo._simple("softmax", "softmax")]
+    model = zoo.ModelGraph([*layers, *head], "conv_sep", (2, 2), 3, input_shape=input_shape, n_classes=3)
+    zoo.infer_shapes(model)
+    return _with_biases(_with_norm_stats(zoo.init_weights(model, seed=5, dtype=np.float64), seed=6), seed=7)
+
+
+class TestNormOwnsItsInput:
+    # a train-mode norm's backward step writes its input gradient into its cached
+    # input, so walk keeps a copy of that input where another reader holds it
+
+    def test_a_norm_behind_an_elu_leaves_the_elu_its_output(self):
+        # the ELU's cache is its output, the norm's input; the ELU's backward step reads
+        # it after the norm's has run, and the conv's weight gradient passes through both
+        model = _hand_graph(zoo._conv("conv", 3, 2, 2, True), zoo._simple("elu", "elu"), zoo._batch_norm("bn", 2))
+        rng = np.random.default_rng(7)
+        x, r = rng.normal(size=(3, 4, 5, 2)), rng.normal(size=(3, 3))
+        probs, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True)
+        grads, _ = zoo.backward_graph(model, caches, r)
+
+        def loss():
+            return float((zoo.run_graph(model, x, train=True)[0] * r).sum())
+
+        numeric = fd_grad(loss, model.layers[0].weights["w"])
+        assert np.abs(numeric).max() > 1e-2
+        check(grads[0]["w"], numeric)
+
+    def test_a_norm_at_layer_0_leaves_the_callers_batch(self):
+        model = _hand_graph(zoo._batch_norm("bn", 2))
+        x = np.random.default_rng(7).normal(size=(3, 4, 5, 2))
+        before = x.tobytes()
+        probs, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True)
+        zoo.backward_graph(model, caches, np.ones_like(probs))
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize(
+        "arch, patch, patch_norm",
+        [("conv_sep", 1, True), *(("conv_mixer", p, n) for p in (1, 2) for n in (True, False))],
+    )
+    def test_no_built_graph_copies_or_shares_a_norm_input(self, arch, patch, patch_norm, channels):
+        # in every graph build makes, a norm's cached input is its own: neither the
+        # batch nor (in) another layer's cache, so walk copies none
+        build = zoo.build(arch, 4, 4, patch_size=patch, input_shape=(8, 16, channels), patch_norm=patch_norm)
+        model = zoo.init_weights(build, seed=2)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, channels)).astype(np.float32)
+        outputs = []
+        _, _, caches = zoo.run_graph(
+            model, x, train=True, rng=np.random.default_rng(4), keep_caches=True, record_activations=outputs
+        )
+        inputs = [x, *outputs]
+        norms = [i for i, layer in enumerate(model.layers) if layer.kind == "batch_norm"]
+        assert norms
+        for i in norms:
+            if isinstance(caches[i], zoo.Rebuild):
+                continue
+            own = caches[i][0]
+            assert own is inputs[i] and own is not x, model.layers[i].name
+            others = [c for j, c in enumerate(caches) if j != i]
+            assert not any(own is c or (isinstance(c, tuple) and any(own is a for a in c)) for c in others)
 
 
 class TestInitWeights:
@@ -715,8 +784,13 @@ class TestSerialization:
         model.layers[5].weights["moving_var"][2] = -5.0  # bn1b
         path = tmp_path / "m.tasc"
         zoo.save_model(model, path)
-        problem = r"m\.tasc: layer 5 weight moving_var: negative moving variance -5\.0 at channel 2$"
-        with pytest.raises(ShapeError, match=problem):
+        # the one float32 -5.0 in the file is the offending entry
+        blob = path.read_bytes()
+        assert blob.count(struct.pack("<f", -5.0)) == 1
+        at = blob.index(struct.pack("<f", -5.0))
+        where = "layer 5 weight moving_var"
+        problem = re.escape(f"m.tasc: {where}: negative moving variance -5.0 at channel 2, at byte {at}")
+        with pytest.raises(ShapeError, match=problem + "$"):
             zoo.load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -786,10 +860,10 @@ class TestLayerTable:
         want = kinds(model, "conv2d", "gelu", "batch_norm")
         assert seen == {k: n for k, n in want.items() if n}
         _, seen = calls(lambda: zoo.backward_graph(model, caches, np.ones_like(probs)))
-        # each of the mixer's norms, all behind a GELU, restores x_hat by one GELU, and
-        # the one-channel first conv is rerun once
-        restores = {"gelu": want["batch_norm"]} if arch == "conv_mixer" else {}
-        assert seen == {"batch_norm_backward": want["batch_norm"], "conv2d": 1, **restores}
+        # each of the mixer's norms, all behind a GELU, rebuilds its input by one GELU,
+        # and the one-channel first conv is rerun once
+        rebuilds = {"gelu": want["batch_norm"]} if arch == "conv_mixer" else {}
+        assert seen == {"batch_norm_backward": want["batch_norm"], "conv2d": 1, **rebuilds}
         _, seen = calls(lambda: quantize.quantized_forward(qm, specs[0]))
         assert seen == {k: n for k, n in kinds(qm.graph, "conv2d", "gelu").items() if n}
         assert seen["conv2d"] >= 1
