@@ -11,7 +11,7 @@ the fixed 10-scene vocabulary.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +52,9 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list
-    split: str = "train"
-    vocabulary: tuple = field(default=SCENE_LABELS)
 
     def label_index(self, entry: ManifestEntry) -> int:
-        return self.vocabulary.index(entry.label)
+        return SCENE_LABELS.index(entry.label)
 
 
 def read_wav(path, expected_rate=44100) -> Waveform:
@@ -166,7 +164,7 @@ def read_text(path, error=TinyAscError):
         raise error(f"{path}: not UTF-8 text, invalid byte at offset {exc.start}") from None
 
 
-def parse_manifest(path, vocabulary=SCENE_LABELS, split="train") -> DatasetManifest:
+def parse_manifest(path) -> DatasetManifest:
     """Parse a tab-separated manifest: header line, then path/label rows."""
     lines = read_text(path, ManifestError).splitlines()
     if not lines:
@@ -181,13 +179,13 @@ def parse_manifest(path, vocabulary=SCENE_LABELS, split="train") -> DatasetManif
             raise ManifestError(f"{path} row {row_num}: missing tab separator")
         rel_path, label = fields[0], fields[1]
         device = fields[2] if len(fields) > 2 and fields[2] else None
-        if label not in vocabulary:
+        if label not in SCENE_LABELS:
             raise ManifestError(f"{path} row {row_num}: unknown scene label {label!r}")
         if rel_path in seen:
             raise ManifestError(f"{path} row {row_num}: duplicate path {rel_path!r}")
         seen.add(rel_path)
         entries.append(ManifestEntry(path=rel_path, label=label, device_id=device))
-    return DatasetManifest(entries=entries, split=split, vocabulary=tuple(vocabulary))
+    return DatasetManifest(entries=entries)
 
 
 def write_manifest(manifest: DatasetManifest, path):
@@ -198,13 +196,13 @@ def write_manifest(manifest: DatasetManifest, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_clips(manifest: DatasetManifest, audio_root, expected_rate=44100):
+def load_clips(manifest: DatasetManifest, audio_root):
     """Read every manifest entry into an AudioClip."""
     import os
 
     clips = []
     for e in manifest.entries:
-        wav = read_wav(os.path.join(audio_root, e.path), expected_rate=expected_rate)
+        wav = read_wav(os.path.join(audio_root, e.path))
         clips.append(
             AudioClip(
                 waveform=wav,
@@ -235,13 +233,13 @@ def _band_periods(n_classes):
     return periods
 
 
-def synth_dataset(n_per_class, seed, n_mels=64, n_frames=51, n_classes=10, amplitude=3.0, noise=0.3):
+def synth_dataset(n_per_class, seed, n_mels=64, n_frames=51, n_classes=10):
     """Deterministic synthetic (Spectrogram, label) pairs, class-balanced.
 
-    Class c is Gaussian noise plus a deterministic pattern of alternating
-    +/- amplitude offsets over frequency bands whose width is distinct per
-    class. Band width is a translation-invariant texture cue, so the
-    classes stay separable through convolution and global pooling. A
+    Class c is Gaussian noise (standard deviation 0.3) plus a deterministic
+    pattern of alternating +/-3 offsets over frequency bands whose width is
+    distinct per class. Band width is a translation-invariant texture cue, so
+    the classes stay separable through convolution and global pooling. A
     negative count or seed raises ConfigError.
     """
     if n_per_class < 0:
@@ -253,9 +251,9 @@ def synth_dataset(n_per_class, seed, n_mels=64, n_frames=51, n_classes=10, ampli
     rows = np.arange(n_mels)
     examples = []
     for c in range(n_classes):
-        wave = np.where((rows // periods[c]) % 2 == 0, amplitude, -amplitude)[:, None]
+        wave = np.where((rows // periods[c]) % 2 == 0, 3.0, -3.0)[:, None]
         for _ in range(n_per_class):
-            data = rng.normal(0.0, noise, size=(n_mels, n_frames)) + wave
+            data = rng.normal(0.0, 0.3, size=(n_mels, n_frames)) + wave
             examples.append((Spectrogram(data=data, n_mels=n_mels, n_frames=n_frames), c))
     return examples
 

@@ -250,9 +250,9 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
 
     The cache is ``(x, mean, inv_std, gamma, beta, train, axes)`` in both
     modes, with the mean that normalized x: the input and its statistics,
-    from which ``batch_norm_backward`` forms x_hat again. A train-mode call
-    centres and squares each clip in y, its only full-size buffer, for
-    ``np.var``'s arithmetic, then ``batch_norm_output`` writes y over them.
+    from which ``batch_norm_backward`` forms x_hat again. Both modes end in
+    ``batch_norm_output``; a train-mode call first centres and squares each
+    clip in y, its only full-size buffer, for ``np.var``'s arithmetic.
     """
     if eps <= 0:
         raise ValueError(f"batch norm eps must be positive, got {eps}")
@@ -264,17 +264,15 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
             np.subtract(clip, mean, out=out)
             np.multiply(out, out, out=out)
         var = y.mean(axis=axes)
-        new_mm = momentum * moving_mean + (1.0 - momentum) * mean
-        new_mv = momentum * moving_var + (1.0 - momentum) * var
-        inv_std = 1.0 / np.sqrt(var + eps)
-        cache = (x, mean, inv_std, gamma, beta, train, axes)
-        return batch_norm_output(cache, out=y), cache, (new_mm, new_mv)
-    if np.any(moving_var < 0):
-        raise ValueError("negative variance estimate in batch norm")
-    inv_std = 1.0 / np.sqrt(moving_var + eps)
-    y = gamma * ((x - moving_mean) * inv_std)
-    y += beta
-    return y, (x, moving_mean, inv_std, gamma, beta, train, axes), (moving_mean, moving_var)
+        moving_mean = momentum * moving_mean + (1.0 - momentum) * mean
+        moving_var = momentum * moving_var + (1.0 - momentum) * var
+    else:
+        if np.any(moving_var < 0):
+            raise ValueError("negative variance estimate in batch norm")
+        mean, var, y = moving_mean, moving_var, None
+    inv_std = 1.0 / np.sqrt(var + eps)
+    cache = (x, mean, inv_std, gamma, beta, train, axes)
+    return batch_norm_output(cache, out=y), cache, (moving_mean, moving_var)
 
 
 def _x_hat(clip, mean, inv_std, out):
@@ -285,13 +283,17 @@ def _x_hat(clip, mean, inv_std, out):
 
 
 def batch_norm_output(cache, out=None):
-    """The y of a train-mode ``batch_norm``, gamma * x_hat + beta, from its
+    """The y of a ``batch_norm`` in either mode, gamma * x_hat + beta, from its
     cache, one clip at a time with x_hat formed in y: the forward's own tail,
-    so a rebuild in backward has the forward's bits. ``out`` receives y in
-    place of a new array and must have the forward's shape and dtype. It
-    must run before ``batch_norm_backward`` writes into the cached input."""
-    x, mean, inv_std, gamma, beta, _, _ = cache
-    y = _output(out, x.shape, np.result_type(x, mean))
+    so a rebuild in backward has the forward's bits. In eval mode y has the
+    dtype of gamma * ((x - mean) * inv_std) + beta, and its bits unless gamma
+    or beta is wider than the other operands; in train mode, x's dtype.
+    ``out`` receives y in place of a new array and must have the forward's
+    shape and dtype. It must run before ``batch_norm_backward`` writes into
+    the cached input."""
+    x, mean, inv_std, gamma, beta, train, _ = cache
+    dtype = np.result_type(x, mean) if train else np.result_type(x, mean, inv_std, gamma, beta)
+    y = _output(out, x.shape, dtype)
     for clip, xh in _clips(x, y):
         _x_hat(clip, mean, inv_std, out=xh)
         np.multiply(gamma, xh, out=xh)
@@ -478,9 +480,7 @@ def global_avg_pool_backward(x_shape, grad_y):
 
 
 def dense(x, w, b=None):
-    """Affine map: (N, n) @ (n, m) + (m,); accepts a single (n,) vector too."""
-    if x.ndim == 1:
-        return dense(x[None], w, b)[0]
+    """Affine map: (N, n) @ (n, m) + (m,)."""
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense input width {x.shape[1]} != weight rows {w.shape[0]}")
     y = x @ w

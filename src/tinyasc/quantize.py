@@ -272,75 +272,50 @@ def quantized_forward(qm: QuantizedModel, spec, record=None):
         x = zoo.stack_inputs(qm.graph, [spec], np.float64)
     except ShapeError as exc:
         raise QuantizationError(str(exc)) from None
-    probs, logits = zoo.walk(qm.graph, x, zoo.Run(), steps, record=record)
-    p = probs[0]
-    return zoo.Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
+    return zoo.Prediction.first(*zoo.walk(qm.graph, x, zoo.Run(), steps, record=record))
+
+
+def _agreement(pairs):
+    """``{n_inputs, top1_agreement, max_logit_diff}`` over (float, INT8)
+    Prediction pairs: the share of pairs with the same top class and the
+    largest per-logit absolute difference. No pairs raises QuantizationError."""
+    if not pairs:
+        raise QuantizationError("agreement report needs at least one input")
+    return {
+        "n_inputs": len(pairs),
+        "top1_agreement": sum(pf.top_class == pq.top_class for pf, pq in pairs) / len(pairs),
+        "max_logit_diff": max([0.0] + [float(np.max(np.abs(pf.logits - pq.logits))) for pf, pq in pairs]),
+    }
 
 
 def agreement_report(model, qm: QuantizedModel, inputs):
-    """Paired float vs quantized inference over a set of inputs.
-
-    Returns top-1 agreement rate and the largest per-logit absolute
-    difference observed (reported, not asserted: the bound is empirical).
-    """
-    if not inputs:
-        raise QuantizationError("agreement report needs at least one input")
-    agree = 0
-    max_logit_diff = 0.0
-    for spec in inputs:
-        pf = zoo.forward(model, spec)
-        pq = quantized_forward(qm, spec)
-        agree += int(pf.top_class == pq.top_class)
-        max_logit_diff = max(max_logit_diff, float(np.max(np.abs(pf.logits - pq.logits))))
-    return {
-        "n_inputs": len(inputs),
-        "top1_agreement": agree / len(inputs),
-        "max_logit_diff": max_logit_diff,
-    }
-
-
-def layer_errors(model, qm: QuantizedModel, inputs):
-    """Per conv, dense and norm layer of ``qm.graph``, the INT8 output against
-    the float activation of the folded float model over a set of inputs.
-
-    Returns one dict per such layer: ``name``, ``kind``, ``sqnr_db`` (signal
-    over error energy, summed over all inputs; inf when they agree exactly)
-    and ``max_abs_diff``. No inputs raises QuantizationError.
-    """
-    if not inputs:
-        raise QuantizationError("layer errors need at least one input")
-    return _layer_errors(model, qm, inputs, [])
+    """Paired float (``zoo.forward``) vs ``quantized_forward`` inference over a
+    set of inputs: ``{n_inputs, top1_agreement, max_logit_diff}``, the largest
+    per-logit difference reported, not asserted (the bound is empirical)."""
+    return _agreement([(zoo.forward(model, spec), quantized_forward(qm, spec)) for spec in inputs])
 
 
 def quantization_report(model, qm: QuantizedModel, inputs):
-    """``(agreement_report(model, qm, inputs), layer_errors(model, qm, inputs))``
-    from one recorded float pass and one recorded ``quantized_forward`` per
-    input, where the two calls make two of each. The numbers are the same:
-    the float pass is ``zoo.forward``'s, on the same folded graph."""
-    if not inputs:
-        raise QuantizationError("agreement report needs at least one input")
-    pairs = []
-    rows = _layer_errors(model, qm, inputs, pairs)
-    agreement = {
-        "n_inputs": len(inputs),
-        "top1_agreement": sum(pf.top_class == pq.top_class for pf, pq in pairs) / len(inputs),
-        "max_logit_diff": max([0.0] + [float(np.max(np.abs(pf.logits - pq.logits))) for pf, pq in pairs]),
-    }
-    return agreement, rows
+    """``(agreement_report(model, qm, inputs), rows)`` from one recorded float
+    pass and one recorded ``quantized_forward`` per input. The agreement is
+    the same: the float pass is ``zoo.forward``'s, on the same folded graph.
 
-
-def _layer_errors(model, qm, inputs, pairs):
-    """``layer_errors``; appends each input's (float, INT8) Predictions to ``pairs``."""
+    ``rows`` has one dict per conv, dense and norm layer of ``qm.graph``: the
+    INT8 output against the float activation of the folded float model, as
+    ``name``, ``kind``, ``sqnr_db`` (signal over error energy, summed over all
+    inputs; inf when they agree exactly) and ``max_abs_diff``. No inputs
+    raises QuantizationError.
+    """
     folded = zoo.fold_norms(model)
     shown = sorted(_steps(qm))
     signal, noise, peak = (np.zeros(len(shown)) for _ in range(3))
+    pairs = []
     for spec in inputs:
         want, got = [], []
         probs, logits, _ = zoo.run_graph(
             folded, zoo.stack_inputs(folded, [spec], folded.dtype), record_activations=want
         )
-        pf = zoo.Prediction(probabilities=probs[0], top_class=int(np.argmax(probs[0])), logits=logits[0])
-        pairs.append((pf, quantized_forward(qm, spec, record=got)))
+        pairs.append((zoo.Prediction.first(probs, logits), quantized_forward(qm, spec, record=got)))
         for j, i in enumerate(shown):
             diff = got[i] - want[i]
             signal[j] += float(np.sum(np.square(want[i], dtype=np.float64)))
@@ -352,7 +327,7 @@ def _layer_errors(model, qm, inputs, pairs):
             sqnr = 10.0 * np.log10(signal[j] / noise[j]) if noise[j] else np.inf
         layer = qm.graph.layers[i]
         rows.append({"name": layer.name, "kind": layer.kind, "sqnr_db": float(sqnr), "max_abs_diff": float(peak[j])})
-    return rows
+    return _agreement(pairs), rows
 
 
 # --- serialization -------------------------------------------------------

@@ -71,6 +71,12 @@ class Prediction:
     top_class: int
     logits: np.ndarray
 
+    @classmethod
+    def first(cls, probs, logits):
+        """The Prediction of the first row of batched ``probs`` and ``logits``."""
+        p = probs[0]
+        return cls(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
+
 
 def _kernel(shape, use_bias):
     """A zero float32 kernel and, with ``use_bias``, a zero bias over its last axis."""
@@ -718,9 +724,7 @@ def fold_norms(model):
 def forward(model, spec):
     """Deterministic single-example inference: Spectrogram -> Prediction,
     by ``forward_batch`` on the one stacked clip."""
-    probs, logits = forward_batch(model, stack_inputs(model, [spec], model.dtype))
-    p = probs[0]
-    return Prediction(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
+    return Prediction.first(*forward_batch(model, stack_inputs(model, [spec], model.dtype)))
 
 
 def forward_batch(model, batch):
@@ -837,7 +841,8 @@ class _Reader:
         return arr
 
     def graph(self):
-        """The graph a checkpoint header describes, built by ``build``."""
+        """The graph a checkpoint header describes, built by ``build``; a header
+        whose zero weights cannot be allocated fails here."""
         magic = self.read(4)
         if magic != MAGIC:
             self.fail(f"not a model checkpoint (magic {magic!r})")
@@ -852,6 +857,8 @@ class _Reader:
             )
         except GraphBuildError as exc:
             self.fail(f"header describes no valid graph: {exc}")
+        except MemoryError:
+            self.fail(f"header describes a graph too large to allocate: filters ({f1}, {f2}), kernel {kernel}")
 
     def records(self, graph):
         """Check each layer's stored tensor count against ``graph`` and yield

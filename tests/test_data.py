@@ -151,7 +151,7 @@ class TestManifest:
             data.ManifestEntry("x/a.wav", "park", "dev-a"),
             data.ManifestEntry("x/b.wav", "tram", None),
         ]
-        manifest = data.DatasetManifest(entries=entries, split="train")
+        manifest = data.DatasetManifest(entries=entries)
         path = tmp_path / "out.tsv"
         data.write_manifest(manifest, path)
         back = data.parse_manifest(path)

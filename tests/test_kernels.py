@@ -253,6 +253,23 @@ class TestBatchNorm:
         for got, ref in zip((y, new_mm, new_mv, cache[1], cache[2]), want, strict=True):
             assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("dtype, var_dtype", [(np.float32,) * 2, (np.float64,) * 2, (np.float32, np.float64)])
+    def test_eval_forward_byte_equal_to_the_expression(self, dtype, var_dtype, n):
+        # the whole-array expression eval mode ran before it shared the train-mode tail,
+        # on signed zeros (channel 0 has zero mean and beta, so they reach y) and infinities
+        rng = np.random.default_rng(19)
+        x = (rng.normal(size=(n, 5, 7, 6)) * 4).astype(dtype)
+        x.reshape(-1)[rng.choice(x.size, 24, replace=False)] = rng.choice([0.0, -0.0, np.inf, -np.inf], 24)
+        gamma = (rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)).astype(dtype)
+        beta, mm = rng.normal(size=6).astype(dtype), rng.normal(size=6).astype(dtype)
+        beta[0] = mm[0] = 0.0
+        mv = rng.uniform(0.5, 2.0, 6).astype(var_dtype)
+        want = gamma * ((x - mm) * (1.0 / np.sqrt(mv + 1e-3))) + beta
+        y, cache, (new_mm, new_mv) = kernels.batch_norm(x, gamma, beta, mm, mv, eps=1e-3, train=False)
+        assert y.dtype == want.dtype == var_dtype and y.tobytes() == want.tobytes()
+        assert cache[0] is x and cache[1] is mm and new_mm is mm and new_mv is mv
+
     def test_backward_at_full_size_no_farther_from_float64(self):
         # the input gradient at 64x64x51x48: within 5e-7 of the largest entry of a
         # float64 evaluation from the same cache, and no farther than the

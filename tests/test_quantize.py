@@ -203,7 +203,7 @@ class TestQuantizedForward:
         with pytest.raises(QuantizationError, match=want):
             quantize.quantized_forward(short, _rand_spec(0))
         with pytest.raises(QuantizationError, match=want):
-            quantize.layer_errors(_small_model(), short, [_rand_spec(0)])
+            quantize.quantization_report(_small_model(), short, [_rand_spec(0)])
 
     def test_changed_fields_reach_the_next_call(self):
         # the integer constants come from the fields on every call, none kept from the first
@@ -258,7 +258,7 @@ class TestQuantizedForward:
         model = _small_model(arch="conv_mixer")
         specs = [_rand_spec(i + 60) for i in range(3)]
         qm = quantize.quantize_model(model, specs)
-        rows = quantize.layer_errors(model, qm, specs)
+        rows = quantize.quantization_report(model, qm, specs)[1]
         kinds = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense", "batch_norm")
         assert [(r["name"], r["kind"]) for r in rows] == [
             (layer.name, layer.kind) for layer in qm.graph.layers if layer.kind in kinds
@@ -277,10 +277,9 @@ class TestQuantizedForward:
         model = _small_model(arch)
         specs = [_rand_spec(i + 90) for i in range(3)]
         qm = quantize.quantize_model(model, specs)
-        want = (quantize.agreement_report(model, qm, specs), quantize.layer_errors(model, qm, specs))
-        assert quantize.quantization_report(model, qm, specs) == want
+        assert quantize.quantization_report(model, qm, specs)[0] == quantize.agreement_report(model, qm, specs)
         # no inputs is no score, not a perfect one
-        for report in (quantize.quantization_report, quantize.layer_errors):
+        for report in (quantize.quantization_report, quantize.agreement_report):
             with pytest.raises(QuantizationError, match="at least one input"):
                 report(model, qm, [])
 

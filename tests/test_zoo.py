@@ -779,6 +779,25 @@ class TestSerialization:
                 with pytest.raises(error, match=rf"bad\{path.suffix}: {problem}$"):
                     load(bad)
 
+    @pytest.mark.parametrize("suffix", [".tasc", ".tasq"])
+    def test_an_oversized_header_is_refused_naming_the_file(self, tmp_path, suffix):
+        model = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
+        path = tmp_path / f"m{suffix}"
+        if suffix == ".tasc":
+            zoo.save_model(model, path)
+            load, error, start = zoo.load_model, ShapeError, 0
+        else:
+            quantize.save_quantized(quantize.quantize_model(model, [_rand_spec(0, shape=(8, 8))]), path)
+            load, error, start = quantize.load_quantized, QuantizationError, 4
+        good = path.read_bytes()
+        # f1, f2 and kernel at bytes 7 to 12 of the header, 65535 each: 1 PiB for conv1's
+        # kernel alone. A host that overcommits it fails later, at the stored shape, so
+        # only the error type and the file are pinned.
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(good[: start + 7] + struct.pack("<HHH", 65535, 65535, 65535) + good[start + 13 :])
+        with pytest.raises(error, match=re.escape(f"{bad}: ")):
+            load(bad)
+
     def test_negative_moving_variance_rejected(self, tmp_path):
         model = zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(8, 8, 1)), seed=3)
         model.layers[5].weights["moving_var"][2] = -5.0  # bn1b
