@@ -14,7 +14,7 @@ import sys
 
 from . import audit as audit_mod
 from . import data, metrics, quantize, trainer, zoo
-from .errors import ConfigError, TinyAscError
+from .errors import TinyAscError
 from .frontend import FrontendConfig, log_mel, spectrogram_to_csv
 
 EXIT_OK = 0
@@ -171,16 +171,14 @@ def _cmd_features(args):
 
 
 def _cmd_train(args):
-    if args.lr == 0.0:
-        raise ConfigError("lr must be > 0 to train, got 0.0")
-    examples = _load_examples(args)
-    model = zoo.init_weights(_build_model(args), seed=args.seed)
     cfg = trainer.TrainingConfig(
         max_epochs=args.epochs,
         batch_size=args.batch_size,
         adam=trainer.AdamConfig(lr=args.lr),
         seed=args.seed,
     )
+    examples = _load_examples(args)
+    model = zoo.init_weights(_build_model(args), seed=args.seed)
     model, run = trainer.train(model, examples, cfg)
     last = run.epochs[-1]
     print(

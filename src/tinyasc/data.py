@@ -32,6 +32,7 @@ SCENE_LABELS = (
 )
 
 _WAVE_FORMAT_PCM = 0x0001
+SAMPLE_RATE = 44100
 
 
 @dataclass
@@ -57,14 +58,14 @@ class DatasetManifest:
         return SCENE_LABELS.index(entry.label)
 
 
-def read_wav(path, expected_rate=44100) -> Waveform:
+def read_wav(path) -> Waveform:
     """Decode a RIFF PCM WAV file into a normalized Waveform.
 
     16-bit samples divide by 32768 (so -32768 maps to exactly -1.0);
     24-bit frames are decoded from their 3-byte little-endian layout and
-    divide by 2**23. ``expected_rate`` of None skips the rate check. A
-    ``data`` chunk that declares more bytes than the file holds is rejected,
-    not decoded from what is there.
+    divide by 2**23. A rate other than ``SAMPLE_RATE`` (44100 Hz) is
+    rejected. A ``data`` chunk that declares more bytes than the file holds
+    is rejected, not decoded from what is there.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -101,10 +102,8 @@ def read_wav(path, expected_rate=44100) -> Waveform:
         )
     if channels != 1:
         raise AudioFormatError(f"{path}: {channels} channels; only mono is supported")
-    if expected_rate is not None and rate != expected_rate:
-        raise AudioFormatError(
-            f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz (no resampling)"
-        )
+    if rate != SAMPLE_RATE:
+        raise AudioFormatError(f"{path}: sample rate {rate} Hz, expected {SAMPLE_RATE} Hz (no resampling)")
     if bits not in (16, 24):
         raise AudioFormatError(f"{path}: {bits}-bit samples; only 16- and 24-bit PCM are supported")
     if len(data) == 0:

@@ -325,10 +325,10 @@ class TestOutOfRangeValues:
             (["features", "--log-floor", "inf"], "log_floor must be finite, got inf"),
             (["features", "--window-ms", "nan"], "window_ms must be finite, got nan"),
             (["features", "--window-ms", "inf"], "window_ms must be finite, got inf"),
-            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "-1"], "lr must be finite and >= 0, got -1.0"),
-            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "0"], "lr must be > 0 to train, got 0.0"),
-            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "nan"], "lr must be finite and >= 0, got nan"),
-            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "inf"], "lr must be finite and >= 0, got inf"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "-1"], "lr must be finite and > 0, got -1.0"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "0"], "lr must be finite and > 0, got 0.0"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "nan"], "lr must be finite and > 0, got nan"),
+            (["train", "--synthetic", "8", "--epochs", "1", "--lr", "inf"], "lr must be finite and > 0, got inf"),
         ],
     )
     def test_one_error_line(self, args, message, tmp_path, capsys):

@@ -82,10 +82,12 @@ class TestWavErrors:
         with pytest.raises(AudioFormatError, match="no resampling"):
             data.read_wav(path)
 
-    def test_other_rate_accepted_when_unchecked(self, tmp_path):
+    def test_read_wav_takes_no_rate(self, tmp_path):
+        # 44100 Hz is the one rate; there is no argument to accept another
         path = tmp_path / "rate2.wav"
         _write_raw_wav(path, rate=22050)
-        assert data.read_wav(path, expected_rate=None).sample_rate == 22050
+        with pytest.raises(TypeError):
+            data.read_wav(path, expected_rate=None)
 
     def test_zero_byte_payload_rejected(self, tmp_path):
         path = tmp_path / "empty.wav"

@@ -1,6 +1,8 @@
 """Loss, Adam, scheduler semantics, and the training loop."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,7 +133,7 @@ class TestScheduler:
         assert early_stop_check(history + [0.6])
 
     def test_ties_do_not_reset_patience(self):
-        monitor = PlateauMonitor(TrainingConfig(), lr0=1.0)
+        monitor = PlateauMonitor(lr0=1.0)
         monitor.update(0.5)
         for _ in range(14):
             improved, halved, _ = monitor.update(0.5)
@@ -141,7 +143,6 @@ class TestScheduler:
 
     def test_property_random_sequences_obey_invariants(self):
         rng = np.random.default_rng(42)
-        cfg = TrainingConfig()
         for _ in range(200):
             n = int(rng.integers(1, 60))
             history = rng.uniform(0, 1, size=n)
@@ -149,7 +150,7 @@ class TestScheduler:
             lrs = []
             for e in range(1, n + 1):
                 lrs.append(lr)
-                lr = lr_schedule_update(history[:e], lr, cfg)
+                lr = lr_schedule_update(history[:e], lr)
             for prev, cur in zip(lrs, lrs[1:]):
                 assert cur == prev or cur == prev * 0.5
 
@@ -169,47 +170,49 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             TrainingConfig(seed=-1)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0, 1.0, 0.0, -1.0])
-    def test_val_fraction_outside_0_1_rejected(self, value):
-        # NaN once escaped as numpy's "cannot convert float NaN to integer"; 2.0 and
-        # -1.0 trained silently on a one-clip validation split
-        with pytest.raises(ConfigError, match=f"val_fraction must be in \\(0, 1\\), got {value}"):
-            TrainingConfig(val_fraction=value)
+    def test_the_protocol_is_constant_not_configurable(self):
+        assert [f.name for f in dataclasses.fields(TrainingConfig)] == ["max_epochs", "adam", "batch_size", "seed"]
+        assert [f.name for f in dataclasses.fields(AdamConfig)] == ["lr"]
+        assert TrainingConfig().val_fraction == 0.1  # perfbench reads it to size its split
+        with pytest.raises(TypeError):
+            TrainingConfig(val_fraction=0.2)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("beta1", 1.0), ("beta2", 1.0), ("beta1", -0.1), ("beta2", math.nan),
-         ("eps", 0.0), ("eps", -1.0), ("eps", math.inf), ("eps", math.nan)],
+        "owner, name, value",
+        [(TrainingConfig, "early_stop_patience", 30), (TrainingConfig, "lr_plateau_patience", 15),
+         (TrainingConfig, "lr_factor", 0.5), (TrainingConfig, "val_fraction", 0.1),
+         (AdamConfig, "beta1", 0.9), (AdamConfig, "beta2", 0.999), (AdamConfig, "eps", 1e-7)],
     )
-    def test_bad_adam_hyperparameter_rejected(self, field, value):
-        # a beta of 1 read as a "non-finite loss" divergence; a zero or negative eps trained
-        with pytest.raises(ConfigError, match=f"{field} must be"):
-            TrainingConfig(adam=AdamConfig(**{field: value}))
+    def test_protocol_constant_has_the_paper_value_and_no_keyword(self, owner, name, value):
+        # these were range-checked constructor fields; now no value but the paper's exists
+        assert getattr(owner(), name) == value
+        with pytest.raises(TypeError):
+            owner(**{name: value})
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_lr_outside_the_one_rule_rejected(self, lr):
+        with pytest.raises(ConfigError, match=re.escape(f"lr must be finite and > 0, got {lr}")):
+            TrainingConfig(adam=AdamConfig(lr=lr))
+
+    def test_smallest_positive_lr_accepted(self):
+        assert TrainingConfig(adam=AdamConfig(lr=5e-324)).adam.lr == 5e-324
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TinyAscError, match="empty"):
             train(_toy_model(), [], TrainingConfig(max_epochs=1))
 
-    def test_lr_zero_leaves_weights_unchanged(self):
-        model = _toy_model(seed=1)
-        before = zoo.weights_fingerprint(model)
-        cfg = TrainingConfig(max_epochs=2, adam=AdamConfig(lr=0.0), seed=3)
-        model, run = train(model, _toy_examples(), cfg)
-        # moving statistics do move in train mode; trainable weights must not
-        for layer in model.layers:
-            for name in zoo.TRAINABLE_WEIGHTS.get(layer.kind, ()):
-                if name in layer.weights:
-                    assert np.all(np.isfinite(layer.weights[name]))
+    def test_train_updates_the_moving_statistics(self):
+        cfg = TrainingConfig(max_epochs=2, batch_size=8, seed=3)
+        model, _ = train(_toy_model(seed=1), _toy_examples(), cfg)
         model2, _ = train(_toy_model(seed=1), _toy_examples(), cfg)
         assert zoo.weights_fingerprint(model) == zoo.weights_fingerprint(model2)
-        # compare against a fresh model: kernels identical because updates were zero
         fresh = _toy_model(seed=1)
-        for la, lb in zip(model.layers, fresh.layers):
-            if la.kind == "batch_norm":
-                continue
-            for name in la.weight_names():
-                np.testing.assert_array_equal(la.weights[name], lb.weights[name])
-        assert before == zoo.weights_fingerprint(fresh)
+        norms = [(la, lb) for la, lb in zip(model.layers, fresh.layers) if la.kind == "batch_norm"]
+        assert norms
+        for la, lb in norms:
+            for name in ("moving_mean", "moving_var"):
+                assert np.all(np.isfinite(la.weights[name]))
+                assert not np.array_equal(la.weights[name], lb.weights[name])
 
     def test_same_seed_identical_histories(self):
         cfg = TrainingConfig(max_epochs=4, batch_size=8, seed=7)
@@ -270,3 +273,25 @@ class TestTrainLoop:
         lines = run.to_csv().strip().split("\n")
         assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc,lr"
         assert len(lines) == 3
+
+
+def test_training_drives_a_fixed_batch_loss_down():
+    """A check beside acceptance criterion 06 that holds across seeds, not at one.
+
+    Each of seeds 7, 8 and 9 trains a 16-16 conv_sep on 20 synthetic 16x12
+    clips through the full protocol, dropout on: 18 training clips in one
+    batch, so 25 epochs are 25 Adam steps (too few for early stopping). The
+    mean of the last epoch's train-mode loss must fall below 0.85 from about
+    2.5. Over seeds 7 to 16 that loss ranged 0.43 to 0.79, and the mean of
+    three consecutive seeds 0.60 to 0.75. A sign error in either term of batch
+    norm's input gradient lifts the mean above 1.1.
+    """
+    losses = []
+    for seed in (7, 8, 9):
+        model = zoo.init_weights(zoo.build_conv_sep(16, 16, 3, input_shape=(16, 12, 1)), seed=seed)
+        examples = data.synth_examples(20, seed=seed, n_mels=16, n_frames=12)
+        cfg = TrainingConfig(max_epochs=25, batch_size=20, adam=AdamConfig(lr=3e-2), seed=seed)
+        _, run = train(model, examples, cfg)
+        assert len(run.epochs) == 25
+        losses.append(run.epochs[-1].train_loss)
+    assert np.mean(losses) < 0.85, losses
