@@ -5,33 +5,31 @@ max|w| / 127, zero point 0); activations quantize affinely over the
 min/max range observed on a calibration set, with the range widened to
 include zero so that real 0 maps exactly onto an integer code.
 
-Batch norm folds into the preceding convolution wherever it directly
-follows one (always the case for conv_sep; the mixer's norms sit behind
-activations and stay as float ops). The fold is ``zoo.fold_norms``, which
-float inference (``zoo.forward``, ``zoo.forward_batch``) runs on every call;
-``fold_batch_norm`` applies it to a deep copy. Quantized inference follows the
+Batch norm folds into a convolution it directly follows (all of conv_sep's;
+the mixer's sit behind activations and stay float ops) by ``zoo.fold_norms``;
+``fold_batch_norm`` folds a deep copy. Quantized inference follows the
 integer-arithmetic scheme of Jacob et al. (2018): each convolution and the
 dense layer requantize their input to INT8 codes, sum products of the
 zero-point-shifted activation codes and the INT8 weight codes, add the bias
 rounded to the accumulator unit and rescale once to float. The sums run as
 float GEMMs and multiply-adds on integer-valued operands: every partial sum
 is an integer of at most K * 255 * 127 (K is taps x input channels, or taps
-for depthwise), exact in float32 while K <= 518 and in float64, which a
-guard on K picks above that. So the result does not depend on summation
-order or on the BLAS thread count, and equals an exact integer accumulator.
-Pooling, residual adds, and nonlinearities execute in float between these
-layers: a documented simplification, constrained end to end by the
-float-agreement check rather than per-op.
+for depthwise), exact in float32 while K <= 518 and in float64, which a guard
+on K picks above that. So the sums equal an exact integer accumulator at any
+summation order and BLAS thread count. Pooling, residual adds and
+nonlinearities run in float between these layers, a simplification the
+float-agreement check bounds end to end. A ``.tasq`` file (``modelfile``
+holds its bytes) stores the header, INT8 weights with their params, float32
+biases and unfolded norms, and the activation params; loading computes none.
 """
 
 import copy
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import zoo
+from . import modelfile, zoo
 from .errors import QuantizationError, ShapeError
 
 
@@ -330,78 +328,28 @@ def quantization_report(model, qm: QuantizedModel, inputs):
     return _agreement(pairs), rows
 
 
-# --- serialization -------------------------------------------------------
-
-QMAGIC = b"TASQ"
+# --- serialization: ``modelfile`` holds the byte layout ---------------------
 
 
 def save_quantized(qm: QuantizedModel, path):
-    """Checkpoint header plus per-layer records: INT8 blobs carry their
-    scale and zero point, float blobs (biases, residual norm params) are
-    stored raw; activation params follow at the end."""
-    with open(path, "wb") as fh:
-        fh.write(QMAGIC)
-        zoo._write_header(fh, qm.graph)
-        fh.write(struct.pack("<H", len(qm.graph.layers)))
-        for i, layer in enumerate(qm.graph.layers):
-            names = layer.weight_names()
-            fh.write(struct.pack("<B", len(names)))
-            for name in names:
-                if (i, name) in qm.weight_payloads:
-                    arr = qm.weight_payloads[(i, name)]
-                    p = qm.weight_params[(i, name)]
-                    fh.write(struct.pack("<B", 1))
-                    fh.write(struct.pack("<dh", p.scale, p.zero_point))
-                    zoo._write_array(fh, arr, np.int8)
-                else:
-                    fh.write(struct.pack("<B", 0))
-                    zoo._write_array(fh, qm.float_weights[(i, name)])
-        fh.write(struct.pack("<dh", qm.input_params.scale, qm.input_params.zero_point))
-        fh.write(struct.pack("<H", len(qm.activation_params)))
-        for p in qm.activation_params:
-            fh.write(struct.pack("<dh", p.scale, p.zero_point))
+    """Write ``qm`` as a ``.tasq``: INT8 payloads with their params and float
+    weights as float32 records, then the input's and each layer output's params."""
+
+    def record(i, name):
+        if (i, name) in qm.weight_payloads:
+            return qm.weight_payloads[(i, name)], qm.weight_params[(i, name)]
+        return qm.float_weights[(i, name)], None
+
+    modelfile.save(path, qm.graph, zoo.ARCHS, record, [qm.input_params, *qm.activation_params])
 
 
 def load_quantized(path) -> QuantizedModel:
-    with open(path, "rb") as fh:
-        reader = zoo._Reader(fh, QuantizationError)
-        magic = reader.read(4)
-        if magic != QMAGIC:
-            reader.fail(f"not a quantized model file (magic {magic!r})")
-        graph = fold_batch_norm(reader.graph())
-        (n_layers,) = reader.unpack("<H")
-        if n_layers != len(graph.layers):
-            reader.fail(f"stored layer count {n_layers} != rebuilt graph {len(graph.layers)}")
-        payloads, wparams, floats = {}, {}, {}
-        for i, layer, name in reader.records(graph):
-            (tag,) = reader.unpack("<B")
-            if tag == 1:
-                wparams[(i, name)] = _read_params(reader, "symmetric_weight", reader.where)
-                payloads[(i, name)] = reader.array(layer.weights[name].shape, np.int8)
-            else:
-                floats[(i, name)] = reader.weight(name, layer.weights[name].shape)
-        input_params = _read_params(reader, "affine_activation", "input")
-        (n_acts,) = reader.unpack("<H")
-        if n_acts != len(graph.layers):
-            reader.fail(f"{n_acts} activation params stored, {len(graph.layers)} expected")
-        act_params = [_read_params(reader, "affine_activation", f"layer {i} activation") for i in range(n_acts)]
-        reader.end()
-    return QuantizedModel(
-        graph=graph,
-        weight_payloads=payloads,
-        weight_params=wparams,
-        float_weights=floats,
-        activation_params=act_params,
-        input_params=input_params,
+    """The QuantizedModel a ``.tasq`` holds, on the header's graph folded by
+    ``zoo.fold_structure``: no value is computed, each comes from the file."""
+    graph, records, (input_params, *act_params) = modelfile.read(
+        path, QuantizationError, zoo.ARCHS, lambda *header: zoo.fold_structure(zoo.build(*header)), QuantParams
     )
-
-
-def _read_params(reader, scheme, where):
-    """The next stored (scale, zero point) as QuantParams of ``scheme``; a pair
-    that QuantParams rejects fails naming the file, ``where`` and its byte offset."""
-    offset = reader.offset
-    scale, zero_point = reader.unpack("<dh")
-    try:
-        return QuantParams(scale, zero_point, scheme)
-    except QuantizationError as exc:
-        reader.fail(f"{where}: {exc}, at byte {offset}")
+    payloads = {(i, name): arr for i, name, arr, params in records if params is not None}
+    wparams = {(i, name): params for i, name, _, params in records if params is not None}
+    floats = {(i, name): arr for i, name, arr, params in records if params is None}
+    return QuantizedModel(graph, payloads, wparams, floats, act_params, input_params)

@@ -18,12 +18,11 @@ axis to 12. A graph is an ordered list of LayerSpec nodes; the same
 representation drives inference, training, auditing, and quantization.
 """
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernels
+from . import kernels, modelfile
 from .errors import ConfigError, GraphBuildError, ShapeError
 from .frontend import Spectrogram
 
@@ -78,11 +77,20 @@ class Prediction:
         return cls(probabilities=p, top_class=int(np.argmax(p)), logits=logits[0])
 
 
+def _placeholder(value, shape):
+    """A read-only float32 ``value`` broadcast to ``shape``, holding no bytes; a
+    shape with more entries than an index counts raises GraphBuildError."""
+    try:
+        return np.broadcast_to(np.float32(value), shape)
+    except ValueError:
+        raise GraphBuildError(f"weight shape {shape} has too many entries") from None
+
+
 def _kernel(shape, use_bias):
-    """A zero float32 kernel and, with ``use_bias``, a zero bias over its last axis."""
-    weights = {"w": np.zeros(shape, dtype=np.float32)}
+    """A zero kernel and, with ``use_bias``, a zero bias over its last axis."""
+    weights = {"w": _placeholder(0, shape)}
     if use_bias:
-        weights["b"] = np.zeros(shape[-1], dtype=np.float32)
+        weights["b"] = _placeholder(0, shape[-1:])
     return weights
 
 
@@ -100,12 +108,8 @@ def _pointwise(name, cin, cout, use_bias):
 
 
 def _batch_norm(name, channels):
-    weights = {
-        "gamma": np.ones(channels, dtype=np.float32),
-        "beta": np.zeros(channels, dtype=np.float32),
-        "moving_mean": np.zeros(channels, dtype=np.float32),
-        "moving_var": np.ones(channels, dtype=np.float32),
-    }
+    ones, zeros = _placeholder(1, (channels,)), _placeholder(0, (channels,))
+    weights = {"gamma": ones, "beta": zeros, "moving_mean": zeros, "moving_var": ones}
     return LayerSpec("batch_norm", name, {"eps": BN_EPS, "momentum": BN_MOMENTUM}, weights)
 
 
@@ -186,7 +190,8 @@ def build(
 ):
     """The shared skeleton around ``ARCHS[arch_tag]``: its stem, then each module
     followed by time-axis max pooling and dropout, then global average pooling,
-    the dense classifier and softmax. Shapes are inferred before it returns."""
+    the dense classifier and softmax, with shapes inferred. Its weights are
+    read-only placeholders holding no bytes, for ``init_weights`` or a loader."""
     if arch_tag not in ARCHS:
         raise GraphBuildError(f"unknown architecture {arch_tag!r}, expected one of {tuple(ARCHS)}")
     if f1 < 1 or f2 < 1:
@@ -687,24 +692,30 @@ def stack_inputs(model, specs, dtype):
     return np.stack(batch)
 
 
-def fold_norms(model):
-    """The inference graph of ``model``: each batch norm directly behind a
-    ``folds_norm`` layer is dropped, and that layer's kernel becomes w * s over
-    its last axis and its bias (b - moving_mean) * s + beta (b = 0 if absent),
-    s = gamma / sqrt(moving_var + eps), computed in float64 and stored in the
-    model's dtype. Other norms (the mixer's sit behind activations) stay.
-
-    The graph holds new layers for the folded pairs and ``model``'s own layer
-    objects elsewhere, so it copies nothing and must not be trained. A folded
-    norm with a non-positive eps or a negative moving variance raises
-    ValueError, as ``kernels.batch_norm`` does.
-    """
+def _fold(model, weights):
+    """``model`` with each batch norm directly behind a ``folds_norm`` layer dropped
+    and that layer given ``weights(layer, norm)``; other layers are ``model``'s own."""
     layers = []
     for i, norm in enumerate(model.layers):
-        if norm.kind != "batch_norm" or i == 0 or not layer_op(model.layers[i - 1], i - 1).folds_norm:
+        if norm.kind == "batch_norm" and i > 0 and layer_op(model.layers[i - 1], i - 1).folds_norm:
+            layers[-1] = replace(layers[-1], weights=weights(layers[-1], norm))
+        else:
             layers.append(norm)
-            continue
-        conv, eps = model.layers[i - 1], norm.config["eps"]
+    return replace(model, layers=layers)
+
+
+def fold_norms(model):
+    """The inference graph of ``model`` by ``_fold``: a folded layer's kernel
+    becomes w * s over its last axis and its bias (b - moving_mean) * s + beta
+    (b = 0 if absent), s = gamma / sqrt(moving_var + eps), computed in float64
+    and stored in the model's dtype. Other norms (the mixer's sit behind
+    activations) stay. The graph copies nothing, so it must not be trained. A
+    folded norm with a non-positive eps or a negative moving variance raises
+    ValueError, as ``kernels.batch_norm`` does.
+    """
+
+    def fold(conv, norm):
+        eps = norm.config["eps"]
         gamma, beta, mean, var = (norm.weights[n].astype(np.float64) for n in norm.weight_names())
         if eps <= 0:
             raise ValueError(f"batch norm eps must be positive, got {eps}")
@@ -713,12 +724,18 @@ def fold_norms(model):
         factor = gamma / np.sqrt(var + eps)
         b = conv.weights.get("b", 0.0)
         # float32 operands widen to float64 exactly, so no float64 copy is made first
-        weights = {
+        return {
             "w": np.multiply(conv.weights["w"], factor, dtype=np.float64).astype(model.dtype),
             "b": (np.subtract(b, mean, dtype=np.float64) * factor + beta).astype(model.dtype),
         }
-        layers[-1] = LayerSpec(conv.kind, conv.name, conv.config, weights, conv.output_shape)
-    return replace(model, layers=layers)
+
+    return _fold(model, fold)
+
+
+def fold_structure(model):
+    """The layers ``fold_norms`` gives ``model`` with no arithmetic: a folded layer
+    keeps its kernel and gets a zero placeholder bias, for values read from a ``.tasq``."""
+    return _fold(model, lambda conv, norm: {"w": conv.weights["w"], "b": _placeholder(0, conv.weights["w"].shape[-1:])})
 
 
 def forward(model, spec):
@@ -739,8 +756,10 @@ def forward_chunked(model, batch):
     one clip's activations small enough to stay in cache. Each clip gets the
     bits ``forward_batch`` gives it alone, which may differ from its row of
     one batched call: BLAS can round the dense layer's product of one row
-    differently from that of many. Returns (probs, logits)."""
-    parts = [forward_batch(model, clip[None]) for clip in batch]
+    differently from that of many. The norms fold once, not per clip (a folded
+    graph has none left to fold). Returns (probs, logits)."""
+    folded = fold_norms(model)
+    parts = [forward_batch(folded, clip[None]) for clip in batch]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -769,141 +788,18 @@ def weights_fingerprint(model):
     return h.hexdigest()
 
 
-# --- serialization -------------------------------------------------------
-#
-# Self-describing binary checkpoint: a fixed header naming the topology,
-# then each layer's weights in graph order as little-endian float32 blobs
-# with shape prefixes. Round trips are bit-exact for float32 models.
-
-MAGIC = b"TASC"
-FORMAT_VERSION = 1
-# version, architecture id, f1, f2, kernel, patch, bias, patch norm, classes, input h, w, c
-HEADER = "<HBHHHHBBHHHH"
-
-
-def _write_header(fh, model):
-    fh.write(MAGIC)
-    fh.write(
-        struct.pack(
-            HEADER,
-            FORMAT_VERSION,
-            list(ARCHS).index(model.arch_tag),
-            *model.filters,
-            model.kernel_size,
-            model.patch_size,
-            model.use_bias,
-            model.patch_norm,
-            model.n_classes,
-            *model.input_shape,
-        )
-    )
-
-
-class _Reader:
-    """Exact-length reads from a model file: a short read, or a byte after
-    the last record, raises ``error`` naming the file and the byte offset,
-    and inside a layer's record the layer and weight (``where``)."""
-
-    def __init__(self, fh, error):
-        self.fh, self.error, self.offset, self.where = fh, error, 0, None
-
-    def fail(self, problem):
-        raise self.error(f"{self.fh.name}: {problem}")
-
-    def read(self, n):
-        data = self.fh.read(n)
-        if len(data) != n:
-            inside = f", in {self.where}" if self.where else ""
-            self.fail(f"truncated at byte {self.offset + len(data)}, wanted {n} bytes{inside}")
-        self.offset += n
-        return data
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
-
-    def array(self, expected, dtype="<f4"):
-        """The next stored array, which must have shape ``expected``."""
-        (ndim,) = self.unpack("<B")
-        shape = self.unpack(f"<{ndim}I")
-        if shape != expected:
-            self.fail(f"{self.where}: stored shape {shape} != expected {expected}")
-        data = self.read(int(np.prod(shape)) * np.dtype(dtype).itemsize)
-        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-
-    def weight(self, name, expected):
-        """The float32 array of weight ``name``; a moving variance with a negative
-        entry, which no inference norm accepts, is rejected here, at that entry's byte."""
-        arr = self.array(expected)
-        if name == "moving_var" and np.any(arr < 0):
-            channel = int(np.argmax(arr < 0))
-            at = self.offset - arr.nbytes + channel * arr.itemsize
-            self.fail(f"{self.where}: negative moving variance {arr[channel]} at channel {channel}, at byte {at}")
-        return arr
-
-    def graph(self):
-        """The graph a checkpoint header describes, built by ``build``; a header
-        whose zero weights cannot be allocated fails here."""
-        magic = self.read(4)
-        if magic != MAGIC:
-            self.fail(f"not a model checkpoint (magic {magic!r})")
-        version, arch_id, f1, f2, kernel, patch, use_bias, patch_norm, n_classes, *shape = self.unpack(HEADER)
-        if version != FORMAT_VERSION:
-            self.fail(f"unsupported checkpoint version {version}")
-        if arch_id >= len(ARCHS):
-            self.fail(f"unknown architecture id {arch_id}")
-        try:
-            return build(
-                list(ARCHS)[arch_id], f1, f2, kernel, patch, shape, n_classes, bool(use_bias), bool(patch_norm)
-            )
-        except GraphBuildError as exc:
-            self.fail(f"header describes no valid graph: {exc}")
-        except MemoryError:
-            self.fail(f"header describes a graph too large to allocate: filters ({f1}, {f2}), kernel {kernel}")
-
-    def records(self, graph):
-        """Check each layer's stored tensor count against ``graph`` and yield
-        (layer index, layer, weight name) for each tensor in storage order."""
-        for idx, layer in enumerate(graph.layers):
-            names = layer.weight_names()
-            self.where = f"layer {idx}"
-            (count,) = self.unpack("<B")
-            if count != len(names):
-                self.fail(f"layer {idx}: {count} tensors stored, graph expects {len(names)}")
-            for name in names:
-                self.where = f"layer {idx} weight {name}"
-                yield idx, layer, name
-        self.where = None
-
-    def end(self):
-        if self.fh.read(1):
-            self.fail(f"unexpected data after the last record, at byte {self.offset}")
-
-
-def _write_array(fh, arr, dtype="<f4"):
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    fh.write(struct.pack("<B", arr.ndim))
-    for d in arr.shape:
-        fh.write(struct.pack("<I", d))
-    fh.write(arr.tobytes())
+# --- serialization: ``modelfile`` holds the byte layout ---------------------
 
 
 def save_model(model, path):
-    """Write a float32 checkpoint; see module notes for the layout."""
-    with open(path, "wb") as fh:
-        _write_header(fh, model)
-        for layer in model.layers:
-            names = layer.weight_names()
-            fh.write(struct.pack("<B", len(names)))
-            for name in names:
-                _write_array(fh, layer.weights[name])
+    """Write ``model`` as a ``.tasc`` checkpoint. Weights are stored as float32,
+    so a float64 model is narrowed and only a float32 one round-trips bit for bit."""
+    modelfile.save(path, model, ARCHS, lambda i, name: (model.layers[i].weights[name], None))
 
 
 def load_model(path):
-    """Rebuild the graph from the header and pour the stored weights in."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh, ShapeError)
-        model = reader.graph()
-        for _, layer, name in reader.records(model):
-            layer.weights[name] = reader.weight(name, layer.weights[name].shape)
-        reader.end()
+    """The graph a ``.tasc`` header names, with the stored weights poured in."""
+    model, records, _ = modelfile.read(path, ShapeError, ARCHS, build)
+    for i, name, arr, _ in records:
+        model.layers[i].weights[name] = arr
     return model

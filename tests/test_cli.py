@@ -112,6 +112,18 @@ class TestAudit:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_graph_too_large_to_allocate_gets_its_verdict(self, capsys):
+        # its kernels would take 638 GiB; the audit reads only their shapes
+        code = run_cli(["audit", "--arch", "conv_sep", "--filters", "4096,4096", "--kernel", "101"])
+        assert code == 3
+        assert "verdict=fail" in capsys.readouterr().out
+
+    def test_a_kernel_too_large_to_index_is_one_error_line(self, capsys):
+        code = run_cli(["audit", "--arch", "conv_sep", "--filters", "65535,65535", "--kernel", "65535"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: weight shape (65535, 65535, 65535, 65535) has too many entries\n"
+
     @pytest.mark.parametrize("patch", [["--patch", "3"], ["--patch", "0"]])
     def test_conv_sep_rejects_patch(self, patch, capsys):
         code = run_cli(["audit", "--arch", "conv_sep", *patch])

@@ -1,0 +1,129 @@
+"""The two model files' bytes: pinned digests of both codecs, and headers
+whose fields name other graphs, refused before any weight is allocated."""
+
+import hashlib
+import re
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tinyasc import modelfile, quantize, zoo
+from tinyasc.errors import QuantizationError, ShapeError
+
+# header fields after the magic, as ``modelfile.HEADER`` packs them
+FIELDS = ("version", "arch id", "f1", "f2", "kernel", "patch", "bias", "patch norm", "classes", "h", "w", "c")
+WIDTHS = dict(zip(FIELDS, modelfile.HEADER[1:]))
+OFFSETS = {f: 4 + struct.calcsize("<" + modelfile.HEADER[1:i + 1]) for i, f in enumerate(FIELDS)}
+MIB = 2**20
+
+
+def _model(arch, use_bias=True):
+    build = zoo.build_conv_sep if arch == "conv_sep" else zoo.build_conv_mixer
+    return zoo.init_weights(build(4, 4, 3, input_shape=(8, 8, 1), use_bias=use_bias), seed=3)
+
+
+def _quantized(model):
+    """A QuantizedModel made with no forward pass, so no BLAS rounding reaches
+    its bytes: symmetric INT8 kernels of the folded graph, float32 biases and
+    norms, and activation params fixed at [-1, 1]."""
+    folded = quantize.fold_batch_norm(model)
+    payloads, wparams, floats = {}, {}, {}
+    for i, layer in enumerate(folded.layers):
+        for name in layer.weight_names():
+            if name == "w":
+                payloads[(i, name)], wparams[(i, name)] = quantize.quantize_tensor(layer.weights[name])
+            else:
+                floats[(i, name)] = layer.weights[name].astype(np.float32)
+    fixed = quantize.affine_params(-1.0, 1.0)
+    return quantize.QuantizedModel(folded, payloads, wparams, floats, [fixed] * len(folded.layers), fixed)
+
+
+def _write(model, suffix, path):
+    """Write ``model`` as ``suffix`` to ``path``; returns the loader, its error
+    type and where the ``.tasc`` header starts."""
+    if suffix == ".tasc":
+        zoo.save_model(model, path)
+        return zoo.load_model, ShapeError, 0
+    quantize.save_quantized(_quantized(model), path)
+    return quantize.load_quantized, QuantizationError, 4
+
+
+def _traced_peak(call):
+    """``call()``'s outcome (None or the exception it raised) and its traced peak."""
+    tracemalloc.start()
+    try:
+        call()
+        outcome = None
+    except Exception as exc:  # the caller checks which
+        outcome = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return outcome, peak
+
+
+# sha256 of the files of ``_model(arch, use_bias)``, pinned when the two formats
+# came into one module: a change to any byte of either format shows here
+GOLDEN = {
+    ("conv_sep", True, ".tasc"): "55f077986223cf17d6dd7869c0f16e218540c846c883fd012f1b835dcdf565da",
+    ("conv_sep", True, ".tasq"): "ea88f1552abc4ebf41f23bd8adb5984df892582038856c0c12f98fdd26f0ee7e",
+    ("conv_mixer", False, ".tasc"): "351d6665e4fee8506044fc596663429c91152d10d7ae069b5fed795037ab2e4e",
+    ("conv_mixer", False, ".tasq"): "acf4ec5ab919503de8df042bce6817ae55306bf9f59f088339545210b6b1901a",
+}
+
+
+@pytest.mark.parametrize("arch, use_bias, suffix", list(GOLDEN))
+def test_golden_bytes(tmp_path, arch, use_bias, suffix):
+    path = tmp_path / f"m{suffix}"
+    load, _, _ = _write(_model(arch, use_bias), suffix, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(arch, use_bias, suffix)]
+    load(path)
+
+
+@pytest.mark.parametrize("suffix", [".tasc", ".tasq"])
+def test_a_header_kernel_of_1001_is_refused_before_allocating(tmp_path, suffix):
+    # the stored conv1 kernel is 3x3; a graph of kernel 1001 held 107 MiB of zero
+    # weights (.tasc), or 413 MiB with a deep copy and a fold (.tasq), before the refusal
+    path = tmp_path / f"m{suffix}"
+    load, error, start = _write(_model("conv_sep"), suffix, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, start + OFFSETS["kernel"], 1001)
+    path.write_bytes(bytes(blob))
+    outcome, peak = _traced_peak(lambda: load(path))
+    problem = "layer 0 weight w: stored shape (3, 3, 1, 4) != expected (1001, 1001, 1, 4)"
+    assert isinstance(outcome, error) and re.fullmatch(re.escape(f"{path}: {problem}"), str(outcome))
+    assert peak < MIB
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """Each architecture's 4-4 file in both formats: {(arch, suffix): (bytes, load, error, start)}."""
+    root = tmp_path_factory.mktemp("good")
+    files = {}
+    for arch in ("conv_sep", "conv_mixer"):
+        for suffix in (".tasc", ".tasq"):
+            path = root / f"{arch}{suffix}"
+            load, error, start = _write(_model(arch), suffix, path)
+            files[(arch, suffix)] = (path.read_bytes(), load, error, start)
+    return files, root
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["conv_sep", "conv_mixer"]), st.sampled_from([".tasc", ".tasq"]),
+       st.sampled_from(FIELDS), st.data())
+def test_any_header_field_value_loads_or_is_refused_cheaply(good_files, arch, suffix, field, data):
+    files, root = good_files
+    good, load, error, start = files[(arch, suffix)]
+    width = WIDTHS[field]
+    value = data.draw(st.integers(0, 2 ** (8 * struct.calcsize(width)) - 1), label=field)
+    blob = bytearray(good)
+    struct.pack_into("<" + width, blob, start + OFFSETS[field], value)
+    path = root / f"mutated{suffix}"
+    path.write_bytes(bytes(blob))
+    outcome, peak = _traced_peak(lambda: load(path))
+    assert outcome is None or type(outcome) is error, repr(outcome)
+    assert peak < MIB
