@@ -15,7 +15,7 @@ residual deviation instead of demanding an exact match.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import reference
 from .errors import TinyAscError
@@ -70,7 +70,6 @@ class ComplexityReport:
     macs_budget: int
     params_pass: bool
     macs_pass: bool
-    convention: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -141,7 +140,6 @@ def check_budget(params_total, macs_total, max_params=MAX_PARAMS_BUDGET, max_mac
 
 def audit_model(model, convention=None, max_params=MAX_PARAMS_BUDGET, max_macs=MAX_MACS_BUDGET):
     """Assemble the full per-layer ComplexityReport for a model."""
-    convention = convention or Convention()
     param_rows, params_total = count_params(model, convention)
     mac_rows, macs_total = count_macs(model, convention)
     rows = [
@@ -157,14 +155,6 @@ def audit_model(model, convention=None, max_params=MAX_PARAMS_BUDGET, max_macs=M
         macs_budget=max_macs,
         params_pass=params_pass,
         macs_pass=macs_pass,
-        convention={
-            "kernel_size": model.kernel_size,
-            "use_bias": model.use_bias,
-            "bn_params_per_channel": convention.bn_params_per_channel,
-            "count_bn_macs": convention.count_bn_macs,
-            "count_bias_macs": convention.count_bias_macs,
-            "mac_definition": "multiply+accumulate pairs",
-        },
     )
 
 

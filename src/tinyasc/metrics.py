@@ -43,8 +43,7 @@ def evaluate(model, examples) -> EvalResult:
     """Inference-mode evaluation over (Spectrogram, label) pairs."""
     if not examples:
         raise TinyAscError("empty dataset")
-    xs = zoo.stack_inputs(model, [spec for spec, _ in examples], model.dtype)
-    ys = np.array([label for _, label in examples], dtype=np.int64)
+    xs, ys = zoo.stack_examples(model, examples)
     probs, _ = zoo.forward_chunked(model, xs)
     probs = probs.astype(np.float64)
     n = model.n_classes

@@ -8,8 +8,9 @@ input's pair, the pair count (``<H``) and one pair per layer output. A pair is
 ``<dh``: scale, zero point. A record is an array (ndim as one byte, each
 dimension as ``<I``, then the data), float32 in a ``.tasc``; in a ``.tasq`` a
 tag byte comes first, 1 for an INT8 weight whose pair precedes its INT8 array
-and 0 for a float32 array. Callers pass the architecture tags in id order and
-a graph builder, so this module imports no graph or quantizer code.
+and 0 for a float32 array. Callers pass the architecture tags in id order, a
+graph builder and which weights are INT8, so this module imports no graph or
+quantizer code.
 """
 
 import struct
@@ -52,9 +53,10 @@ def save(path, graph, archs, record, pairs=None):
                 fh.write(struct.pack(PAIR, p.scale, p.zero_point))
 
 
-def read(path, error, archs, build, params=None):
+def read(path, error, archs, build, params=None, int8=None):
     """``(graph, records, pairs)`` of a ``.tasc``, or given ``params`` (the
-    QuantParams class) of a ``.tasq``; a fault raises ``error``. ``graph`` is
+    QuantParams class) and ``int8(layer, index, name)`` (the tag each record
+    must have) of a ``.tasq``; a fault raises ``error``. ``graph`` is
     ``build(tag, f1, f2, kernel, patch, input shape, classes, bias, patch norm)``
     of the header, made before any record is read, so it must allocate no
     weights. ``records`` holds (layer index, weight name, array, QuantParams or
@@ -68,7 +70,7 @@ def read(path, error, archs, build, params=None):
         n = len(graph.layers)
         if quantized and (stored := r.unpack("<H")[0]) != n:
             r.fail(f"stored layer count {stored} != rebuilt graph {n}")
-        records = list(r.records(graph, params))
+        records = list(r.records(graph, params, int8))
         pairs = None
         if quantized:
             pairs = [r.pair(params, "affine_activation", "input")]
@@ -115,7 +117,7 @@ class _Reader:
         except GraphBuildError as exc:
             self.fail(f"header describes no valid graph: {exc}")
 
-    def records(self, graph, params):
+    def records(self, graph, params, int8):
         """Each layer's tensor count checked against ``graph``, then its records."""
         for idx, layer in enumerate(graph.layers):
             names = layer.weight_names()
@@ -125,7 +127,9 @@ class _Reader:
                 self.fail(f"layer {idx}: {count} tensors stored, graph expects {len(names)}")
             for name in names:
                 self.where = f"layer {idx} weight {name}"
-                tagged = params is not None and self.unpack("<B") == (1,)
+                tagged = params is not None and int8(layer, idx, name)
+                if params is not None and (tag := self.unpack("<B")[0]) != tagged:
+                    self.fail(f"{self.where}: tag {tag}, expected {int(tagged)}, at byte {self.offset - 1}")
                 pair = self.pair(params, "symmetric_weight", self.where) if tagged else None
                 yield idx, name, self.array(name, layer.weights[name].shape, np.int8 if tagged else "<f4"), pair
         self.where = None

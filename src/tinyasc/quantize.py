@@ -12,15 +12,14 @@ integer-arithmetic scheme of Jacob et al. (2018): each convolution and the
 dense layer requantize their input to INT8 codes, sum products of the
 zero-point-shifted activation codes and the INT8 weight codes, add the bias
 rounded to the accumulator unit and rescale once to float. The sums run as
-float GEMMs and multiply-adds on integer-valued operands: every partial sum
-is an integer of at most K * 255 * 127 (K is taps x input channels, or taps
-for depthwise), exact in float32 while K <= 518 and in float64, which a guard
-on K picks above that. So the sums equal an exact integer accumulator at any
-summation order and BLAS thread count. Pooling, residual adds and
-nonlinearities run in float between these layers, a simplification the
-float-agreement check bounds end to end. A ``.tasq`` file (``modelfile``
-holds its bytes) stores the header, INT8 weights with their params, float32
-biases and unfolded norms, and the activation params; loading computes none.
+float GEMMs on integer-valued operands, exact at any summation order and BLAS
+thread count (``FLOAT32_MAX_K``). Pooling, residual adds and nonlinearities
+run in float between these layers, a simplification the float-agreement
+check bounds end to end. The graph alone says which weights are INT8
+(``int8_weight``: each conv and dense kernel); a quantized model's graph
+gives structure only, and quantized inference reads no weight from it. A
+``.tasq`` (``modelfile`` holds its bytes) stores these codes with their
+params, every other weight as float32 and the activation params.
 """
 
 import copy
@@ -125,18 +124,33 @@ def fold_batch_norm(model):
     return zoo.fold_norms(copy.deepcopy(model))
 
 
+def int8_weight(layer, idx, name):
+    """Whether quantized models hold weight ``name`` of layer ``idx`` as INT8: each conv and dense kernel."""
+    return name == "w" and zoo.layer_op(layer, idx).linear is not None
+
+
+def _record(qm, idx, name):
+    """(INT8 codes, QuantParams) of an ``int8_weight``, else (float array, None); missing codes raise."""
+    layer = qm.graph.layers[idx]
+    if not int8_weight(layer, idx, name):
+        return qm.float_weights[(idx, name)], None
+    if (idx, name) not in qm.weight_payloads:
+        raise QuantizationError(f"layer {idx} ({layer.name}): no INT8 payload for weight {name}")
+    return qm.weight_payloads[(idx, name)], qm.weight_params[(idx, name)]
+
+
 @dataclass
 class QuantizedModel:
     """Folded graph topology plus INT8 weight payloads and quant params.
 
-    ``quantized_forward`` derives its integer constants from these fields on
-    every call, so a change to any of them shows in the next call.
+    ``graph`` gives structure only: ``quantized_forward`` reads no weight from
+    it, and derives its constants from the other fields on every call.
     """
 
     graph: zoo.ModelGraph
-    weight_payloads: dict  # (layer_idx, name) -> int8 array
-    weight_params: dict  # (layer_idx, name) -> QuantParams
-    float_weights: dict  # (layer_idx, name) -> float arrays (biases, norm params)
+    weight_payloads: dict  # (layer_idx, name) -> int8 array, for each int8_weight
+    weight_params: dict  # (layer_idx, name) -> QuantParams, for each int8_weight
+    float_weights: dict  # (layer_idx, name) -> float arrays, for every other weight
     activation_params: list  # QuantParams per layer output
     input_params: QuantParams
 
@@ -148,21 +162,12 @@ def quantize_model(model, calibration_inputs):
     payloads, wparams, floats = {}, {}, {}
     for i, layer in enumerate(folded.layers):
         for name in layer.weight_names():
-            if name == "w":  # conv and dense kernels run on INT8 codes
-                q, p = quantize_tensor(layer.weights[name], "symmetric_weight")
-                payloads[(i, name)] = q
-                wparams[(i, name)] = p
+            if int8_weight(layer, i, name):
+                payloads[(i, name)], wparams[(i, name)] = quantize_tensor(layer.weights[name])
             else:
                 floats[(i, name)] = layer.weights[name].astype(np.float32)
     act_params = [affine_params(lo, hi) for lo, hi in cal.layer_ranges]
-    return QuantizedModel(
-        graph=folded,
-        weight_payloads=payloads,
-        weight_params=wparams,
-        float_weights=floats,
-        activation_params=act_params,
-        input_params=affine_params(*cal.input_range),
-    )
+    return QuantizedModel(folded, payloads, wparams, floats, act_params, affine_params(*cal.input_range))
 
 
 # Every partial sum of a conv or dense layer adds K products of a zero-point-
@@ -236,7 +241,7 @@ def _float_norm(qm, i, layer):
 
 def _steps(qm):
     """``{layer index: step}`` for ``qm``: an IntegerLayer for each conv and dense
-    layer and a float64 norm for each batch norm, built from its current fields."""
+    layer (by ``_record``) and a float64 norm for each batch norm, built from its current fields."""
     n_params, n_layers = len(qm.activation_params), len(qm.graph.layers)
     if n_params != n_layers:
         raise QuantizationError(f"calibration gives {n_params} activation params for {n_layers} graph layers")
@@ -244,13 +249,10 @@ def _steps(qm):
     for i, layer in enumerate(qm.graph.layers):
         if layer.kind == "batch_norm":
             steps[i] = _float_norm(qm, i, layer)
-        elif (i, "w") in qm.weight_payloads:
-            steps[i] = IntegerLayer.build(
-                qm.weight_payloads[(i, "w")],
-                qm.weight_params[(i, "w")].scale,
-                qm.input_params if i == 0 else qm.activation_params[i - 1],
-                qm.float_weights.get((i, "b")),
-            )
+        elif int8_weight(layer, i, "w"):
+            codes, params = _record(qm, i, "w")
+            in_params = qm.input_params if i == 0 else qm.activation_params[i - 1]
+            steps[i] = IntegerLayer.build(codes, params.scale, in_params, qm.float_weights.get((i, "b")))
     return steps
 
 
@@ -332,22 +334,18 @@ def quantization_report(model, qm: QuantizedModel, inputs):
 
 
 def save_quantized(qm: QuantizedModel, path):
-    """Write ``qm`` as a ``.tasq``: INT8 payloads with their params and float
-    weights as float32 records, then the input's and each layer output's params."""
-
-    def record(i, name):
-        if (i, name) in qm.weight_payloads:
-            return qm.weight_payloads[(i, name)], qm.weight_params[(i, name)]
-        return qm.float_weights[(i, name)], None
-
-    modelfile.save(path, qm.graph, zoo.ARCHS, record, [qm.input_params, *qm.activation_params])
+    """Write ``qm`` as a ``.tasq``: each weight as ``_record`` gives it, then the
+    input's and each layer output's params."""
+    modelfile.save(path, qm.graph, zoo.ARCHS, lambda *key: _record(qm, *key), [qm.input_params, *qm.activation_params])
 
 
 def load_quantized(path) -> QuantizedModel:
     """The QuantizedModel a ``.tasq`` holds, on the header's graph folded by
-    ``zoo.fold_structure``: no value is computed, each comes from the file."""
+    ``zoo.fold_structure``: no value is computed, each comes from the file. A
+    record has params exactly when it is an ``int8_weight``, as its tag says."""
     graph, records, (input_params, *act_params) = modelfile.read(
-        path, QuantizationError, zoo.ARCHS, lambda *header: zoo.fold_structure(zoo.build(*header)), QuantParams
+        path, QuantizationError, zoo.ARCHS, lambda *header: zoo.fold_structure(zoo.build(*header)),
+        QuantParams, int8_weight,
     )
     payloads = {(i, name): arr for i, name, arr, params in records if params is not None}
     wparams = {(i, name): params for i, name, _, params in records if params is not None}

@@ -247,8 +247,7 @@ def train(model, examples, cfg: TrainingConfig = None):
     order = rng.permutation(len(examples))
     n_val = min(max(1, round(cfg.val_fraction * len(examples))), len(examples) - 1)
     val_idx, train_idx = order[:n_val], order[n_val:]
-    xs_all = zoo.stack_inputs(model, [spec for spec, _ in examples], model.dtype)
-    ys_all = np.array([label for _, label in examples], dtype=np.int64)
+    xs_all, ys_all = zoo.stack_examples(model, examples)
     xs_tr, ys_tr = xs_all[train_idx], ys_all[train_idx]
     xs_va, ys_va = xs_all[val_idx], ys_all[val_idx]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, modelfile
-from .errors import ConfigError, GraphBuildError, ShapeError
+from .errors import ConfigError, GraphBuildError, ShapeError, TinyAscError
 from .frontend import Spectrogram
 
 BN_EPS = 1e-3
@@ -690,6 +690,16 @@ def stack_inputs(model, specs, dtype):
             raise ShapeError(f"input shape mismatch: expected {expected[:2]} (x1 channel), got {data.shape}")
         batch.append(data.astype(dtype))
     return np.stack(batch)
+
+
+def stack_examples(model, examples):
+    """Inputs and int64 labels of (Spectrogram, label) pairs; a label outside [0, n_classes) raises TinyAscError."""
+    xs = stack_inputs(model, [spec for spec, _ in examples], model.dtype)
+    ys = np.array([label for _, label in examples], dtype=np.int64)
+    bad = np.flatnonzero((ys < 0) | (ys >= model.n_classes))
+    if bad.size:
+        raise TinyAscError(f"example {bad[0]}: label {ys[bad[0]]} outside the classes [0, {model.n_classes})")
+    return xs, ys
 
 
 def _fold(model, weights):

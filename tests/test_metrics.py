@@ -1,6 +1,7 @@
 """Accuracy / log-loss closed forms and oracle equivalence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self, model):
         with pytest.raises(TinyAscError, match="empty"):
             metrics.evaluate(model, [])
+
+    @pytest.mark.parametrize("label", [10, -1, 2**40])
+    def test_label_outside_the_classes_names_its_example(self, model, examples, label):
+        # 10 escaped as an IndexError, and -1 was counted as class 9
+        bad = list(examples)
+        bad[7] = (bad[7][0], label)
+        problem = re.escape(f"example 7: label {label} outside the classes [0, 10)")
+        with pytest.raises(TinyAscError, match=f"^{problem}$"):
+            metrics.evaluate(model, bad)
 
     def test_deterministic(self, model, examples):
         a = metrics.evaluate(model, examples)

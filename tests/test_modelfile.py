@@ -1,5 +1,6 @@
-"""The two model files' bytes: pinned digests of both codecs, and headers
-whose fields name other graphs, refused before any weight is allocated."""
+"""The two model files' bytes: pinned digests of both codecs, headers whose
+fields name other graphs, refused before any weight is allocated, and ``.tasq``
+tag bytes that disagree with the graph, refused at their byte."""
 
 import hashlib
 import re
@@ -19,6 +20,11 @@ FIELDS = ("version", "arch id", "f1", "f2", "kernel", "patch", "bias", "patch no
 WIDTHS = dict(zip(FIELDS, modelfile.HEADER[1:]))
 OFFSETS = {f: 4 + struct.calcsize("<" + modelfile.HEADER[1:i + 1]) for i, f in enumerate(FIELDS)}
 MIB = 2**20
+# the kinds whose kernel a .tasq holds as INT8 codes (tag 1)
+INT8_KERNEL_KINDS = {"conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense"}
+# conv1's tag: after the TASQ magic, the .tasc magic and header, the layer count
+# (<H) and layer 0's tensor count (one byte)
+CONV1_TAG = len(modelfile.QMAGIC) + len(modelfile.MAGIC) + struct.calcsize(modelfile.HEADER) + 2 + 1
 
 
 def _model(arch, use_bias=True):
@@ -126,4 +132,97 @@ def test_any_header_field_value_loads_or_is_refused_cheaply(good_files, arch, su
     path.write_bytes(bytes(blob))
     outcome, peak = _traced_peak(lambda: load(path))
     assert outcome is None or type(outcome) is error, repr(outcome)
+    assert peak < MIB
+
+
+def _tags(blob, graph):
+    """``[(layer index, weight name, tag offset, tag)]`` of each record of a
+    ``.tasq``, found by walking the format's layout: per layer a tensor count,
+    per record a tag, for tag 1 a ``<dh`` pair, then ndim, the ``<I`` dims and
+    the data, one byte an entry for tag 1 and four otherwise."""
+    at = CONV1_TAG - 1
+    tags = []
+    for i, layer in enumerate(graph.layers):
+        names = layer.weight_names()
+        assert blob[at] == len(names)
+        at += 1
+        for name in names:
+            tag = blob[at]
+            tags.append((i, name, at, tag))
+            at += 1 + (struct.calcsize(modelfile.PAIR) if tag == 1 else 0)
+            ndim = blob[at]
+            shape = struct.unpack_from(f"<{ndim}I", blob, at + 1)
+            at += 1 + 4 * ndim + int(np.prod(shape)) * (1 if tag == 1 else 4)
+    return tags
+
+
+@pytest.fixture(scope="module")
+def tasq_files(tmp_path_factory):
+    """Each architecture's 4-4 ``.tasq``, bias on and off: {(arch, bias): (bytes,
+    tags, the QuantizedModel written)}."""
+    root = tmp_path_factory.mktemp("tags")
+    files = {}
+    for arch in ("conv_sep", "conv_mixer"):
+        for use_bias in (True, False):
+            qm = _quantized(_model(arch, use_bias))
+            path = root / f"{arch}-{use_bias}.tasq"
+            quantize.save_quantized(qm, path)
+            blob = path.read_bytes()
+            files[(arch, use_bias)] = (blob, _tags(blob, qm.graph), qm)
+    return files, root
+
+
+def test_tag_1_marks_exactly_the_conv_and_dense_kernels(tasq_files):
+    files, _ = tasq_files
+    for _, tags, qm in files.values():
+        assert tags[0][:3] == (0, "w", CONV1_TAG)
+        for i, name, _, tag in tags:
+            assert tag == (name == "w" and qm.graph.layers[i].kind in INT8_KERNEL_KINDS)
+            assert quantize.int8_weight(qm.graph.layers[i], i, name) == tag
+
+
+@pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+def test_a_conv1_kernel_stored_as_float_is_refused_at_its_tag(tmp_path, tasq_files, arch):
+    # such a file loaded, and its model ran conv1 in float on the graph's zero
+    # kernel: every logit read 0. A tag of 2 or 255 was read as float32 too
+    files, _ = tasq_files
+    good, _, qm = files[(arch, True)]
+
+    def record(i, name):
+        if (i, name) == (0, "w"):
+            return qm.weight_payloads[(i, name)].astype(np.float32), None
+        if (i, name) in qm.weight_payloads:
+            return qm.weight_payloads[(i, name)], qm.weight_params[(i, name)]
+        return qm.float_weights[(i, name)], None
+
+    written = tmp_path / "float-kernel.tasq"
+    modelfile.save(written, qm.graph, zoo.ARCHS, record, [qm.input_params, *qm.activation_params])
+    cases = [(written, 0)]
+    for value in (0, 2, 255):
+        path = tmp_path / f"tag{value}.tasq"
+        blob = bytearray(good)
+        blob[CONV1_TAG] = value
+        path.write_bytes(bytes(blob))
+        cases.append((path, value))
+    for path, value in cases:
+        outcome, peak = _traced_peak(lambda: quantize.load_quantized(path))
+        problem = f"layer 0 weight w: tag {value}, expected 1, at byte {CONV1_TAG}"
+        assert type(outcome) is QuantizationError and str(outcome) == f"{path}: {problem}", repr(outcome)
+        assert peak < MIB
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["conv_sep", "conv_mixer"]), st.booleans(), st.data())
+def test_any_other_tag_byte_is_refused_at_its_byte(tasq_files, arch, use_bias, data):
+    files, root = tasq_files
+    good, tags, _ = files[(arch, use_bias)]
+    i, name, at, tag = data.draw(st.sampled_from(tags), label="record")
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != tag), label="tag")
+    blob = bytearray(good)
+    blob[at] = value
+    path = root / "mutated.tasq"
+    path.write_bytes(bytes(blob))
+    outcome, peak = _traced_peak(lambda: quantize.load_quantized(path))
+    problem = f"layer {i} weight {name}: tag {value}, expected {tag}, at byte {at}"
+    assert type(outcome) is QuantizationError and str(outcome) == f"{path}: {problem}", repr(outcome)
     assert peak < MIB

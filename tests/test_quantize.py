@@ -13,6 +13,8 @@ from tinyasc import data, quantize, zoo
 from tinyasc.errors import QuantizationError
 from tinyasc.frontend import Spectrogram
 
+# the kinds whose kernel runs on INT8 codes
+INT8_KERNEL_KINDS = {"conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense"}
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -195,6 +197,28 @@ class TestQuantizedForward:
         )
         with pytest.raises(QuantizationError, match="calibration"):
             quantize.quantized_forward(broken, _rand_spec(0))
+
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_every_conv_and_dense_kernel_is_int8_and_a_missing_one_is_refused(self, tmp_path, arch):
+        # a kernel kept as a float weight once ran in float on the graph's weights
+        model = _small_model(arch=arch)
+        cal = [_rand_spec(i + 60) for i in range(2)]
+        qm = quantize.quantize_model(model, cal)
+        kernels = {(i, "w") for i, layer in enumerate(qm.graph.layers) if layer.kind in INT8_KERNEL_KINDS}
+        assert set(qm.weight_payloads) == set(qm.weight_params) == kernels
+        assert not kernels & set(qm.float_weights)
+        for i, _ in sorted(kernels):
+            payloads = {k: v for k, v in qm.weight_payloads.items() if k != (i, "w")}
+            floats = {**qm.float_weights, (i, "w"): qm.weight_payloads[(i, "w")].astype(np.float32)}
+            broken = quantize.QuantizedModel(**{**vars(qm), "weight_payloads": payloads, "float_weights": floats})
+            problem = re.escape(f"layer {i} ({qm.graph.layers[i].name}): no INT8 payload for weight w")
+            for call in (
+                lambda: quantize.quantized_forward(broken, cal[0]),
+                lambda: quantize.quantization_report(model, broken, cal),
+                lambda: quantize.save_quantized(broken, tmp_path / "m.tasq"),
+            ):
+                with pytest.raises(QuantizationError, match=f"^{problem}$"):
+                    call()
 
     def test_short_calibration_rejected(self, setup):
         _, qm, _ = setup

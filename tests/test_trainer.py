@@ -201,6 +201,15 @@ class TestTrainLoop:
         with pytest.raises(TinyAscError, match="empty"):
             train(_toy_model(), [], TrainingConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("label", [10, -1])
+    def test_label_outside_the_classes_names_its_example(self, label):
+        # 10 escaped as an IndexError, and -1 trained as class 9
+        examples = _toy_examples()
+        examples[4] = (examples[4][0], label)
+        problem = re.escape(f"example 4: label {label} outside the classes [0, 10)")
+        with pytest.raises(TinyAscError, match=f"^{problem}$"):
+            train(_toy_model(), examples, TrainingConfig(max_epochs=1))
+
     def test_train_updates_the_moving_statistics(self):
         cfg = TrainingConfig(max_epochs=2, batch_size=8, seed=3)
         model, _ = train(_toy_model(seed=1), _toy_examples(), cfg)
