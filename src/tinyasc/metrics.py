@@ -18,23 +18,28 @@ class EvalResult:
     confusion: np.ndarray  # confusion[true, predicted] counts
 
 
-def accuracy(preds, labels):
-    """Fraction of argmax predictions matching labels; ties go to the lowest index."""
+def _checked(preds, labels):
+    """``preds`` as float64 and ``labels`` as an array, after the one check both
+    metrics make: as many labels as predictions, at least one, and each label a
+    class of ``preds`` (``zoo.check_labels``); any other input raises TinyAscError."""
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels)
     if preds.shape[0] != labels.shape[0]:
         raise TinyAscError(f"{preds.shape[0]} predictions vs {labels.shape[0]} labels")
     if preds.shape[0] == 0:
         raise TinyAscError("empty dataset")
+    return preds, zoo.check_labels(labels, preds.shape[1])
+
+
+def accuracy(preds, labels):
+    """Fraction of argmax predictions matching labels; ties go to the lowest index. Inputs as ``_checked``."""
+    preds, labels = _checked(preds, labels)
     return float((preds.argmax(axis=1) == labels).mean())
 
 
 def log_loss(preds, labels):
-    """Mean -ln of the probability assigned to the true class, clamped at 1e-15."""
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels)
-    if preds.shape[0] == 0:
-        raise TinyAscError("empty dataset")
+    """Mean -ln of the probability assigned to the true class, clamped at 1e-15. Inputs as ``_checked``."""
+    preds, labels = _checked(preds, labels)
     p = np.clip(preds[np.arange(len(labels)), labels], LOG_LOSS_CLAMP, 1.0)
     return float(-np.log(p).mean())
 

@@ -18,6 +18,8 @@ run in float between these layers, a simplification the float-agreement
 check bounds end to end. The graph alone says which weights are INT8
 (``int8_weight``: each conv and dense kernel); a quantized model's graph
 gives structure only, and quantized inference reads no weight from it. A
+weight missing from a model's payloads or float weights raises
+QuantizationError naming the layer, in inference, reports and saving. A
 ``.tasq`` (``modelfile`` holds its bytes) stores these codes with their
 params, every other weight as float32 and the activation params.
 """
@@ -130,13 +132,15 @@ def int8_weight(layer, idx, name):
 
 
 def _record(qm, idx, name):
-    """(INT8 codes, QuantParams) of an ``int8_weight``, else (float array, None); missing codes raise."""
+    """(INT8 codes, QuantParams) of an ``int8_weight``, else (float array, None);
+    a weight missing from its dict raises QuantizationError naming the layer."""
     layer = qm.graph.layers[idx]
-    if not int8_weight(layer, idx, name):
-        return qm.float_weights[(idx, name)], None
-    if (idx, name) not in qm.weight_payloads:
-        raise QuantizationError(f"layer {idx} ({layer.name}): no INT8 payload for weight {name}")
-    return qm.weight_payloads[(idx, name)], qm.weight_params[(idx, name)]
+    int8 = int8_weight(layer, idx, name)
+    held = qm.weight_payloads if int8 else qm.float_weights
+    if (idx, name) not in held:
+        what = "INT8 payload for weight" if int8 else "float weight"
+        raise QuantizationError(f"layer {idx} ({layer.name}): no {what} {name}")
+    return held[(idx, name)], qm.weight_params[(idx, name)] if int8 else None
 
 
 @dataclass
@@ -225,7 +229,7 @@ class IntegerLayer:
 
 def _float_norm(qm, i, layer):
     """Inference batch norm in float64 from the stored float32 parameters."""
-    gamma, beta, mean, var = (qm.float_weights[(i, n)].astype(np.float64) for n in layer.weight_names())
+    gamma, beta, mean, var = (_record(qm, i, n)[0].astype(np.float64) for n in layer.weight_names())
     denom = np.sqrt(var + layer.config["eps"])
 
     def norm(_, x):
@@ -241,7 +245,8 @@ def _float_norm(qm, i, layer):
 
 def _steps(qm):
     """``{layer index: step}`` for ``qm``: an IntegerLayer for each conv and dense
-    layer (by ``_record``) and a float64 norm for each batch norm, built from its current fields."""
+    layer and a float64 norm for each batch norm, built from its current fields;
+    every weight of the graph's layers is read by ``_record``."""
     n_params, n_layers = len(qm.activation_params), len(qm.graph.layers)
     if n_params != n_layers:
         raise QuantizationError(f"calibration gives {n_params} activation params for {n_layers} graph layers")
@@ -252,7 +257,8 @@ def _steps(qm):
         elif int8_weight(layer, i, "w"):
             codes, params = _record(qm, i, "w")
             in_params = qm.input_params if i == 0 else qm.activation_params[i - 1]
-            steps[i] = IntegerLayer.build(codes, params.scale, in_params, qm.float_weights.get((i, "b")))
+            bias = _record(qm, i, "b")[0] if "b" in layer.weights else None
+            steps[i] = IntegerLayer.build(codes, params.scale, in_params, bias)
     return steps
 
 

@@ -2,10 +2,11 @@
 
 The loop runs at most 500 epochs, halves the learning rate after 15
 consecutive epochs without a strict improvement of the monitored
-validation accuracy, and stops after 30. "Improvement" means a strict
-increase of the best value seen so far; ties do not reset either counter,
-and the first monitored value always establishes the baseline. Best
-weights (by the monitor) are restored when training ends.
+validation accuracy, and stops after 30; ``PlateauMonitor`` is that
+schedule, and ``train`` the one loop that runs it. "Improvement" means a
+strict increase of the best value seen so far; ties do not reset either
+counter, and the first monitored value always establishes the baseline.
+Best weights (by the monitor) are restored when training ends.
 
 Validation is a seeded 90/10 split of the provided examples. Per-epoch
 ``train_loss`` is the mean train-mode batch loss; ``train_acc`` and the
@@ -90,14 +91,6 @@ class TrainRun:
         return "\n".join(lines) + "\n"
 
 
-def categorical_crossentropy(pred, target_onehot):
-    """-log of the predicted probability at the one-hot target class."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target_onehot)
-    p = np.clip((pred * target).sum(axis=-1), PROB_CLAMP, 1.0)
-    return float(-np.log(p)) if p.ndim == 0 else -np.log(p)
-
-
 @dataclass
 class AdamState:
     m: dict
@@ -136,7 +129,8 @@ def adam_step(params, grads, state, hyper):
 
 
 class PlateauMonitor:
-    """Tracks the monitored value, plateau halvings, and the stop signal."""
+    """The schedule: tracks the monitored value, the learning rate ``lr`` with
+    its plateau halvings, and the stop signal."""
 
     def __init__(self, lr0: float):
         self.lr = lr0
@@ -159,57 +153,6 @@ class PlateauMonitor:
             self.plateau_wait = 0
             halved = True
         return False, halved, self.stop_wait >= TrainingConfig.early_stop_patience
-
-
-def _replay(history):
-    monitor = PlateauMonitor(lr0=1.0)
-    events = []
-    stopped_at = None
-    for epoch, value in enumerate(history, start=1):
-        _, halved, stop = monitor.update(value)
-        if halved:
-            events.append(epoch)
-        if stop and stopped_at is None:
-            stopped_at = epoch
-    return events, stopped_at, monitor
-
-
-def lr_schedule_update(history, current_lr):
-    """New learning rate after the last epoch in ``history``.
-
-    Halves ``current_lr`` exactly when the final history entry completes a
-    15-epoch run without strict improvement; otherwise returns it
-    unchanged.
-    """
-    events, _, _ = _replay(history)
-    if events and events[-1] == len(history):
-        return current_lr * TrainingConfig.lr_factor
-    return current_lr
-
-
-def early_stop_check(history):
-    """True once 30 consecutive epochs pass without strict improvement."""
-    _, stopped_at, _ = _replay(history)
-    return stopped_at is not None
-
-
-def validate_run_invariants(run: TrainRun, cfg: TrainingConfig = None):
-    """Assert the schedule invariants over a recorded history.
-
-    The learning rate never increases, every change is exactly one
-    halving, and the run is no longer than max_epochs.
-    """
-    cfg = cfg or TrainingConfig()
-    lrs = [r.lr for r in run.epochs]
-    if len(lrs) > cfg.max_epochs:
-        raise AssertionError(f"run length {len(lrs)} exceeds max_epochs {cfg.max_epochs}")
-    for prev, cur in zip(lrs, lrs[1:]):
-        if not (
-            math.isclose(cur, prev, rel_tol=1e-12)
-            or math.isclose(cur, prev * cfg.lr_factor, rel_tol=1e-12)
-        ):
-            raise AssertionError(f"lr moved from {prev} to {cur}; expected same or x{cfg.lr_factor}")
-    return True
 
 
 def _loss_grad(probs, labels):
@@ -259,7 +202,6 @@ def train(model, examples, cfg: TrainingConfig = None):
     }
     state = AdamState.init(params)
     monitor = PlateauMonitor(lr0=cfg.adam.lr)
-    hyper = AdamConfig(lr=cfg.adam.lr)
 
     best_snapshot = zoo.copy_weights(model)
     best_epoch = 0
@@ -272,26 +214,22 @@ def train(model, examples, cfg: TrainingConfig = None):
         perm = rng.permutation(len(xs_tr))
         for start in range(0, len(perm), cfg.batch_size):
             sel = perm[start : start + cfg.batch_size]
-            xb, yb = xs_tr[sel], ys_tr[sel]
-            probs, _, caches = zoo.run_graph(model, xb, train=True, rng=rng, keep_caches=True)
-            loss, grad_p = _loss_grad(probs.astype(np.float64), yb)
-            if not math.isfinite(loss):
-                zoo.restore_weights(model, last_good)
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}; restored last finite checkpoint",
-                    history=records,
-                )
+            probs, _, caches = zoo.run_graph(model, xs_tr[sel], train=True, rng=rng, keep_caches=True)
+            loss, grad_p = _loss_grad(probs.astype(np.float64), ys_tr[sel])
             epoch_losses.append(loss)
-            grads = _collect_grads(model, caches, grad_p.astype(probs.dtype))
             try:
-                new_params, state = adam_step(params, grads, state, hyper)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError("non-finite loss")
+                layer_grads, _ = zoo.backward_graph(model, caches, grad_p.astype(probs.dtype))
+                grads = {(i, name): g for i, per_layer in layer_grads.items() for name, g in per_layer.items()}
+                params, state = adam_step(params, grads, state, AdamConfig(lr=monitor.lr))
             except TrainingDivergedError:
+                # a finite loss means adam_step refused the gradient
                 zoo.restore_weights(model, last_good)
+                what = "gradient" if math.isfinite(loss) else "loss"
                 raise TrainingDivergedError(
-                    f"non-finite gradient at epoch {epoch}; restored last finite checkpoint",
-                    history=records,
+                    f"non-finite {what} at epoch {epoch}; restored last finite checkpoint", history=records
                 )
-            params = new_params
             for (i, name), arr in params.items():
                 model.layers[i].weights[name] = arr
 
@@ -299,14 +237,12 @@ def train(model, examples, cfg: TrainingConfig = None):
         train_loss = float(np.mean(epoch_losses))
         _, train_acc = _infer_metrics(model, xs_tr, ys_tr)
         val_loss, val_acc = _infer_metrics(model, xs_va, ys_va)
-        records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc, hyper.lr))
+        records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc, monitor.lr))
 
-        improved, halved, stop = monitor.update(val_acc)
+        improved, _, stop = monitor.update(val_acc)
         if improved:
             best_snapshot = zoo.copy_weights(model)
             best_epoch = epoch
-        if halved:
-            hyper.lr = monitor.lr
         if stop:
             stop_reason = "early_stop"
             break
@@ -314,11 +250,3 @@ def train(model, examples, cfg: TrainingConfig = None):
     zoo.restore_weights(model, best_snapshot)
     return model, TrainRun(epochs=records, stop_reason=stop_reason, best_epoch=best_epoch)
 
-
-def _collect_grads(model, caches, grad_probs):
-    layer_grads, _ = zoo.backward_graph(model, caches, grad_probs)
-    grads = {}
-    for i, per_layer in layer_grads.items():
-        for name, g in per_layer.items():
-            grads[(i, name)] = g
-    return grads

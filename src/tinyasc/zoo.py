@@ -692,14 +692,18 @@ def stack_inputs(model, specs, dtype):
     return np.stack(batch)
 
 
-def stack_examples(model, examples):
-    """Inputs and int64 labels of (Spectrogram, label) pairs; a label outside [0, n_classes) raises TinyAscError."""
-    xs = stack_inputs(model, [spec for spec, _ in examples], model.dtype)
-    ys = np.array([label for _, label in examples], dtype=np.int64)
-    bad = np.flatnonzero((ys < 0) | (ys >= model.n_classes))
+def check_labels(labels, n_classes):
+    """``labels``, an array; the first outside [0, n_classes) raises TinyAscError naming its example."""
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
     if bad.size:
-        raise TinyAscError(f"example {bad[0]}: label {ys[bad[0]]} outside the classes [0, {model.n_classes})")
-    return xs, ys
+        raise TinyAscError(f"example {bad[0]}: label {labels[bad[0]]} outside the classes [0, {n_classes})")
+    return labels
+
+
+def stack_examples(model, examples):
+    """Inputs and int64 labels of (Spectrogram, label) pairs, the labels by ``check_labels``."""
+    xs = stack_inputs(model, [spec for spec, _ in examples], model.dtype)
+    return xs, check_labels(np.array([label for _, label in examples], dtype=np.int64), model.n_classes)
 
 
 def _fold(model, weights):

@@ -17,6 +17,7 @@ from tinyasc.frontend import FrontendConfig, Waveform, log_mel
 
 from test_audit import _random_small_graph
 from test_gradients import fd_grad
+from test_trainer import assert_schedule_invariants, plateau_schedule
 
 
 def _report(n, text):
@@ -258,7 +259,7 @@ def test_criterion_06_training_smoke(smoke_run):
     best_train = max(r.train_acc for r in run.epochs)
     reached = next((r.epoch for r in run.epochs if r.train_acc >= 0.95), None)
     assert reached is not None and reached <= 200, f"best train accuracy {best_train:.3f}"
-    trainer.validate_run_invariants(run, cfg)
+    assert_schedule_invariants(run, cfg)
     assert run.stop_reason in ("max_epochs", "early_stop")
     assert elapsed < 300.0
     _report(
@@ -272,28 +273,15 @@ def test_criterion_07_scheduler_semantics():
     """15 flat epochs halve the rate exactly once; 30 trigger the stop."""
     t0 = time.time()
     plateau15 = [0.5] + [0.5] * 15
-    lr = 1e-3
-    halvings = []
-    for e in range(1, len(plateau15) + 1):
-        new_lr = trainer.lr_schedule_update(plateau15[:e], lr)
-        if new_lr != lr:
-            halvings.append(e)
-        lr = new_lr
+    halvings, stopped_at, lr = plateau_schedule(plateau15)  # PlateauMonitor, epoch by epoch
     assert halvings == [16]  # the 15th plateau epoch, exactly once
     assert lr == 0.5e-3
-    assert not trainer.early_stop_check(plateau15)
+    assert stopped_at is None
 
     plateau30 = [0.5] + [0.5] * 30
-    lr = 1e-3
-    halvings = []
-    for e in range(1, len(plateau30) + 1):
-        new_lr = trainer.lr_schedule_update(plateau30[:e], lr)
-        if new_lr != lr:
-            halvings.append(e)
-        lr = new_lr
+    halvings, stopped_at, _ = plateau_schedule(plateau30)
     assert halvings == [16, 31]
-    assert trainer.early_stop_check(plateau30)
-    assert not trainer.early_stop_check(plateau30[:-1])
+    assert stopped_at == 31  # the 30th plateau epoch, not before
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _report(7, "plateau of 15 -> one halving; plateau of 30 -> early stop (exact)")

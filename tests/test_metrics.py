@@ -83,6 +83,27 @@ class TestLogLoss:
         assert metrics.log_loss(preds, labels) > 0.0
 
 
+class TestInputChecks:
+    """accuracy and log_loss refuse the same inputs with the same messages."""
+
+    @pytest.mark.parametrize("label", [10, -1, 2**40])
+    def test_label_outside_the_classes_names_its_example(self, label):
+        # log_loss read -1 as class 9, and 10 escaped it as an IndexError
+        labels = np.array([0, label, 2])
+        problem = re.escape(f"example 1: label {label} outside the classes [0, 10)")
+        for metric in (metrics.accuracy, metrics.log_loss):
+            with pytest.raises(TinyAscError, match=f"^{problem}$"):
+                metric(np.full((3, 10), 0.1), labels)
+
+    def test_counts_checked_alike(self):
+        # log_loss scored the first 2 of 3 predictions against 2 labels
+        for metric in (metrics.accuracy, metrics.log_loss):
+            with pytest.raises(TinyAscError, match="^3 predictions vs 2 labels$"):
+                metric(np.full((3, 10), 0.1), np.array([0, 1]))
+            with pytest.raises(TinyAscError, match="^empty dataset$"):
+                metric(np.zeros((0, 10)), np.array([], dtype=np.int64))
+
+
 @pytest.fixture(scope="module")
 def model():
     return zoo.init_weights(zoo.build_conv_sep(4, 4, 3, input_shape=(16, 12, 1)), seed=0)

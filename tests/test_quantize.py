@@ -207,17 +207,26 @@ class TestQuantizedForward:
         kernels = {(i, "w") for i, layer in enumerate(qm.graph.layers) if layer.kind in INT8_KERNEL_KINDS}
         assert set(qm.weight_payloads) == set(qm.weight_params) == kernels
         assert not kernels & set(qm.float_weights)
+        broken_models = []
         for i, _ in sorted(kernels):
             payloads = {k: v for k, v in qm.weight_payloads.items() if k != (i, "w")}
             floats = {**qm.float_weights, (i, "w"): qm.weight_payloads[(i, "w")].astype(np.float32)}
             broken = quantize.QuantizedModel(**{**vars(qm), "weight_payloads": payloads, "float_weights": floats})
-            problem = re.escape(f"layer {i} ({qm.graph.layers[i].name}): no INT8 payload for weight w")
+            broken_models.append((broken, f"layer {i} ({qm.graph.layers[i].name}): no INT8 payload for weight w"))
+        # a missing bias once ran its layer without it, and a missing norm statistic raised KeyError
+        names = {name for _, name in qm.float_weights}
+        assert "b" in names and (arch == "conv_sep" or "moving_var" in names)
+        for i, name in sorted(qm.float_weights):
+            floats = {k: v for k, v in qm.float_weights.items() if k != (i, name)}
+            broken = quantize.QuantizedModel(**{**vars(qm), "float_weights": floats})
+            broken_models.append((broken, f"layer {i} ({qm.graph.layers[i].name}): no float weight {name}"))
+        for broken, problem in broken_models:
             for call in (
                 lambda: quantize.quantized_forward(broken, cal[0]),
                 lambda: quantize.quantization_report(model, broken, cal),
                 lambda: quantize.save_quantized(broken, tmp_path / "m.tasq"),
             ):
-                with pytest.raises(QuantizationError, match=f"^{problem}$"):
+                with pytest.raises(QuantizationError, match=f"^{re.escape(problem)}$"):
                     call()
 
     def test_short_calibration_rejected(self, setup):

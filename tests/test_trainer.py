@@ -14,12 +14,9 @@ from tinyasc.trainer import (
     AdamState,
     PlateauMonitor,
     TrainingConfig,
+    _loss_grad,
     adam_step,
-    categorical_crossentropy,
-    early_stop_check,
-    lr_schedule_update,
     train,
-    validate_run_invariants,
 )
 
 
@@ -29,24 +26,52 @@ def one_hot(idx, n=10):
     return v
 
 
+def crossentropy(pred, label):
+    """The training loss of one prediction with true class ``label``."""
+    loss, _ = _loss_grad(np.asarray(pred, dtype=np.float64)[None], np.array([label]))
+    return loss
+
+
+def plateau_schedule(history, lr0=1e-3):
+    """Feed ``history`` to a PlateauMonitor one epoch at a time, as ``train``
+    does: (the 1-based entries that halved the rate, the first entry that
+    signalled the stop or None, the final rate)."""
+    monitor = PlateauMonitor(lr0=lr0)
+    halvings, stopped_at = [], None
+    for epoch, value in enumerate(history, start=1):
+        _, halved, stop = monitor.update(value)
+        if halved:
+            halvings.append(epoch)
+        if stop and stopped_at is None:
+            stopped_at = epoch
+    return halvings, stopped_at, monitor.lr
+
+
+def assert_schedule_invariants(run, cfg):
+    """The run is no longer than ``max_epochs``, and each epoch's learning
+    rate equals the one before or exactly half of it."""
+    lrs = [r.lr for r in run.epochs]
+    assert len(lrs) <= cfg.max_epochs, f"run length {len(lrs)} exceeds max_epochs {cfg.max_epochs}"
+    for prev, cur in zip(lrs, lrs[1:]):
+        assert cur in (prev, prev * 0.5), f"lr moved from {prev} to {cur}; expected same or x0.5"
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        assert categorical_crossentropy(one_hot(3), one_hot(3)) == 0.0
+        assert crossentropy(one_hot(3), 3) == 0.0
 
     def test_uniform_prediction(self):
-        loss = categorical_crossentropy(np.full(10, 0.1), one_hot(0))
+        loss = crossentropy(np.full(10, 0.1), 0)
         np.testing.assert_allclose(loss, math.log(10), rtol=1e-12)
 
     def test_quarter_probability(self):
         pred = np.full(10, 0.75 / 9)
         pred[4] = 0.25
-        np.testing.assert_allclose(
-            categorical_crossentropy(pred, one_hot(4)), -math.log(0.25), rtol=1e-12
-        )
+        np.testing.assert_allclose(crossentropy(pred, 4), -math.log(0.25), rtol=1e-12)
 
     def test_clamp_keeps_loss_finite(self):
         pred = one_hot(1)  # zero probability on the true class
-        loss = categorical_crossentropy(pred, one_hot(2))
+        loss = crossentropy(pred, 2)
         assert math.isfinite(loss)
         np.testing.assert_allclose(loss, -math.log(1e-12), rtol=1e-12)
 
@@ -98,39 +123,25 @@ class TestAdam:
 class TestScheduler:
     def test_improving_sequence_keeps_lr(self):
         history = [0.1 * i for i in range(1, 40)]
-        assert lr_schedule_update(history, 1e-3) == 1e-3
-        assert not early_stop_check(history)
+        assert plateau_schedule(history) == ([], None, 1e-3)
 
     def test_15_epoch_plateau_halves_once(self):
         history = [0.5] + [0.5] * 15  # baseline epoch then a 15-epoch plateau
-        lr = 1e-3
-        halvings = []
-        for e in range(1, len(history) + 1):
-            new_lr = lr_schedule_update(history[:e], lr)
-            if new_lr != lr:
-                halvings.append(e)
-            lr = new_lr
+        halvings, _, lr = plateau_schedule(history)
         assert halvings == [16]  # exactly one, at the 15th plateau epoch
         assert lr == 0.5e-3
 
     def test_30_epoch_plateau_two_halvings_and_stop(self):
         history = [0.5] + [0.5] * 30
-        lr = 1e-3
-        halvings = []
-        for e in range(1, len(history) + 1):
-            new_lr = lr_schedule_update(history[:e], lr)
-            if new_lr != lr:
-                halvings.append(e)
-            lr = new_lr
+        halvings, stopped_at, lr = plateau_schedule(history)
         assert halvings == [16, 31]
         assert lr == 0.25e-3
-        assert early_stop_check(history)
-        assert not early_stop_check(history[:-1])
+        assert stopped_at == 31  # at the 31st entry, not the 30th
 
     def test_improvement_resets_window(self):
         history = [0.5] + [0.5] * 29 + [0.6] + [0.6] * 29
-        assert not early_stop_check(history)
-        assert early_stop_check(history + [0.6])
+        assert plateau_schedule(history)[1] is None
+        assert plateau_schedule(history + [0.6])[1] == 61
 
     def test_ties_do_not_reset_patience(self):
         monitor = PlateauMonitor(lr0=1.0)
@@ -146,11 +157,11 @@ class TestScheduler:
         for _ in range(200):
             n = int(rng.integers(1, 60))
             history = rng.uniform(0, 1, size=n)
-            lr = 1e-3
+            monitor = PlateauMonitor(lr0=1e-3)
             lrs = []
-            for e in range(1, n + 1):
-                lrs.append(lr)
-                lr = lr_schedule_update(history[:e], lr)
+            for value in history:
+                lrs.append(monitor.lr)
+                monitor.update(value)
             for prev, cur in zip(lrs, lrs[1:]):
                 assert cur == prev or cur == prev * 0.5
 
@@ -162,6 +173,22 @@ def _toy_examples(n=12, seed=0):
 def _toy_model(seed=0, dtype=None):
     model = zoo.build_conv_sep(4, 4, 3, input_shape=(16, 12, 1))
     return zoo.init_weights(model, seed=seed, dtype=dtype)
+
+
+def _weight_bytes(model):
+    return {key: (arr.dtype.str, arr.shape, arr.tobytes()) for key, arr in zoo.copy_weights(model).items()}
+
+
+def _record_epoch_ends(monkeypatch, model):
+    """[the weights of ``model`` now, then those at each epoch-end inference pass of ``train``]."""
+    forward_chunked, seen = zoo.forward_chunked, [_weight_bytes(model)]
+
+    def recorded(m, xs):
+        seen.append(_weight_bytes(m))
+        return forward_chunked(m, xs)
+
+    monkeypatch.setattr(zoo, "forward_chunked", recorded)
+    return seen
 
 
 class TestTrainLoop:
@@ -263,18 +290,42 @@ class TestTrainLoop:
         _, run = train(_toy_model(seed=4), _toy_examples(), cfg)
         assert run.stop_reason == "max_epochs"
         assert len(run.epochs) == 3
-        validate_run_invariants(run, cfg)
+        assert_schedule_invariants(run, cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_divergence_aborts_with_restored_weights(self):
+    def test_divergence_aborts_with_restored_weights(self, monkeypatch):
         model = _toy_model(seed=5)
+        epoch_ends = _record_epoch_ends(monkeypatch, model)
         cfg = TrainingConfig(max_epochs=50, batch_size=8, adam=AdamConfig(lr=1e25), seed=2)
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError) as info:
             train(model, _toy_examples(), cfg)
+        assert str(info.value) == "non-finite loss at epoch 1; restored last finite checkpoint"
+        assert len(info.value.history) == 0
+        assert _weight_bytes(model) == epoch_ends[-1] == epoch_ends[0]  # the initial weights
         for layer in model.layers:
             for name in layer.weight_names():
                 assert np.all(np.isfinite(layer.weights[name]))
+
+    def test_non_finite_gradient_restores_the_last_epoch_end(self, monkeypatch):
+        model = _toy_model(seed=5)
+        epoch_ends = _record_epoch_ends(monkeypatch, model)
+        backward_graph, steps = zoo.backward_graph, []
+
+        def nan_at_sixth_step(m, caches, grad_probs):
+            layer_grads, grad_x = backward_graph(m, caches, grad_probs)
+            steps.append(len(steps) + 1)
+            if len(steps) == 6:  # 11 training clips make 2 batches of 8: epoch 3's second step
+                last = layer_grads[max(layer_grads)]
+                last["w"] = np.full_like(last["w"], np.nan)
+            return layer_grads, grad_x
+
+        monkeypatch.setattr(zoo, "backward_graph", nan_at_sixth_step)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(model, _toy_examples(), TrainingConfig(max_epochs=50, batch_size=8, seed=2))
+        assert str(info.value) == "non-finite gradient at epoch 3; restored last finite checkpoint"
+        assert [r.epoch for r in info.value.history] == [1, 2]
+        assert _weight_bytes(model) == epoch_ends[-1] != epoch_ends[0]
 
     def test_run_csv_shape(self):
         cfg = TrainingConfig(max_epochs=2, batch_size=8, seed=1)
