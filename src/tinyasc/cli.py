@@ -12,6 +12,8 @@ import dataclasses
 import io
 import sys
 
+import numpy as np
+
 from . import audit as audit_mod
 from . import data, metrics, quantize, trainer, zoo
 from .errors import TinyAscError
@@ -286,12 +288,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a failure is one error: line, so numpy's floating-point warnings on the
+    # way to it (a diverging run overflows before its loss reads non-finite) are off
     try:
-        if args.config is not None:
-            # a config file provides defaults; explicit flags still win
-            _config_defaults(parser, args.config)
-            args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):
+            if args.config is not None:
+                # a config file provides defaults; explicit flags still win
+                _config_defaults(parser, args.config)
+                args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
     except (TinyAscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -15,10 +15,22 @@ rounded to the accumulator unit and rescale once to float. The sums run as
 float GEMMs on integer-valued operands, exact at any summation order and BLAS
 thread count (``FLOAT32_MAX_K``). Pooling, residual adds and nonlinearities
 run in float between these layers, a simplification the float-agreement
-check bounds end to end. The graph alone says which weights are INT8
-(``int8_weight``: each conv and dense kernel); a quantized model's graph
-gives structure only, and quantized inference reads no weight from it. A
-weight missing from a model's payloads or float weights raises
+check bounds end to end.
+
+A one-code layer, one tap of a one-channel input (the mixer's 1x1 patch
+embedding), has at most 256 input codes, so its output and that of each
+elementwise layer right behind it (``zoo.Op.elementwise``: the mixer's
+patch GELU and patch norm) is a function of code and channel. Each call
+runs these layers' own steps once on all 256 codes and NaN, and a request
+gathers their outputs from those tables by its input codes, with the same
+bits. The tables are built per call from the model's fields, like every
+other constant: for a 48-channel stem, three 257 x 48 float64 tables, the
+work of about 1/13 of one 64 x 51 clip.
+
+The graph alone says which weights are INT8 (``int8_weight``: each conv
+and dense kernel); a quantized model's graph gives structure only, and
+quantized inference reads no weight from it. A weight missing from a
+model's payloads, their params or its float weights raises
 QuantizationError naming the layer, in inference, reports and saving. A
 ``.tasq`` (``modelfile`` holds its bytes) stores these codes with their
 params, every other weight as float32 and the activation params.
@@ -26,7 +38,7 @@ params, every other weight as float32 and the activation params.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,14 +145,17 @@ def int8_weight(layer, idx, name):
 
 def _record(qm, idx, name):
     """(INT8 codes, QuantParams) of an ``int8_weight``, else (float array, None);
-    a weight missing from its dict raises QuantizationError naming the layer."""
+    a weight missing from a dict raises QuantizationError naming the layer."""
     layer = qm.graph.layers[idx]
-    int8 = int8_weight(layer, idx, name)
-    held = qm.weight_payloads if int8 else qm.float_weights
-    if (idx, name) not in held:
-        what = "INT8 payload for weight" if int8 else "float weight"
-        raise QuantizationError(f"layer {idx} ({layer.name}): no {what} {name}")
-    return held[(idx, name)], qm.weight_params[(idx, name)] if int8 else None
+
+    def held(values, what):
+        if (idx, name) not in values:
+            raise QuantizationError(f"layer {idx} ({layer.name}): no {what} {name}")
+        return values[(idx, name)]
+
+    if int8_weight(layer, idx, name):
+        return held(qm.weight_payloads, "INT8 payload for weight"), held(qm.weight_params, "quant params for weight")
+    return held(qm.float_weights, "float weight"), None
 
 
 @dataclass
@@ -190,12 +205,15 @@ def gemm_dtype(k):
 
 def centered_codes(x, params: QuantParams, dtype):
     """INT8 codes of ``x`` minus the zero point, ``clip(round(x / scale) + zp) - zp``,
-    computed in float64 and returned as integer values of ``dtype``: the operand
-    of an integer layer."""
+    returned as integer values of ``dtype``: the operand of an integer layer.
+
+    The quotient is formed and clipped in float64, then rounded straight into
+    ``dtype``. The bounds are integers and rounding is monotone, so clipping
+    first gives the same codes, and no quotient is too large for ``dtype``.
+    """
     t = np.divide(x, params.scale, dtype=np.float64)
-    np.round(t, out=t)
     np.clip(t, -128 - params.zero_point, 127 - params.zero_point, out=t)
-    return t.astype(dtype, copy=False)
+    return np.rint(t, out=np.empty(t.shape, dtype))
 
 
 @dataclass
@@ -219,10 +237,20 @@ class IntegerLayer:
         return cls(in_params, codes.astype(gemm_dtype(int(np.prod(codes.shape[:-1])))), bias, out_scale)
 
     def __call__(self, layer, x):
-        """Requantize float ``x``, sum exactly through ``zoo.OPS[layer.kind].linear``,
-        add the rounded bias in float64 and rescale to real units."""
-        acc = zoo.OPS[layer.kind].linear(layer, centered_codes(x, self.in_params, self.w.dtype), self.w, None)
-        y = acc.astype(np.float64) if self.b is None else np.add(acc, self.b, dtype=np.float64)
+        """``rescale`` the exact sums through ``zoo.OPS[layer.kind].linear`` of
+        float ``x`` requantized with the input's params. The codes die before the
+        rescale allocates: kept alive through it, they made glibc trim and refault
+        the heap on more requests of a loop."""
+        return self.rescale(
+            zoo.OPS[layer.kind].linear(layer, centered_codes(x, self.in_params, self.w.dtype), self.w, None)
+        )
+
+    def rescale(self, acc):
+        """The sums ``acc`` plus the rounded bias in float64, in real units; a
+        float64 ``acc`` (K above FLOAT32_MAX_K) is overwritten, not copied."""
+        y = acc.astype(np.float64, copy=False)
+        if self.b is not None:
+            y += self.b
         y *= self.out_scale
         return y
 
@@ -246,7 +274,8 @@ def _float_norm(qm, i, layer):
 def _steps(qm):
     """``{layer index: step}`` for ``qm``: an IntegerLayer for each conv and dense
     layer and a float64 norm for each batch norm, built from its current fields;
-    every weight of the graph's layers is read by ``_record``."""
+    every weight of the graph's layers is read by ``_record``. A one-code layer
+    and the elementwise layers behind it then look their outputs up (``_tabulate``)."""
     n_params, n_layers = len(qm.activation_params), len(qm.graph.layers)
     if n_params != n_layers:
         raise QuantizationError(f"calibration gives {n_params} activation params for {n_layers} graph layers")
@@ -259,7 +288,54 @@ def _steps(qm):
             in_params = qm.input_params if i == 0 else qm.activation_params[i - 1]
             bias = _record(qm, i, "b")[0] if "b" in layer.weights else None
             steps[i] = IntegerLayer.build(codes, params.scale, in_params, bias)
+    for i in [i for i, step in steps.items() if isinstance(step, IntegerLayer)]:
+        _tabulate(qm.graph, steps, i)
     return steps
+
+
+def _tabulate(graph, steps, i):
+    """If integer layer ``i`` is a one-code layer (one tap of a one-channel
+    input, at the input's positions, as the mixer's 1x1 patch embedding),
+    replace its step and those of the elementwise layers right behind it by
+    lookups.
+
+    Each output entry of these layers is a function of one input code and its
+    channel. So their steps run once, in one walk, on a tensor of all 256
+    codes and NaN, and each layer's output there is its table. A request then
+    requantizes its input once and gathers each layer's output by code, with
+    the bits of the steps themselves.
+    """
+    integer, shape = steps[i], graph.input_shape if i == 0 else graph.layers[i - 1].output_shape
+    if integer.w.size != integer.w.shape[-1] or shape != (*graph.layers[i].output_shape[:-1], 1):
+        return
+    end = i + 1
+    while end < len(graph.layers) and zoo.layer_op(graph.layers[end], end).elementwise:
+        end += 1
+    zp = integer.in_params.zero_point
+    codes = np.append(np.arange(-128 - zp, 128 - zp), np.nan).astype(integer.w.dtype)
+    tables = []
+    zoo.walk(
+        replace(graph, layers=graph.layers[i:end]),
+        codes.reshape((1,) * (len(shape) - 1) + (257, 1)),
+        zoo.Run(),
+        {
+            0: lambda layer, q: integer.rescale(zoo.OPS[layer.kind].linear(layer, q, integer.w, None)),
+            **{j - i: steps[j] for j in range(i + 1, end) if j in steps},
+        },
+        record=tables,
+    )
+    tables = [table.reshape(257, -1) for table in tables]
+    rows = None
+
+    def lookup(layer, x):
+        nonlocal rows
+        codes = centered_codes(x[..., 0], integer.in_params, np.float32) + (128 + zp)
+        rows = np.nan_to_num(codes, nan=256).astype(np.intp)
+        return np.take(tables[0], rows, axis=0)
+
+    steps[i] = lookup
+    for j in range(i + 1, end):
+        steps[j] = lambda layer, x, table=tables[j - i]: np.take(table, rows, axis=0)
 
 
 def quantized_forward(qm: QuantizedModel, spec, record=None):
@@ -270,8 +346,9 @@ def quantized_forward(qm: QuantizedModel, spec, record=None):
     with the calibrated affine params of the tensor feeding it, then sum
     products of INT8 codes exactly in float32 or float64) and for the
     remaining norms, which run in float64. Pooling, residual adds,
-    nonlinearities and softmax run as in float. If ``record`` is a list,
-    every layer's output is appended.
+    nonlinearities and softmax run as in float. A one-code layer and the
+    elementwise layers behind it gather their outputs from per-code tables
+    (``_tabulate``). If ``record`` is a list, every layer's output is appended.
     """
     steps = _steps(qm)
     try:
@@ -313,7 +390,7 @@ def quantization_report(model, qm: QuantizedModel, inputs):
     raises QuantizationError.
     """
     folded = zoo.fold_norms(model)
-    shown = sorted(_steps(qm))
+    shown = [i for i, layer in enumerate(qm.graph.layers) if layer.weight_names()]
     signal, noise, peak = (np.zeros(len(shown)) for _ in range(3))
     pairs = []
     for spec in inputs:

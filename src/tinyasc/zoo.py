@@ -308,6 +308,7 @@ class Op:
     folds_norm: bool = False  # a batch norm right behind it folds into its kernel
     logits: bool = False  # its output is the classifier's logits
     needs_cache: bool = True
+    elementwise: bool = False  # at inference each output entry is a function of its input entry and channel
 
 
 def _conv_shape(layer, shape, skips, where):
@@ -480,9 +481,12 @@ OPS = {
         macs=lambda layer, convention: (
             2 * int(np.prod(layer.output_shape)) if convention.count_bn_macs else 0
         ),
+        elementwise=True,
     ),
-    "elu": Op(_elu_forward, _elu_backward),
-    "gelu": Op(lambda layer, x, run: (kernels.gelu(x), x), rebuild=lambda layer, x: kernels.gelu(x)),
+    "elu": Op(_elu_forward, _elu_backward, elementwise=True),
+    "gelu": Op(
+        lambda layer, x, run: (kernels.gelu(x), x), rebuild=lambda layer, x: kernels.gelu(x), elementwise=True
+    ),
     "max_pool": Op(
         lambda layer, x, run: kernels.max_pool(x, layer.config["pool"], keep_cache=run.keep_caches),
         shape=_pool_shape,
@@ -492,6 +496,7 @@ OPS = {
         lambda layer, x, run: kernels.dropout(x, layer.config["rate"], train=run.train, rng=run.rng),
         lambda layer, mask, g, run: (kernels.dropout_backward(mask, layer.config["rate"], g), None),
         needs_cache=False,
+        elementwise=True,
     ),
     "softmax": Op(_softmax_forward),
     # backward, a skip's gradient waits at the add and joins where the skip began

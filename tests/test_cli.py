@@ -286,6 +286,15 @@ class TestTrainEvalQuantize:
         assert code == 1
         assert "synthetic" in capsys.readouterr().err
 
+    def test_diverging_train_is_one_error_line(self, tmp_path):
+        # numpy's overflow and invalid-value warnings on the way once came first, ten lines of them
+        out = tmp_path / "div.tasc"
+        args = ["train", "--arch", "conv_sep", "--filters", "4,4", "--synthetic", "12", "--epochs", "5"]
+        result = run_cli_subprocess(args + ["--batch-size", "8", "--seed", "2", "--lr", "1e25", "--out", str(out)])
+        assert result.returncode == 1
+        assert result.stderr == "error: non-finite loss at epoch 1; restored last finite checkpoint\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
     def test_train_bits_same_at_one_and_two_blas_threads(self, arch, tmp_path):
         # 16-16 at batch 16 on 64x51 inputs: large enough that two OpenBLAS

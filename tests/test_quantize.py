@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from tinyasc import data, quantize, zoo
+from tinyasc import data, kernels, quantize, zoo
 from tinyasc.errors import QuantizationError
 from tinyasc.frontend import Spectrogram
 
@@ -25,9 +25,11 @@ def _rand_spec(seed, shape=(16, 12)):
 
 def _small_model(arch="conv_sep", seed=0):
     build = zoo.build_conv_sep if arch == "conv_sep" else zoo.build_conv_mixer
-    model = build(4, 4, 3, input_shape=(16, 12, 1))
-    zoo.init_weights(model, seed=seed)
-    # non-trivial norm statistics so folding actually does something
+    return _random_norms(zoo.init_weights(build(4, 4, 3, input_shape=(16, 12, 1)), seed=seed), seed)
+
+
+def _random_norms(model, seed):
+    """``model`` with non-trivial norm statistics, so that folding actually does something."""
     rng = np.random.default_rng(seed + 100)
     for layer in model.layers:
         if layer.kind == "batch_norm":
@@ -213,6 +215,11 @@ class TestQuantizedForward:
             floats = {**qm.float_weights, (i, "w"): qm.weight_payloads[(i, "w")].astype(np.float32)}
             broken = quantize.QuantizedModel(**{**vars(qm), "weight_payloads": payloads, "float_weights": floats})
             broken_models.append((broken, f"layer {i} ({qm.graph.layers[i].name}): no INT8 payload for weight w"))
+        # missing params of a kernel once raised KeyError
+        for i, _ in sorted(kernels):
+            params = {k: v for k, v in qm.weight_params.items() if k != (i, "w")}
+            broken = quantize.QuantizedModel(**{**vars(qm), "weight_params": params})
+            broken_models.append((broken, f"layer {i} ({qm.graph.layers[i].name}): no quant params for weight w"))
         # a missing bias once ran its layer without it, and a missing norm statistic raised KeyError
         names = {name for _, name in qm.float_weights}
         assert "b" in names and (arch == "conv_sep" or "moving_var" in names)
@@ -614,3 +621,112 @@ class TestIntegerExactness:
             outputs.append(result.stdout)
         assert outputs[0].count("\n") == 8
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("zero_point", [-128, 127])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_centered_codes_of_far_quotients_are_the_end_codes(zero_point, dtype):
+    # scale 0.25 makes x / scale exact, so each quotient below is the one tested
+    params = quantize.QuantParams(0.25, zero_point, "affine_activation")
+    near = [0.0, 0.5, 1.5, 2.5, 126.5, 127.5, 128.5, 254.5, 255.5, 256.0]
+    far = [2.0**24 + 1, 2.0**25 + 3, 3.4e38, 3.5e38, 1e39, 1e300, np.inf]  # beyond float32 from 3.5e38
+    quotients = np.array(near + far + [-q for q in near + far])
+    x = quotients * params.scale
+    want = np.clip(np.round(x / params.scale) + zero_point, -128, 127) - zero_point
+    got = quantize.centered_codes(x, params, dtype)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want.astype(dtype))
+    assert {got.min(), got.max()} == {-128 - zero_point, 127 - zero_point}
+
+
+def _every_code_input(qm, shape=(64, 51)):
+    """An input whose requantized codes hold each of the 256 codes at 12 positions
+    257 apart, so at 12 offsets mod 16, and random codes elsewhere."""
+    p = qm.input_params
+    codes = np.random.default_rng(17).integers(-128, 128, size=shape[0] * shape[1])
+    for k in range(12):
+        codes[257 * k : 257 * k + 256] = np.arange(-128, 128)
+    x = ((codes - p.zero_point) * p.scale).reshape(shape)
+    np.testing.assert_array_equal(quantize.centered_codes(x, p, np.float64).reshape(-1), codes - p.zero_point)
+    return x
+
+
+def _stem_steps(qm, patch_norm):
+    """``quantize._steps(qm)`` with the mixer's patch stem back on its plain steps:
+    the IntegerLayer, GELU through its op and the float64 norm."""
+    steps = quantize._steps(qm)
+    codes, params = qm.weight_payloads[(0, "w")], qm.weight_params[(0, "w")]
+    steps[0] = quantize.IntegerLayer.build(codes, params.scale, qm.input_params, qm.float_weights.get((0, "b")))
+    del steps[1]
+    if patch_norm:
+        steps[2] = quantize._float_norm(qm, 2, qm.graph.layers[2])
+    return steps
+
+
+class TestStemTables:
+    def _mixer(self, use_bias=True, patch_norm=True):
+        # 7 channels, so a code's entries fall at different offsets of each vector loop
+        model = zoo.build_conv_mixer(7, 4, 3, use_bias=use_bias, patch_norm=patch_norm)
+        model = _random_norms(zoo.init_weights(model, seed=5), seed=5)
+        specs = [_rand_spec(i + 40, shape=(64, 51)) for i in range(3)]
+        return quantize.quantize_model(model, specs)
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("patch_norm", [True, False])
+    def test_tables_give_the_plain_steps_bits_on_every_code(self, use_bias, patch_norm):
+        qm = self._mixer(use_bias, patch_norm)
+        stem = ["patch_embed", "patch_gelu", "patch_bn" if patch_norm else "mix1_skip"]
+        assert [layer.name for layer in qm.graph.layers[:3]] == stem
+        assert ((0, "b") in qm.float_weights) == use_bias
+        x = _every_code_input(qm)
+        got, want = [], []
+        pred = quantize.quantized_forward(qm, x, record=got)
+        _, logits = zoo.walk(
+            qm.graph, zoo.stack_inputs(qm.graph, [x], np.float64), zoo.Run(), _stem_steps(qm, patch_norm), record=want
+        )
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert pred.logits.tobytes() == logits[0].tobytes()
+
+    def test_nan_and_infinite_inputs_look_up_like_the_plain_steps(self):
+        qm = self._mixer()
+        x = _every_code_input(qm)
+        x.reshape(-1)[[3100, 3101, 3102, 3200]] = [np.nan, np.inf, -np.inf, -np.nan]
+        got, want = [], []
+        quantize.quantized_forward(qm, x, record=got)
+        zoo.walk(qm.graph, zoo.stack_inputs(qm.graph, [x], np.float64), zoo.Run(), _stem_steps(qm, True), record=want)
+        assert np.isnan(got[0]).any() and not np.isnan(got[0]).all()
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "build, tabled",
+        [
+            (lambda: zoo.build_conv_mixer(4, 4, 3), {"conv2d": 1, "gelu": 1}),
+            (lambda: zoo.build_conv_mixer(4, 4, 3, patch_norm=False), {"conv2d": 1, "gelu": 1}),
+            # a 2x2 patch has K = 4 taps and conv_sep's 3x3 first conv K = 9: no table
+            (lambda: zoo.build_conv_mixer(4, 4, 3, 2), {}),
+            (lambda: zoo.build_conv_sep(4, 4, 3), {}),
+            # a 1x1 first conv on one channel is one-code, and the ELU behind its folded norm too
+            (lambda: zoo.build_conv_sep(4, 4, 1), {"conv2d": 1, "elu": 1}),
+            # a 1x1 depthwise has one tap, but each output channel reads its own input channel
+            (lambda: zoo.build_conv_mixer(4, 4, 1), {"conv2d": 1, "gelu": 1}),
+        ],
+    )
+    def test_only_one_code_layers_and_the_elementwise_layers_behind_them_get_tables(self, build, tabled, monkeypatch):
+        qm = quantize.quantize_model(_random_norms(zoo.init_weights(build(), seed=1), 1), [_rand_spec(3, (64, 51))])
+        shapes = []
+        traced = ("conv2d", "depthwise_conv2d", "gelu", "elu")
+        for name in traced:
+
+            def seen(x, *args, _name=name, _fn=getattr(kernels, name), **kwargs):
+                shapes.append((_name, x.shape))
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, seen)
+        quantize.quantized_forward(qm, _rand_spec(4, (64, 51)))
+        # a table's kernel runs once, on the 256 codes and NaN
+        on_codes = [name for name, shape in shapes if shape[:-1] == (1, 1, 257)]
+        assert {name: on_codes.count(name) for name in on_codes} == tabled
+        assert len(shapes) == sum(layer.kind in traced for layer in qm.graph.layers)
