@@ -9,7 +9,9 @@ reproducible under a fixed seed.
 
 import argparse
 import dataclasses
+import errno
 import io
+import os
 import sys
 
 import numpy as np
@@ -57,6 +59,23 @@ def _read_config_file(path):
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
+
+
+# every flag that names a file a subcommand writes
+OUTPUT_FLAGS = ("out", "history", "report", "csv", "confusion")
+
+
+def _check_outputs(args):
+    """Raise the OSError that writing would, before any work is done, for an
+    output path whose directory is missing or that is a directory."""
+    for flag in OUTPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write(path, text):
@@ -296,6 +315,7 @@ def main(argv=None) -> int:
                 # a config file provides defaults; explicit flags still win
                 _config_defaults(parser, args.config)
                 args = parser.parse_args(argv)
+            _check_outputs(args)
             return _COMMANDS[args.command](args)
     except (TinyAscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

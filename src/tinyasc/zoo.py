@@ -273,11 +273,20 @@ class Rebuild:
     Without ``rest`` the cache is that input itself; with ``rest``, it is the
     tuple ``(input, *rest)``, as a batch norm keeps. Backward makes the cache
     at its first reader, the layer's step or a later layer's rebuild, and
-    keeps it in the layer's slot for the other.
+    keeps it in the layer's slot for the other, except a norm's input made
+    for a later layer's rebuild: the norm makes it again at its own step.
     """
 
     source: int
     rest: tuple = None
+
+
+@dataclass(frozen=True)
+class Slope:
+    """A GELU's cache once the kept rebuild of its output has written dy/dx
+    over its cached input: its backward step is grad * dy_dx."""
+
+    dy_dx: np.ndarray
 
 
 @dataclass
@@ -289,6 +298,9 @@ class Op:
     shape(layer, shape, skips, where) -> output shape, or GraphBuildError
     rebuild(layer, cache) -> the train-mode output again, bit for bit, from its
         cache, for the layers ``rebuilds(layer)`` admits
+    keep(layer, cache) -> (output, the layer's cache for its own step): the
+        rebuild that backward keeps, when the kind has a cheaper cache to give
+        its step; it writes only over a cached input that is writeable
     linear(layer, x, w, b) -> conv or dense output; INT8 runs it on codes
     fans(*w.shape) -> Glorot (fan_in, fan_out)
     params(layer, convention), macs(layer, convention) -> analytic counts
@@ -299,6 +311,7 @@ class Op:
     shape: object = lambda layer, shape, skips, where: shape
     rebuild: object = None
     rebuilds: object = lambda layer: True
+    keep: object = None
     weights: tuple = ()  # storage order: init, Adam state, serialization
     trainable: tuple = ()
     linear: object = None
@@ -425,6 +438,19 @@ def _elu_backward(layer, y, g, run):
     return kernels.elu_backward(y, g, out=y), None
 
 
+def _gelu_keep(layer, x):
+    # dy/dx from the output's own tanh, over x where x is the GELU's own array
+    if not x.flags.writeable:
+        return kernels.gelu(x), x
+    return kernels.gelu_slope(x, out=x)[0], Slope(x)
+
+
+def _gelu_backward(layer, cache, g, run):
+    if isinstance(cache, Slope):
+        return np.multiply(cache.dy_dx, g, out=cache.dy_dx), None
+    return kernels.gelu_backward(cache, g), None
+
+
 def _push_skip(layer, x, run):
     run.skips.append(x)
     return x, None
@@ -485,7 +511,11 @@ OPS = {
     ),
     "elu": Op(_elu_forward, _elu_backward, elementwise=True),
     "gelu": Op(
-        lambda layer, x, run: (kernels.gelu(x), x), rebuild=lambda layer, x: kernels.gelu(x), elementwise=True
+        lambda layer, x, run: (kernels.gelu(x), x),
+        _gelu_backward,
+        rebuild=lambda layer, x: kernels.gelu(x),
+        keep=_gelu_keep,
+        elementwise=True,
     ),
     "max_pool": Op(
         lambda layer, x, run: kernels.max_pool(x, layer.config["pool"], keep_cache=run.keep_caches),
@@ -577,21 +607,30 @@ def _rebuilds(layer):
     return op.rebuild is not None and op.rebuilds(layer)
 
 
-def _kept(model, caches, cache, x, source):
+def _kept(model, caches, cache, x, source, skips, op):
     """What a train walk keeps of a layer's cache, given its input x, made by
-    layer ``source`` (None for the walk's input). A cache that is x, or a tuple
-    that starts with x (a norm's), becomes a ``Rebuild`` where the maker can
-    ``rebuild`` x. Else such a tuple keeps a copy of x where x is not the
-    layer's own, as its backward writes into it: the caller's batch, or the
-    maker's cache (an ELU's output), which the maker's step reads later."""
+    layer ``source`` (None for the walk's input), and the open residual
+    ``skips``. A cache that is x, or a tuple that starts with x (a norm's),
+    becomes a ``Rebuild`` where the maker can ``rebuild`` x. Else x is the
+    layer's own unless it is the caller's batch, the maker's cache (an ELU's
+    output), which the maker's step reads later, or an open skip's. Where it
+    is not, such a tuple keeps a copy of x, as its backward writes into it,
+    and a kind with a ``keep`` keeps a read-only view of x, which its keep
+    does not write over."""
     starts = isinstance(cache, tuple) and bool(cache) and cache[0] is x
     if cache is not x and not starts:
         return cache
     if source is not None and _rebuilds(model.layers[source]):
         return Rebuild(source, rest=cache[1:] if starts else None)
-    if starts and (source is None or caches[source] is x):
+    if source is not None and caches[source] is not x and all(s is not x for s in skips):
+        return cache
+    if starts:
         return (x.copy(), *cache[1:])
-    return cache
+    if op.keep is None:
+        return cache
+    view = x.view()
+    view.flags.writeable = False
+    return view
 
 
 def walk(model, x, run, steps=None, caches=None, record=None):
@@ -612,7 +651,7 @@ def walk(model, x, run, steps=None, caches=None, record=None):
         if op.logits:
             logits = y
         if caches is not None:
-            caches.append(_kept(model, caches, cache, x, source) if run.train else cache)
+            caches.append(_kept(model, caches, cache, x, source, run.skips, op) if run.train else cache)
         del cache  # unless kept, a layer's cache must not outlive its step
         if y is not x:
             source = idx
@@ -646,10 +685,12 @@ def backward_graph(model, caches, grad_out):
 
     Consumes ``caches``: each entry is set to None once its layer's step has
     run, so that its arrays are freed. A train-mode batch norm writes its
-    input gradient into its cached input and an ELU into its cached output;
-    an activation list recorded in the same forward pass sees those arrays
-    overwritten. A ``Rebuild`` cache is made from its source's cache at its
-    first reader, which in reverse order comes before the source's own step.
+    input gradient into its cached input, an ELU into its cached output and
+    a GELU whose output is rebuilt its dy/dx and then its input gradient into
+    its cached input, where that is its own; an activation list recorded in
+    the same forward pass sees those arrays overwritten. A ``Rebuild`` cache
+    is made from its source's cache at its first reader, which in reverse
+    order comes before the source's own step.
     """
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")
@@ -669,14 +710,26 @@ def backward_graph(model, caches, grad_out):
     return grads, None
 
 
-def _cache(model, caches, idx):
-    """``caches[idx]``, made first and kept there when it is a ``Rebuild``."""
+def _cache(model, caches, idx, step=True):
+    """``caches[idx]`` for layer idx's step, or with ``step`` false for a later
+    layer's rebuild, made first when it is a ``Rebuild`` and then kept in the
+    slot, by the source's ``keep`` where it has one. A norm's input made for a
+    later layer's rebuild is not kept: the norm makes it again at its own step,
+    so that no activation waits in its slot while that layer's step runs."""
     cache = caches[idx]
-    if isinstance(cache, Rebuild):
-        source = model.layers[cache.source]
-        x = OPS[source.kind].rebuild(source, _cache(model, caches, cache.source))
-        cache = caches[idx] = x if cache.rest is None else (x, *cache.rest)
-    return cache
+    if not isinstance(cache, Rebuild):
+        return cache
+    source = model.layers[cache.source]
+    op = OPS[source.kind]
+    made = _cache(model, caches, cache.source, step=False)
+    if cache.rest is not None and not step:
+        return (op.rebuild(source, made), *cache.rest)
+    if op.keep is None:
+        x = op.rebuild(source, made)
+    else:
+        x, caches[cache.source] = op.keep(source, made)
+    caches[idx] = x if cache.rest is None else (x, *cache.rest)
+    return caches[idx]
 
 
 def stack_inputs(model, specs, dtype):

@@ -332,6 +332,56 @@ class TestReconcile:
         assert a.read_bytes() == b.read_bytes()
 
 
+# (subcommand, output flag) for every flag in cli.OUTPUT_FLAGS a subcommand takes
+OUTPUTS = [
+    ("features", "out"),
+    ("train", "out"),
+    ("train", "history"),
+    ("eval", "report"),
+    ("eval", "csv"),
+    ("eval", "confusion"),
+    ("audit", "csv"),
+    ("quantize", "out"),
+    ("quantize", "report"),
+    ("reconcile", "out"),
+]
+
+
+class TestOutputPaths:
+    # a path no output could be written to is refused before any work, with the
+    # error line that writing it gives; nothing is written and nothing announced
+
+    def test_every_output_flag_is_listed(self):
+        subcommands = cli.build_parser()._subcommands.choices
+        flags = {(name, a.dest) for name, p in subcommands.items() for a in p._actions if a.dest in cli.OUTPUT_FLAGS}
+        assert flags == set(OUTPUTS)
+
+    @pytest.mark.parametrize("bad", ["missing-directory", "a-directory"])
+    @pytest.mark.parametrize("command, flag", OUTPUTS)
+    def test_a_bad_output_path_is_refused_before_any_work(self, command, flag, bad, artifacts, tmp_path, capsys):
+        _, ckpt, _ = artifacts
+        wav = tmp_path / "in.wav"
+        data.write_wav(wav, Waveform(np.zeros(4410), 44100), bits=16)
+        base = {
+            "features": ["features", "--wav", str(wav)],
+            "train": ["train", "--synthetic", "12", "--epochs", "1", "--filters", "4,4", "--batch-size", "8"],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--synthetic", "4"],
+            "audit": ["audit"],
+            "quantize": ["quantize", "--checkpoint", str(ckpt), "--synthetic", "4"],
+            "reconcile": ["reconcile"],
+        }[command]
+        path = tmp_path / "missing" / "file" if bad == "missing-directory" else tmp_path
+        # the subcommand's other outputs name writable paths, which stay unwritten
+        others = {f: tmp_path / f"ok-{f}" for c, f in OUTPUTS if c == command and f != flag}
+        args = [*base, f"--{flag}", str(path), *(a for f, p in others.items() for a in (f"--{f}", str(p)))]
+        assert run_cli(args) == 1
+        out, err = capsys.readouterr()
+        reason = "[Errno 2] No such file or directory" if bad == "missing-directory" else "[Errno 21] Is a directory"
+        assert err == f"error: {reason}: {str(path)!r}\n"
+        assert out == ""
+        assert not any(p.exists() for p in others.values())
+
+
 class TestOutOfRangeValues:
     @pytest.mark.parametrize(
         "args, message",

@@ -371,6 +371,35 @@ class TestActivations:
         assert y.tobytes() == want_y.tobytes()
         assert gx.tobytes() == want_gx.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(40014,), (6, 13, 19, 27)], ids=["one-clip", "clip-by-clip"])
+    def test_gelu_slope_byte_equal_to_gelu_and_its_backward(self, dtype, shape):
+        # y and dy/dx from one tanh: y is gelu's, and dy/dx * g is gelu_backward's, also
+        # when dy/dx goes over x itself, as the kept rebuild of a GELU's output writes it
+        rng = np.random.default_rng(23)
+        tiny = np.finfo(dtype).tiny
+        special = [0.0, -0.0, tiny, -tiny, tiny / 8, -tiny / 8, 1e-20, -1e-20, 7.0, -7.0, 1e12, -1e12, np.inf, -np.inf]
+        x = np.concatenate([rng.normal(0.0, 3.0, 20000), rng.uniform(-12, 12, 20000), special]).astype(dtype)
+        x = x.reshape(shape)
+        g = rng.normal(size=x.shape).astype(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_y, want_gx = kernels.gelu(x), kernels.gelu_backward(x, g)
+            y, slope = kernels.gelu_slope(x)
+            own = x.copy()
+            y_over, slope_over = kernels.gelu_slope(own, out=own)
+            gx = slope * g
+            gx_over = np.multiply(slope_over, g, out=slope_over)
+        assert slope_over is own
+        for got, want in ((y, want_y), (y_over, want_y), (gx, want_gx), (gx_over, want_gx)):
+            assert got.dtype == dtype and got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_gelu_slope_out_must_match_x(self):
+        x = np.ones((2, 3), dtype=np.float32)
+        for out in (np.empty((3, 2), dtype=np.float32), np.empty((2, 3), dtype=np.float64)):
+            with pytest.raises(ValueError, match="out is"):
+                kernels.gelu_slope(x, out=out)
+
     def test_elu_backward_from_output_at_full_size(self):
         # g * (min(y, 0) + 1) at 64x64x51x48: within 1e-7 of the largest entry of
         # g * exp(min(x, 0)) in float64, and no farther than that form in float32

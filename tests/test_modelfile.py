@@ -1,8 +1,11 @@
 """The two model files' bytes: pinned digests of both codecs, headers whose
-fields name other graphs, refused before any weight is allocated, and ``.tasq``
-tag bytes that disagree with the graph, refused at their byte."""
+fields name other graphs, refused before any weight is allocated, ``.tasq``
+tag bytes that disagree with the graph, refused at their byte, and files cut
+short at any byte, refused by the format's error."""
 
+import contextlib
 import hashlib
+import io
 import re
 import struct
 import tracemalloc
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyasc import modelfile, quantize, zoo
+from tinyasc import cli, modelfile, quantize, zoo
 from tinyasc.errors import QuantizationError, ShapeError
 
 # header fields after the magic, as ``modelfile.HEADER`` packs them
@@ -226,3 +229,41 @@ def test_any_other_tag_byte_is_refused_at_its_byte(tasq_files, arch, use_bias, d
     problem = f"layer {i} weight {name}: tag {value}, expected {tag}, at byte {at}"
     assert type(outcome) is QuantizationError and str(outcome) == f"{path}: {problem}", repr(outcome)
     assert peak < MIB
+
+
+def _assert_cut_refused(good_files, arch, suffix, cut):
+    """The file cut to its first ``cut`` bytes raises the format's error and
+    nothing else; ``tinyasc eval`` on a cut ``.tasc`` prints one error: line."""
+    files, root = good_files
+    good, load, error, _ = files[(arch, suffix)]
+    path = root / f"cut{suffix}"
+    path.write_bytes(good[:cut])
+    try:
+        load(path)
+        outcome = None
+    except Exception as exc:  # checked below
+        outcome = exc
+    assert type(outcome) is error, repr(outcome)
+    if suffix == ".tasc":
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["eval", "--checkpoint", str(path), "--synthetic", "2"])
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue() == f"error: {outcome}\n"
+
+
+@pytest.mark.parametrize("where", ["start", "header end", "last byte"])
+@pytest.mark.parametrize("suffix", [".tasc", ".tasq"])
+@pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+def test_a_file_cut_at_its_start_header_end_or_last_byte_is_refused(good_files, arch, suffix, where):
+    good, _, _, start = good_files[0][(arch, suffix)]
+    header_end = start + len(modelfile.MAGIC) + struct.calcsize(modelfile.HEADER)
+    cut = {"start": 0, "header end": header_end, "last byte": len(good) - 1}[where]
+    _assert_cut_refused(good_files, arch, suffix, cut)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["conv_sep", "conv_mixer"]), st.sampled_from([".tasc", ".tasq"]), st.data())
+def test_a_file_cut_at_any_byte_is_refused(good_files, arch, suffix, data):
+    size = len(good_files[0][(arch, suffix)][0])
+    _assert_cut_refused(good_files, arch, suffix, data.draw(st.integers(0, size - 1), label="cut"))

@@ -479,6 +479,36 @@ class TestTrainCaches:
             got, want = seen[name, "backward"], seen[name, "forward"]
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("patch", [1, 2])
+    @pytest.mark.parametrize("patch_norm", [True, False])
+    def test_a_norm_holds_no_activation_while_the_conv_behind_it_steps(self, patch, patch_norm, monkeypatch):
+        # the conv behind a norm (mix1_dw past mix1_skip, mix1_pw, mix2_pw) rebuilds the
+        # norm's output from the norm's input, itself rebuilt from the GELU's; that input
+        # is made again at the norm's own step, so while the conv's step runs the norm's
+        # slot is still a Rebuild and holds no array of the conv's input size
+        build = zoo.build("conv_mixer", 4, 6, patch_size=patch, input_shape=(8, 16, 1), patch_norm=patch_norm)
+        model = _with_norm_stats(zoo.init_weights(build, seed=2), seed=3)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        feeds = {}
+        for i, layer in enumerate(model.layers):
+            j = i - 1 - (model.layers[i - 1].kind == "residual_add_begin")
+            if layer.kind in ("depthwise_conv2d", "pointwise_conv2d") and model.layers[j].kind == "batch_norm":
+                feeds[id(layer.weights["w"])] = j
+        assert len(feeds) == (3 if patch_norm else 2)
+        held = []
+        for kind in ("depthwise_conv2d", "pointwise_conv2d"):
+
+            def spy(x, w, *args, _fn=getattr(kernels, kind + "_backward"), **kwargs):
+                if id(w) in feeds:
+                    slot = caches[feeds[id(w)]]
+                    held.append(not isinstance(slot, zoo.Rebuild) or any(a.size >= x.size for a in _cache_arrays(slot)))
+                return _fn(x, w, *args, **kwargs)
+
+            monkeypatch.setattr(kernels, kind + "_backward", spy)
+        zoo.backward_graph(model, caches, np.ones_like(probs))
+        assert held == [False] * len(feeds)
+
     @pytest.mark.parametrize("patch_norm", [True, False])
     def test_a_norm_behind_a_gelu_rebuilds_its_input_with_its_bits(self, patch_norm, monkeypatch):
         # the forward keeps no activation-sized array for such a norm, and the x_hat its
@@ -650,6 +680,60 @@ class TestNormOwnsItsInput:
             assert own is inputs[i] and own is not x, model.layers[i].name
             others = [c for j, c in enumerate(caches) if j != i]
             assert not any(own is c or (isinstance(c, tuple) and any(own is a for a in c)) for c in others)
+
+
+def _gelu_behind_a_skip():
+    """A GELU whose input, a two-channel conv's output, an open residual skip also holds."""
+    return _hand_graph(
+        zoo._conv("conv", 3, 2, 2, True),
+        zoo._simple("residual_add_begin", "skip"),
+        zoo._simple("gelu", "gelu"),
+        zoo._batch_norm("bn", 2),
+        zoo._simple("residual_add_end", "add"),
+    )
+
+
+class TestGeluOwnsItsInput:
+    # the rebuild of a GELU's output that backward keeps writes the GELU's dy/dx over
+    # its cached input, so walk keeps a read-only view of an input the GELU does not own
+
+    @pytest.mark.parametrize(
+        "graph",
+        [lambda: _hand_graph(zoo._simple("gelu", "gelu"), zoo._batch_norm("bn", 2)), _gelu_behind_a_skip],
+        ids=["the-callers-batch", "a-residual-skips-array"],
+    )
+    def test_a_gelu_leaves_an_input_it_does_not_own(self, graph):
+        model = graph()
+        rng = np.random.default_rng(7)
+        x, r = rng.normal(size=(3, 4, 5, 2)), rng.normal(size=(3, 3))
+        outputs = []
+        _, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True, record_activations=outputs)
+        before = [a.tobytes() for a in (x, *outputs)]
+        zoo.backward_graph(model, caches, r)
+        assert [a.tobytes() for a in (x, *outputs)] == before
+
+    @pytest.mark.parametrize("own", [True, False])
+    def test_a_gelu_steps_by_its_slope_only_where_it_owns_its_input(self, own, monkeypatch):
+        # behind a two-channel conv, which is not rerun, the GELU's input is its own and
+        # its step multiplies by the slope its kept rebuild wrote; behind an open skip it
+        # runs gelu_backward. The conv's weight gradient passes through the GELU either way
+        layers = (zoo._conv("conv", 3, 2, 2, True), zoo._simple("gelu", "gelu"), zoo._batch_norm("bn", 2))
+        model = _hand_graph(*layers) if own else _gelu_behind_a_skip()
+        rng = np.random.default_rng(7)
+        x, r = rng.normal(size=(3, 4, 5, 2)), rng.normal(size=(3, 3))
+        calls = []
+        backward = kernels.gelu_backward
+        monkeypatch.setattr(kernels, "gelu_backward", lambda *args: calls.append(1) or backward(*args))
+        _, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True)
+        grads, _ = zoo.backward_graph(model, caches, r)
+        assert len(calls) == (0 if own else 1)
+
+        def loss():
+            return float((zoo.run_graph(model, x, train=True)[0] * r).sum())
+
+        numeric = fd_grad(loss, model.layers[0].weights["w"])
+        assert np.abs(numeric).max() > 1e-2
+        check(grads[0]["w"], numeric)
 
 
 class TestInitWeights:
@@ -857,7 +941,7 @@ class TestLayerTable:
         model, specs, x = _tiny(arch)
         qm = quantize.quantize_model(model, specs)
         counts = collections.Counter()
-        for name in ("conv2d", "gelu", "batch_norm", "batch_norm_backward"):
+        for name in ("conv2d", "gelu", "gelu_slope", "gelu_backward", "batch_norm", "batch_norm_backward"):
 
             def counted(*args, _name=name, _fn=getattr(kernels, name), **kwargs):
                 counts[_name] += 1
@@ -878,10 +962,13 @@ class TestLayerTable:
         )
         want = kinds(model, "conv2d", "gelu", "batch_norm")
         assert seen == {k: n for k, n in want.items() if n}
+        read_by_a_conv = sum(isinstance(c, zoo.Rebuild) and model.layers[c.source].kind == "batch_norm" for c in caches)
         _, seen = calls(lambda: zoo.backward_graph(model, caches, np.ones_like(probs)))
-        # each of the mixer's norms, all behind a GELU, rebuilds its input by one GELU,
-        # and the one-channel first conv is rerun once
-        rebuilds = {"gelu": want["batch_norm"]} if arch == "conv_mixer" else {}
+        # each of the mixer's norms, all behind a GELU, rebuilds its input at its step by
+        # gelu_slope, which also gives the GELU's step its slope, so no gelu_backward runs;
+        # the conv behind a norm rebuilds the norm's output from one more GELU. The
+        # one-channel first conv is rerun once
+        rebuilds = {"gelu_slope": want["batch_norm"], "gelu": read_by_a_conv} if arch == "conv_mixer" else {}
         assert seen == {"batch_norm_backward": want["batch_norm"], "conv2d": 1, **rebuilds}
         _, seen = calls(lambda: quantize.quantized_forward(qm, specs[0]))
         assert seen == {k: n for k, n in kinds(qm.graph, "conv2d", "gelu").items() if n}
