@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import audit as audit_mod
-from . import data, metrics, quantize, trainer, zoo
+from . import data, metrics, modelfile, quantize, trainer, zoo
 from .errors import TinyAscError
 from .frontend import FrontendConfig, log_mel, spectrogram_to_csv
 
@@ -199,8 +199,10 @@ def _cmd_train(args):
         seed=args.seed,
     )
     examples = _load_examples(args)
-    model = zoo.init_weights(_build_model(args), seed=args.seed)
-    model, run = trainer.train(model, examples, cfg)
+    model = _build_model(args)
+    if args.out:
+        modelfile.header(model, zoo.ARCHS)  # a field the checkpoint cannot hold fails before training
+    model, run = trainer.train(zoo.init_weights(model, seed=args.seed), examples, cfg)
     last = run.epochs[-1]
     print(
         f"trained {args.arch} {args.filters[0]}-{args.filters[1]} for {len(run.epochs)} epochs "
@@ -317,8 +319,9 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv)
             _check_outputs(args)
             return _COMMANDS[args.command](args)
-    except (TinyAscError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TinyAscError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it refused; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

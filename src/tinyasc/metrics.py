@@ -45,11 +45,12 @@ def log_loss(preds, labels):
 
 
 def evaluate(model, examples) -> EvalResult:
-    """Inference-mode evaluation over (Spectrogram, label) pairs."""
+    """Inference-mode evaluation over (Spectrogram, label) pairs, by one
+    ``zoo.predictor`` of ``model``."""
     if not examples:
         raise TinyAscError("empty dataset")
     xs, ys = zoo.stack_examples(model, examples)
-    probs, _ = zoo.forward_chunked(model, xs)
+    probs, _ = zoo.predictor(model)(xs)
     probs = probs.astype(np.float64)
     n = model.n_classes
     confusion = np.zeros((n, n), dtype=np.int64)

@@ -22,22 +22,35 @@ from .errors import GraphBuildError
 MAGIC = b"TASC"
 QMAGIC = b"TASQ"
 FORMAT_VERSION = 1
-# version, architecture id, f1, f2, kernel, patch, bias, patch norm, classes, input h, w, c
 HEADER = "<HBHHHHBBHHHH"
+FIELDS = ("version", "architecture id", "f1", "f2", "kernel size", "patch size", "bias", "patch norm", "classes",
+          "input height", "input width", "input channels")  # HEADER's, in order
 PAIR = "<dh"
+
+
+def header(graph, archs):
+    """The magic and ``HEADER`` fields of ``graph``; a field outside its width
+    raises GraphBuildError naming the field and its range."""
+    g = graph
+    fields = (FORMAT_VERSION, list(archs).index(g.arch_tag), *g.filters, g.kernel_size, g.patch_size, g.use_bias,
+              g.patch_norm, g.n_classes, *g.input_shape)
+    for name, code, value in zip(FIELDS, HEADER[1:], fields):
+        if not 0 <= value <= (top := 256 ** struct.calcsize(code) - 1):
+            raise GraphBuildError(f"{name} {value} outside the model file header's range [0, {top}]")
+    return MAGIC + struct.pack(HEADER, *fields)
 
 
 def save(path, graph, archs, record, pairs=None):
     """Write ``graph`` as a ``.tasc``, or given ``pairs`` (the input's QuantParams,
     then one per layer output) as a ``.tasq``. ``record(layer index, weight
-    name)`` gives the array and, for an INT8 record, its QuantParams, else None."""
-    g, quantized = graph, pairs is not None
-    fields = (g.kernel_size, g.patch_size, g.use_bias, g.patch_norm, g.n_classes, *g.input_shape)
+    name)`` gives the array and, for an INT8 record, its QuantParams, else None.
+    The header is packed before the file is opened, so a field it cannot hold
+    leaves no file."""
+    quantized = pairs is not None
+    head = header(graph, archs)
     with open(path, "wb") as fh:
-        fh.write(QMAGIC if quantized else b"")
-        fh.write(MAGIC + struct.pack(HEADER, FORMAT_VERSION, list(archs).index(g.arch_tag), *g.filters, *fields))
-        fh.write(struct.pack("<H", len(g.layers)) if quantized else b"")
-        for i, layer in enumerate(g.layers):
+        fh.write(QMAGIC + head + struct.pack("<H", len(graph.layers)) if quantized else head)
+        for i, layer in enumerate(graph.layers):
             names = layer.weight_names()
             fh.write(struct.pack("<B", len(names)))
             for name in names:

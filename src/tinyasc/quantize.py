@@ -17,15 +17,12 @@ thread count (``FLOAT32_MAX_K``). Pooling, residual adds and nonlinearities
 run in float between these layers, a simplification the float-agreement
 check bounds end to end.
 
-A one-code layer, one tap of a one-channel input (the mixer's 1x1 patch
-embedding), has at most 256 input codes, so its output and that of each
-elementwise layer right behind it (``zoo.Op.elementwise``: the mixer's
-patch GELU and patch norm) is a function of code and channel. Each call
-runs these layers' own steps once on all 256 codes and NaN, and a request
-gathers their outputs from those tables by its input codes, with the same
-bits. The tables are built per call from the model's fields, like every
-other constant: for a 48-channel stem, three 257 x 48 float64 tables, the
-work of about 1/13 of one 64 x 51 clip.
+A ``predictor`` builds these constants once from a quantized model's fields:
+the integer layers, the float64 norms and, for a one-code layer (one tap of a
+one-channel input, as the mixer's 1x1 patch embedding) and the elementwise
+layers right behind it, per-code tables of their outputs (``_tabulate``): for
+a 48-channel stem, three 257 x 48 float64 tables, the work of about 1/13 of
+one 64 x 51 clip.
 
 The graph alone says which weights are INT8 (``int8_weight``: each conv
 and dense kernel); a quantized model's graph gives structure only, and
@@ -36,7 +33,6 @@ QuantizationError naming the layer, in inference, reports and saving. A
 params, every other weight as float32 and the activation params.
 """
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -133,9 +129,9 @@ def calibrate(model, inputs):
 
 
 def fold_batch_norm(model):
-    """``zoo.fold_norms`` on a deep copy of ``model``: the folded graph, sharing
-    no layer or array with ``model``."""
-    return zoo.fold_norms(copy.deepcopy(model))
+    """The graph of ``zoo.predictor(model)``: ``zoo.fold_norms`` of a deep copy,
+    sharing no layer or array with ``model``."""
+    return zoo.predictor(model).graph
 
 
 def int8_weight(layer, idx, name):
@@ -162,8 +158,8 @@ def _record(qm, idx, name):
 class QuantizedModel:
     """Folded graph topology plus INT8 weight payloads and quant params.
 
-    ``graph`` gives structure only: ``quantized_forward`` reads no weight from
-    it, and derives its constants from the other fields on every call.
+    ``graph`` gives structure only: quantized inference reads no weight from
+    it. ``predictor`` builds its constants from the other fields.
     """
 
     graph: zoo.ModelGraph
@@ -218,8 +214,8 @@ def centered_codes(x, params: QuantParams, dtype):
 
 @dataclass
 class IntegerLayer:
-    """One conv or dense layer on INT8 codes: the constants ``quantized_forward``
-    builds for it from a QuantizedModel on each call."""
+    """One conv or dense layer on INT8 codes: the constants ``predictor`` builds
+    for it from a QuantizedModel."""
 
     in_params: QuantParams  # of the tensor feeding the layer
     w: np.ndarray  # INT8 weight codes as values of gemm_dtype(K)
@@ -273,7 +269,7 @@ def _float_norm(qm, i, layer):
 
 def _steps(qm):
     """``{layer index: step}`` for ``qm``: an IntegerLayer for each conv and dense
-    layer and a float64 norm for each batch norm, built from its current fields;
+    layer and a float64 norm for each batch norm, built from its fields;
     every weight of the graph's layers is read by ``_record``. A one-code layer
     and the elementwise layers behind it then look their outputs up (``_tabulate``)."""
     n_params, n_layers = len(qm.activation_params), len(qm.graph.layers)
@@ -338,50 +334,62 @@ def _tabulate(graph, steps, i):
         steps[j] = lambda layer, x, table=tables[j - i]: np.take(table, rows, axis=0)
 
 
-def quantized_forward(qm: QuantizedModel, spec, record=None):
-    """Integer-arithmetic inference; returns a float Prediction.
+def predictor(qm: QuantizedModel):
+    """The INT8 ``zoo.Predictor`` of ``qm``: the walk of ``qm.graph`` on float64
+    inputs with the steps ``_steps`` builds here from ``qm``'s fields. A field
+    changed later is not seen by this predictor."""
+    return zoo.Predictor(qm.graph, _steps(qm), np.float64)
 
-    The float graph walk with steps built from ``qm`` on this call for the
-    convolutions and the dense layer (``IntegerLayer``: requantize the input
-    with the calibrated affine params of the tensor feeding it, then sum
-    products of INT8 codes exactly in float32 or float64) and for the
-    remaining norms, which run in float64. Pooling, residual adds,
-    nonlinearities and softmax run as in float. A one-code layer and the
-    elementwise layers behind it gather their outputs from per-code tables
-    (``_tabulate``). If ``record`` is a list, every layer's output is appended.
-    """
-    steps = _steps(qm)
+
+def quantized_forward(qm: QuantizedModel, spec):
+    """The Prediction of ``spec`` by a ``predictor`` of ``qm`` built for this call."""
+    predict = predictor(qm)
     try:
         x = zoo.stack_inputs(qm.graph, [spec], np.float64)
     except ShapeError as exc:
         raise QuantizationError(str(exc)) from None
-    return zoo.Prediction.first(*zoo.walk(qm.graph, x, zoo.Run(), steps, record=record))
+    return zoo.Prediction.first(*predict(x))
 
 
-def _agreement(pairs):
-    """``{n_inputs, top1_agreement, max_logit_diff}`` over (float, INT8)
-    Prediction pairs: the share of pairs with the same top class and the
-    largest per-logit absolute difference. No pairs raises QuantizationError."""
-    if not pairs:
+def _report(model, qm, inputs, shown=()):
+    """``agreement_report``'s dict and [signal, noise, peak] of each layer index
+    in ``shown`` (see ``quantization_report``), from one float and one INT8
+    predictor walking ``inputs`` one clip at a time, each in its own dtype. No
+    inputs raises QuantizationError."""
+    if not inputs:
         raise QuantizationError("agreement report needs at least one input")
-    return {
-        "n_inputs": len(pairs),
-        "top1_agreement": sum(pf.top_class == pq.top_class for pf, pq in pairs) / len(pairs),
-        "max_logit_diff": max([0.0] + [float(np.max(np.abs(pf.logits - pq.logits))) for pf, pq in pairs]),
+    xs = zoo.stack_inputs(model, inputs, np.float64)
+    floats, ints = zoo.predictor(model), predictor(qm)
+    errors = np.zeros((3, len(shown)))
+    outs = []
+    for x in xs:
+        want, got = ([], []) if shown else (None, None)
+        outs.append((*floats(x[None], record=want), *ints(x[None], record=got)))
+        for j, i in enumerate(shown):
+            diff = got[i] - want[i]
+            errors[0, j] += float(np.sum(np.square(want[i], dtype=np.float64)))
+            errors[1, j] += float(np.sum(np.square(diff)))
+            errors[2, j] = max(errors[2, j], float(np.max(np.abs(diff))))
+    probs, logits, qprobs, qlogits = map(np.concatenate, zip(*outs))
+    agreement = {
+        "n_inputs": len(logits),
+        "top1_agreement": int(np.count_nonzero(probs.argmax(axis=1) == qprobs.argmax(axis=1))) / len(logits),
+        "max_logit_diff": max([0.0] + [float(np.max(np.abs(d))) for d in logits - qlogits]),
     }
+    return agreement, errors
 
 
 def agreement_report(model, qm: QuantizedModel, inputs):
-    """Paired float (``zoo.forward``) vs ``quantized_forward`` inference over a
-    set of inputs: ``{n_inputs, top1_agreement, max_logit_diff}``, the largest
-    per-logit difference reported, not asserted (the bound is empirical)."""
-    return _agreement([(zoo.forward(model, spec), quantized_forward(qm, spec)) for spec in inputs])
+    """Paired float and INT8 inference over a set of inputs:
+    ``{n_inputs, top1_agreement, max_logit_diff}``, the share of inputs with
+    the same top class and the largest per-logit difference, reported, not
+    asserted (the bound is empirical). No inputs raises QuantizationError."""
+    return _report(model, qm, inputs)[0]
 
 
 def quantization_report(model, qm: QuantizedModel, inputs):
-    """``(agreement_report(model, qm, inputs), rows)`` from one recorded float
-    pass and one recorded ``quantized_forward`` per input. The agreement is
-    the same: the float pass is ``zoo.forward``'s, on the same folded graph.
+    """``(agreement_report(model, qm, inputs), rows)`` from one recorded walk of
+    each input by each predictor.
 
     ``rows`` has one dict per conv, dense and norm layer of ``qm.graph``: the
     INT8 output against the float activation of the folded float model, as
@@ -389,28 +397,15 @@ def quantization_report(model, qm: QuantizedModel, inputs):
     inputs; inf when they agree exactly) and ``max_abs_diff``. No inputs
     raises QuantizationError.
     """
-    folded = zoo.fold_norms(model)
     shown = [i for i, layer in enumerate(qm.graph.layers) if layer.weight_names()]
-    signal, noise, peak = (np.zeros(len(shown)) for _ in range(3))
-    pairs = []
-    for spec in inputs:
-        want, got = [], []
-        probs, logits, _ = zoo.run_graph(
-            folded, zoo.stack_inputs(folded, [spec], folded.dtype), record_activations=want
-        )
-        pairs.append((zoo.Prediction.first(probs, logits), quantized_forward(qm, spec, record=got)))
-        for j, i in enumerate(shown):
-            diff = got[i] - want[i]
-            signal[j] += float(np.sum(np.square(want[i], dtype=np.float64)))
-            noise[j] += float(np.sum(np.square(diff)))
-            peak[j] = max(peak[j], float(np.max(np.abs(diff))))
+    agreement, (signal, noise, peak) = _report(model, qm, inputs, shown)
     rows = []
     for j, i in enumerate(shown):
         with np.errstate(divide="ignore"):
             sqnr = 10.0 * np.log10(signal[j] / noise[j]) if noise[j] else np.inf
         layer = qm.graph.layers[i]
         rows.append({"name": layer.name, "kind": layer.kind, "sqnr_db": float(sqnr), "max_abs_diff": float(peak[j])})
-    return _agreement(pairs), rows
+    return agreement, rows
 
 
 # --- serialization: ``modelfile`` holds the byte layout ---------------------

@@ -10,7 +10,8 @@ Best weights (by the monitor) are restored when training ends.
 
 Validation is a seeded 90/10 split of the provided examples. Per-epoch
 ``train_loss`` is the mean train-mode batch loss; ``train_acc`` and the
-validation metrics come from a dropout-free inference pass at epoch end.
+validation metrics come from a dropout-free inference pass at epoch end, by
+one ``zoo.predictor`` built there.
 """
 
 import math
@@ -165,8 +166,8 @@ def _loss_grad(probs, labels):
     return loss, grad
 
 
-def _infer_metrics(model, xs, ys):
-    probs, _ = zoo.forward_chunked(model, xs)
+def _infer_metrics(predict, xs, ys):
+    probs, _ = predict(xs)
     loss, _ = _loss_grad(probs.astype(np.float64), ys)
     acc = float((probs.argmax(axis=1) == ys).mean())
     return loss, acc
@@ -235,8 +236,9 @@ def train(model, examples, cfg: TrainingConfig = None):
 
         last_good = zoo.copy_weights(model)
         train_loss = float(np.mean(epoch_losses))
-        _, train_acc = _infer_metrics(model, xs_tr, ys_tr)
-        val_loss, val_acc = _infer_metrics(model, xs_va, ys_va)
+        predict = zoo.predictor(model)
+        _, train_acc = _infer_metrics(predict, xs_tr, ys_tr)
+        val_loss, val_acc = _infer_metrics(predict, xs_va, ys_va)
         records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc, monitor.lr))
 
         improved, _, stop = monitor.update(val_acc)

@@ -18,6 +18,7 @@ axis to 12. A graph is an ordered list of LayerSpec nodes; the same
 representation drives inference, training, auditing, and quantization.
 """
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -823,16 +824,32 @@ def forward_batch(model, batch):
     return probs, logits
 
 
-def forward_chunked(model, batch):
-    """``forward_batch`` on each clip of a non-empty batch, concatenated, with
-    one clip's activations small enough to stay in cache. Each clip gets the
-    bits ``forward_batch`` gives it alone, which may differ from its row of
-    one batched call: BLAS can round the dense layer's product of one row
-    differently from that of many. The norms fold once, not per clip (a folded
-    graph has none left to fold). Returns (probs, logits)."""
-    folded = fold_norms(model)
-    parts = [forward_batch(folded, clip[None]) for clip in batch]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+@dataclass
+class Predictor:
+    """Inference on constants built once: ``walk`` of ``graph`` with ``steps``
+    on inputs of ``dtype``, one clip at a time. A predictor owns what it built:
+    a model changed after its predictor was built is not seen by it. Nothing
+    is kept across predictors; ``predictor`` and ``quantize.predictor`` build them."""
+
+    graph: ModelGraph
+    steps: dict
+    dtype: object
+
+    def __call__(self, batch, record=None):
+        """(probs, logits) of a non-empty batch (N, H, W, C), one ``walk`` per clip
+        (its activations stay in cache), concatenated; a ``record`` list gets each
+        clip's layer outputs in turn. Each clip gets the bits it gets alone, which
+        BLAS may round otherwise in its row of one batched walk (the dense layer).
+        No inference step writes its input, so a clip of ``dtype`` is not copied."""
+        clips = (clip[None].astype(self.dtype, copy=False) for clip in batch)
+        parts = [walk(self.graph, x, Run(), self.steps, record=record) for x in clips]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def predictor(model):
+    """The float Predictor of ``model``: the ``fold_norms`` graph of a deep copy,
+    sharing no layer or array with ``model``, and no steps."""
+    return Predictor(fold_norms(copy.deepcopy(model)), {}, model.dtype)
 
 
 def copy_weights(model):

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -222,11 +223,11 @@ class TestTrainEvalQuantize:
         assert a.read_bytes() == b.read_bytes()
 
     def test_quantize_runs_each_clip_once_through_each_model(self, artifacts, tmp_path, monkeypatch, capsys):
-        # calibration walks each clip once, then the agreement and the per-layer
-        # errors share one float pass and one quantized_forward per clip
+        # calibration walks each clip once (run_graph), then the agreement and the
+        # per-layer errors share one walk per clip of a float and an INT8 predictor
         _, ckpt, _ = artifacts
         calls = collections.Counter()
-        for module, name in ((quantize, "quantized_forward"), (zoo, "run_graph")):
+        for module, name in ((zoo, "walk"), (zoo, "run_graph"), (quantize, "_steps")):
 
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -238,7 +239,7 @@ class TestTrainEvalQuantize:
             "--out", str(tmp_path / "once.tasq"),
         ]) == 0
         capsys.readouterr()
-        assert calls == {"quantized_forward": 5, "run_graph": 10}
+        assert calls == {"walk": 15, "run_graph": 5, "_steps": 1}
 
     def test_eval_truncated_checkpoint_exits_1_without_traceback(self, artifacts, tmp_path):
         _, ckpt, _ = artifacts
@@ -312,6 +313,52 @@ class TestTrainEvalQuantize:
             assert result.returncode == 0, result.stderr
             outputs.append((ckpt.read_bytes(), hist.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestHeaderRange:
+    @pytest.mark.parametrize(
+        "arch, flags, problem",
+        [
+            ("conv_mixer", ["--filters", "4,70000"], "f2 70000 outside the model file header's range [0, 65535]"),
+            ("conv_sep", ["--filters", "4,70000"], "f2 70000 outside the model file header's range [0, 65535]"),
+            ("conv_sep", ["--filters", "70000,4"], "f1 70000 outside the model file header's range [0, 65535]"),
+            ("conv_sep", ["--kernel", "65537"], "kernel size 65537 outside the model file header's range [0, 65535]"),
+            ("conv_mixer", ["--patch", "65536"], "kernel exceeds input"),
+        ],
+    )
+    def test_train_out_refuses_a_field_the_header_cannot_hold_before_training(
+        self, arch, flags, problem, tmp_path, monkeypatch, capsys
+    ):
+        # it trained for 13 s, then left a struct.error traceback and an empty
+        # file; conv_sep's 36.5 GiB of weights failed in init_weights first
+        def trained(*args, **kwargs):
+            raise AssertionError("init_weights ran")
+
+        monkeypatch.setattr(zoo, "init_weights", trained)
+        out = tmp_path / "x.tasc"
+        start = time.perf_counter()
+        code = run_cli([
+            "train", "--arch", arch, *flags, "--synthetic", "4", "--epochs", "1", "--batch-size", "4",
+            "--out", str(out),
+        ])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: ") and problem in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [(MemoryError("Unable to allocate 36.5 GiB for an array"), "error: Unable to allocate 36.5 GiB for an array\n"),
+         (MemoryError(), "error: out of memory\n")],
+    )
+    def test_a_memory_error_is_one_error_line(self, exc, line, monkeypatch, capsys):
+        # raised by a stand-in: no test makes a real large allocation
+        def refused(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(zoo, "init_weights", refused)
+        assert run_cli(["train", "--synthetic", "4", "--epochs", "1", "--filters", "2,2"]) == 1
+        assert capsys.readouterr().err == line
 
 
 class TestReconcile:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyasc import cli, modelfile, quantize, zoo
-from tinyasc.errors import QuantizationError, ShapeError
+from tinyasc.errors import GraphBuildError, QuantizationError, ShapeError
 
 # header fields after the magic, as ``modelfile.HEADER`` packs them
 FIELDS = ("version", "arch id", "f1", "f2", "kernel", "patch", "bias", "patch norm", "classes", "h", "w", "c")
@@ -267,3 +267,23 @@ def test_a_file_cut_at_its_start_header_end_or_last_byte_is_refused(good_files, 
 def test_a_file_cut_at_any_byte_is_refused(good_files, arch, suffix, data):
     size = len(good_files[0][(arch, suffix)][0])
     _assert_cut_refused(good_files, arch, suffix, data.draw(st.integers(0, size - 1), label="cut"))
+
+
+@pytest.mark.parametrize(
+    "arch, args, field, value",
+    [("conv_mixer", (4, 70000), "f2", 70000), ("conv_sep", (70000, 4), "f1", 70000),
+     ("conv_sep", (4, 4, 65537), "kernel size", 65537)],
+)
+@pytest.mark.parametrize("suffix", [".tasc", ".tasq"])
+def test_a_header_field_out_of_range_raises_and_writes_no_file(tmp_path, arch, args, field, value, suffix):
+    # struct.pack once raised struct.error inside the open file and left it empty
+    graph = zoo.build(arch, *args)  # placeholders: no weight bytes
+    path = tmp_path / f"m{suffix}"
+    problem = f"{field} {value} outside the model file header's range [0, 65535]"
+    with pytest.raises(GraphBuildError, match=f"^{re.escape(problem)}$"):
+        if suffix == ".tasc":
+            zoo.save_model(graph, path)
+        else:
+            fixed = quantize.affine_params(-1.0, 1.0)
+            quantize.save_quantized(quantize.QuantizedModel(graph, {}, {}, {}, [fixed] * len(graph.layers), fixed), path)
+    assert not path.exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tinyasc import data, kernels, quantize, zoo
-from tinyasc.errors import QuantizationError
+from tinyasc.errors import QuantizationError, ShapeError
 from tinyasc.frontend import Spectrogram
 
 # the kinds whose kernel runs on INT8 codes
@@ -571,22 +571,23 @@ class TestIntegerExactness:
         idx = len(qm.graph.layers) - 2
         assert qm.graph.layers[idx].kind == "dense"
         acts = []
-        pred = quantize.quantized_forward(qm, _rand_spec(9), record=acts)
+        _, logits = quantize.predictor(qm)(zoo.stack_inputs(qm.graph, [_rand_spec(9)], np.float64), record=acts)
         in_params = qm.activation_params[idx - 1]
         w_scale = qm.weight_params[(idx, "w")].scale
         bias = qm.float_weights[(idx, "b")]
         assert np.all(np.abs(bias / (in_params.scale * w_scale)) >= 2**31)
         want = _reference_layer(dense, acts[idx - 1], qm.weight_payloads[(idx, "w")], w_scale, in_params, bias)
-        np.testing.assert_array_equal(pred.logits, want[0])
-        np.testing.assert_allclose(pred.logits, 1.0, rtol=1e-6)
+        np.testing.assert_array_equal(logits[0], want[0])
+        np.testing.assert_allclose(logits[0], 1.0, rtol=1e-6)
 
     def test_64_64_conv_sep_uses_float64_and_matches_reference(self):
         model = zoo.init_weights(zoo.build_conv_sep(64, 64, 3, input_shape=(16, 12, 1)), seed=4)
         specs = [_rand_spec(i) for i in range(3)]
         qm = quantize.quantize_model(model, specs)
         acts = []
-        quantize.quantized_forward(qm, specs[0], record=acts)
-        inputs = [zoo.stack_inputs(qm.graph, [specs[0]], np.float64)] + acts
+        x = zoo.stack_inputs(qm.graph, [specs[0]], np.float64)
+        quantize.predictor(qm)(x, record=acts)
+        inputs = [x] + acts
         ks = {}
         for i, layer in enumerate(qm.graph.layers):
             if (i, "w") not in qm.weight_payloads:
@@ -639,6 +640,73 @@ def test_centered_codes_of_far_quotients_are_the_end_codes(zero_point, dtype):
     assert {got.min(), got.max()} == {-128 - zero_point, 127 - zero_point}
 
 
+class TestPredictor:
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_bits_are_quantized_forwards_and_the_record_is_the_plain_steps_walk(self, arch):
+        model = _small_model(arch)
+        specs = [_rand_spec(i + 110) for i in range(3)]
+        qm = quantize.quantize_model(model, specs)
+        x = zoo.stack_inputs(qm.graph, specs, np.float64)
+        got = []
+        probs, logits = quantize.predictor(qm)(x, record=got)
+        n = len(qm.graph.layers)
+        assert len(got) == 3 * n
+        for k, spec in enumerate(specs):
+            pred = quantize.quantized_forward(qm, spec)
+            assert pred.probabilities.tobytes() == probs[k].tobytes() and pred.logits.tobytes() == logits[k].tobytes()
+            want = []
+            zoo.walk(qm.graph, x[k : k + 1], zoo.Run(), quantize._steps(qm), record=want)
+            for a, b in zip(got[k * n : (k + 1) * n], want, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_one_steps_per_predictor_and_per_report(self, monkeypatch):
+        model = _small_model("conv_mixer")
+        specs = [_rand_spec(i + 120) for i in range(9)]
+        qm = quantize.quantize_model(model, specs)
+        built = []
+        steps = quantize._steps
+        monkeypatch.setattr(quantize, "_steps", lambda q: built.append(q) or steps(q))
+        predict = quantize.predictor(qm)
+        x = zoo.stack_inputs(qm.graph, specs, np.float64)
+        assert predict(x)[1].tobytes() == predict(x)[1].tobytes()
+        assert len(built) == 1
+        quantize.agreement_report(model, qm, specs[:4])
+        assert len(built) == 2
+        quantize.quantization_report(model, qm, specs[:4])
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("field", ["float_weights", "activation_params"])
+    def test_a_quantized_model_changed_after_its_predictor_is_not_seen(self, field):
+        specs = [_rand_spec(i + 130) for i in range(3)]
+        qm = quantize.quantize_model(_small_model(), specs)
+        x = zoo.stack_inputs(qm.graph, specs, np.float64)
+        x_before = x.copy()
+        predict = quantize.predictor(qm)
+        before = predict(x)
+        kinds = [layer.kind for layer in qm.graph.layers]
+        if field == "float_weights":
+            dense = kinds.index("dense")
+            qm.float_weights[(dense, "b")] = qm.float_weights[(dense, "b")] + 5.0
+        else:
+            i = kinds.index("pointwise_conv2d") - 1  # the params of the pointwise layer's input
+            p = qm.activation_params[i]
+            qm.activation_params[i] = quantize.QuantParams(p.scale * 2, p.zero_point, p.scheme)
+        for got, want in zip(predict(x), before):
+            assert got.tobytes() == want.tobytes()
+        assert quantize.predictor(qm)(x)[1].tobytes() != before[1].tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
+    def test_a_mis_shaped_input_raises_as_before(self, setup):
+        # the reports stack the float inputs first, as the float pass once came first
+        model, qm, cal = setup
+        bad = _rand_spec(0, shape=(8, 12))
+        for report in (quantize.agreement_report, quantize.quantization_report):
+            with pytest.raises(ShapeError, match="shape"):
+                report(model, qm, [*cal[:2], bad])
+        with pytest.raises(QuantizationError, match="shape"):
+            quantize.quantized_forward(qm, bad)
+
+
 def _every_code_input(qm, shape=(64, 51)):
     """An input whose requantized codes hold each of the 256 codes at 12 positions
     257 apart, so at 12 offsets mod 16, and random codes elsewhere."""
@@ -680,22 +748,23 @@ class TestStemTables:
         assert ((0, "b") in qm.float_weights) == use_bias
         x = _every_code_input(qm)
         got, want = [], []
-        pred = quantize.quantized_forward(qm, x, record=got)
-        _, logits = zoo.walk(
-            qm.graph, zoo.stack_inputs(qm.graph, [x], np.float64), zoo.Run(), _stem_steps(qm, patch_norm), record=want
-        )
+        batch = zoo.stack_inputs(qm.graph, [x], np.float64)
+        _, got_logits = quantize.predictor(qm)(batch, record=got)
+        _, logits = zoo.walk(qm.graph, batch, zoo.Run(), _stem_steps(qm, patch_norm), record=want)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert pred.logits.tobytes() == logits[0].tobytes()
+        assert got_logits.tobytes() == logits.tobytes()
+        assert quantize.quantized_forward(qm, x).logits.tobytes() == logits[0].tobytes()
 
     def test_nan_and_infinite_inputs_look_up_like_the_plain_steps(self):
         qm = self._mixer()
         x = _every_code_input(qm)
         x.reshape(-1)[[3100, 3101, 3102, 3200]] = [np.nan, np.inf, -np.inf, -np.nan]
         got, want = [], []
-        quantize.quantized_forward(qm, x, record=got)
-        zoo.walk(qm.graph, zoo.stack_inputs(qm.graph, [x], np.float64), zoo.Run(), _stem_steps(qm, True), record=want)
+        batch = zoo.stack_inputs(qm.graph, [x], np.float64)
+        quantize.predictor(qm)(batch, record=got)
+        zoo.walk(qm.graph, batch, zoo.Run(), _stem_steps(qm, True), record=want)
         assert np.isnan(got[0]).any() and not np.isnan(got[0]).all()
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)

@@ -180,14 +180,14 @@ def _weight_bytes(model):
 
 
 def _record_epoch_ends(monkeypatch, model):
-    """[the weights of ``model`` now, then those at each epoch-end inference pass of ``train``]."""
-    forward_chunked, seen = zoo.forward_chunked, [_weight_bytes(model)]
+    """[the weights of ``model`` now, then those of each predictor ``train`` builds at an epoch end]."""
+    predictor, seen = zoo.predictor, [_weight_bytes(model)]
 
-    def recorded(m, xs):
+    def recorded(m):
         seen.append(_weight_bytes(m))
-        return forward_chunked(m, xs)
+        return predictor(m)
 
-    monkeypatch.setattr(zoo, "forward_chunked", recorded)
+    monkeypatch.setattr(zoo, "predictor", recorded)
     return seen
 
 
@@ -355,3 +355,12 @@ def test_training_drives_a_fixed_batch_loss_down():
         assert len(run.epochs) == 25
         losses.append(run.epochs[-1].train_loss)
     assert np.mean(losses) < 0.85, losses
+
+
+def test_one_fold_per_epoch_end(monkeypatch):
+    # the train and validation passes share the predictor built at each epoch end
+    folds = []
+    fold_norms = zoo.fold_norms
+    monkeypatch.setattr(zoo, "fold_norms", lambda m: folds.append(m) or fold_norms(m))
+    _, run = train(_toy_model(seed=6), _toy_examples(), TrainingConfig(max_epochs=3, batch_size=8, seed=1))
+    assert len(run.epochs) == 3 and len(folds) == 3

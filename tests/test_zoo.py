@@ -191,12 +191,12 @@ class TestForward:
     @pytest.mark.parametrize("chunk", [1, 4])
     @pytest.mark.parametrize("n", [3, 9])  # at chunk 4: smaller than a chunk, not a multiple of it
     def test_chunked_equals_one_batch(self, arch, chunk, n):
-        # the bits do not depend on how a batch is sliced: per clip, as
-        # forward_chunked runs it, or 4 clips per forward_batch call
+        # the bits do not depend on how a batch is sliced: per clip, as a
+        # predictor runs it, or 4 clips per forward_batch call
         model = zoo.init_weights(zoo.build(arch, 8, 8), seed=11)
         x = np.random.default_rng(12).normal(size=(n, 64, 51, 1)).astype(np.float32)
         if chunk == 1:
-            sliced = zoo.forward_chunked(model, x)
+            sliced = zoo.predictor(model)(x)
         else:
             parts = [zoo.forward_batch(model, x[i : i + chunk]) for i in range(0, n, chunk)]
             sliced = tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -205,11 +205,11 @@ class TestForward:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_evaluate_runs_in_chunks(self, monkeypatch):
-        # chunks of one clip: one size-1 forward_batch call per clip
+        # chunks of one clip: one size-1 walk per clip
         model = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=13)
         sizes = []
-        forward_batch = zoo.forward_batch
-        monkeypatch.setattr(zoo, "forward_batch", lambda m, b: sizes.append(len(b)) or forward_batch(m, b))
+        walk = zoo.walk
+        monkeypatch.setattr(zoo, "walk", lambda m, x, *args, **kw: sizes.append(len(x)) or walk(m, x, *args, **kw))
         metrics.evaluate(model, [(_rand_spec(i), i % 10) for i in range(9)])
         assert sizes == [1] * 9
 
@@ -284,7 +284,7 @@ class TestFoldedInference:
             "for arch in ('conv_sep', 'conv_mixer'):\n"
             "    model = zoo.init_weights(zoo.build(arch, 48, 48), seed=3)\n"
             "    print(zoo.forward_batch(model, x)[1].tobytes().hex())\n"
-            "    print(zoo.forward_chunked(model, x)[1].tobytes().hex())\n"
+            "    print(zoo.predictor(model)(x)[1].tobytes().hex())\n"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -295,6 +295,44 @@ class TestFoldedInference:
             outputs.append(result.stdout)
         assert outputs[0].count("\n") == 4
         assert outputs[0] == outputs[1]
+
+
+class TestPredictor:
+    def test_one_fold_per_predictor_over_nine_clips(self, monkeypatch):
+        # the norms fold when a predictor is built, not per clip or per call;
+        # metrics.evaluate builds one
+        model = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=40)
+        folds = []
+        fold_norms = zoo.fold_norms
+        monkeypatch.setattr(zoo, "fold_norms", lambda m: folds.append(m) or fold_norms(m))
+        x = np.random.default_rng(41).normal(size=(9, 64, 51, 1)).astype(np.float32)
+        predict = zoo.predictor(model)
+        assert predict(x)[1].tobytes() == predict(x)[1].tobytes()
+        assert len(folds) == 1
+        metrics.evaluate(model, [(_rand_spec(i), i % 10) for i in range(9)])
+        assert len(folds) == 2
+
+    @pytest.mark.parametrize(
+        "arch, name, weight",
+        [
+            ("conv_sep", "conv1", "w"),  # folded with bn1a
+            ("conv_mixer", "mix1_bn_a", "gamma"),  # a norm behind a GELU, not folded
+            ("conv_sep", "classifier", "b"),
+            ("conv_mixer", "classifier", "b"),
+        ],
+    )
+    def test_a_model_changed_after_its_predictor_is_not_seen(self, arch, name, weight):
+        model = _with_norm_stats(zoo.init_weights(zoo.build(arch, 8, 6), seed=42), 43)
+        x = np.random.default_rng(44).normal(size=(3, 64, 51, 1)).astype(np.float32)
+        x_before = x.copy()
+        predict = zoo.predictor(model)
+        before = predict(x)
+        layer = next(layer for layer in model.layers if layer.name == name)
+        layer.weights[weight] = layer.weights[weight] + np.float32(0.5)
+        for got, want in zip(predict(x), before):
+            assert got.tobytes() == want.tobytes()
+        assert zoo.predictor(model)(x)[1].tobytes() != before[1].tobytes()
+        assert x.tobytes() == x_before.tobytes()
 
 
 def _with_biases(model, seed):
