@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import reference
-from .errors import TinyAscError
+from .errors import ConfigError, TinyAscError
 from .zoo import build, layer_op
 
 MAX_PARAMS_BUDGET = 128_000
@@ -49,7 +49,7 @@ class Convention:
 
     def __post_init__(self):
         if self.bn_params_per_channel not in (2, 4):
-            raise ValueError("bn_params_per_channel must be 2 or 4")
+            raise ConfigError(f"bn_params_per_channel must be 2 or 4, got {self.bn_params_per_channel!r}")
 
 
 @dataclass

@@ -375,20 +375,6 @@ def _tanh_inner(x, t):
     np.tanh(t, out=t)
 
 
-def _tanh_share(clip, t, d_inner, out):
-    """out = 0.5*x*(1 - t^2) * sqrt(2/pi)*(1 + 3*0.044715*x^2), the tanh's term
-    of GELU's derivative, with the inner's derivative formed in d_inner."""
-    np.multiply(clip, clip, out=d_inner)
-    d_inner *= 3.0 * GELU_COEF
-    d_inner += 1.0
-    d_inner *= _SQRT_2_OVER_PI
-    np.multiply(t, t, out=out)
-    np.subtract(1.0, out, out=out)
-    out *= 0.5
-    out *= clip
-    out *= d_inner
-
-
 def gelu(x):
     """Gaussian error linear unit, tanh approximation:
     0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
@@ -407,37 +393,31 @@ def gelu(x):
 
 
 def gelu_slope(x, out=None):
-    """(gelu(x), dy/dx) from one tanh, each with its own kernel's bits: dy/dx
-    is the factor ``gelu_backward`` multiplies grad_y by, so dy/dx * grad_y
-    is its result byte for byte. ``out`` receives dy/dx in place of a new
-    array and must have x's shape and dtype; it may be x itself, whose clips
-    are read before they are written."""
+    """(gelu(x), dy/dx) from one tanh t = tanh(inner): y has ``gelu``'s bits,
+    and dy/dx = 0.5*(1 + t) + 0.5*x*(1 - t^2) * sqrt(2/pi)*(1 + 3*0.044715*x^2)
+    in that order of operations, so GELU's input gradient is dy/dx * grad_y.
+    Formed one clip at a time in the outputs and two clip-sized buffers.
+    ``out`` receives dy/dx in place of a new array and must have x's shape
+    and dtype; it may be x itself, whose clips are read before they are written."""
     y = np.empty(x.shape, dtype=x.dtype)
     slope = _output(out, x.shape, x.dtype)
     for clip, t, s, d_inner, share in _clips(x, y, slope, scratch=(x.dtype, x.dtype)):
         _tanh_inner(clip, t)
-        _tanh_share(clip, t, d_inner, share)
+        np.multiply(clip, clip, out=d_inner)  # the inner's derivative
+        d_inner *= 3.0 * GELU_COEF
+        d_inner += 1.0
+        d_inner *= _SQRT_2_OVER_PI
+        np.multiply(t, t, out=share)  # the tanh's share
+        np.subtract(1.0, share, out=share)
+        share *= 0.5
+        share *= clip
+        share *= d_inner
         t += 1.0
         t *= 0.5
         np.add(t, share, out=share)
         t *= clip
         np.copyto(s, share)
     return y, slope
-
-
-def gelu_backward(x, grad_y):
-    """grad_y * (0.5*(1 + t) + 0.5*x*(1 - t^2) * sqrt(2/pi)*(1 + 3*0.044715*x^2)),
-    t = tanh(inner), in that order of operations, one clip at a time in the
-    output and two clip-sized buffers."""
-    gx = np.empty(x.shape, dtype=x.dtype)
-    for clip, g, t, d_inner, share in _clips(x, grad_y, gx, scratch=(x.dtype, x.dtype)):
-        _tanh_inner(clip, t)
-        _tanh_share(clip, t, d_inner, share)
-        t += 1.0
-        t *= 0.5
-        t += share
-        t *= g
-    return gx
 
 
 def _pool_cells(clip, pool):

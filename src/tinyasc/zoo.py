@@ -275,7 +275,8 @@ class Rebuild:
     tuple ``(input, *rest)``, as a batch norm keeps. Backward makes the cache
     at its first reader, the layer's step or a later layer's rebuild, and
     keeps it in the layer's slot for the other, except a norm's input made
-    for a later layer's rebuild: the norm makes it again at its own step.
+    for a later layer's rebuild: the norm makes it again at its own step. A
+    rebuilt input is new, so the layer owns it and its step may write over it.
     """
 
     source: int
@@ -284,8 +285,8 @@ class Rebuild:
 
 @dataclass(frozen=True)
 class Slope:
-    """A GELU's cache once the kept rebuild of its output has written dy/dx
-    over its cached input: its backward step is grad * dy_dx."""
+    """A GELU's cache once the kept rebuild of its output has formed dy/dx,
+    over its cached input where that is writeable: its step is grad * dy_dx."""
 
     dy_dx: np.ndarray
 
@@ -301,7 +302,8 @@ class Op:
         cache, for the layers ``rebuilds(layer)`` admits
     keep(layer, cache) -> (output, the layer's cache for its own step): the
         rebuild that backward keeps, when the kind has a cheaper cache to give
-        its step; it writes only over a cached input that is writeable
+        its step; like a backward step, it writes over a cached array only
+        where that array is writeable
     linear(layer, x, w, b) -> conv or dense output; INT8 runs it on codes
     fans(*w.shape) -> Glorot (fan_in, fan_out)
     params(layer, convention), macs(layer, convention) -> analytic counts
@@ -414,10 +416,10 @@ def _norm_forward(layer, x, run):
 
 
 def _norm_backward(layer, cache, g, run):
-    # a train-mode cached input is this norm's own array (walk sees to that),
+    # a writeable train-mode cached input is this norm's own (walk sees to that),
     # read last by this step
     x, *_, train, _ = cache
-    out = x if train and x.dtype == g.dtype else None
+    out = x if train and x.flags.writeable and x.dtype == g.dtype else None
     g, g_gamma, g_beta = kernels.batch_norm_backward(cache, g, out=out)
     return g, {"gamma": g_gamma, "beta": g_beta}
 
@@ -440,16 +442,16 @@ def _elu_backward(layer, y, g, run):
 
 
 def _gelu_keep(layer, x):
-    # dy/dx from the output's own tanh, over x where x is the GELU's own array
-    if not x.flags.writeable:
-        return kernels.gelu(x), x
-    return kernels.gelu_slope(x, out=x)[0], Slope(x)
+    # dy/dx from the output's own tanh, over x where x is writeable (the GELU's own)
+    y, slope = kernels.gelu_slope(x, out=x if x.flags.writeable else None)
+    return y, Slope(slope)
 
 
 def _gelu_backward(layer, cache, g, run):
-    if isinstance(cache, Slope):
-        return np.multiply(cache.dy_dx, g, out=cache.dy_dx), None
-    return kernels.gelu_backward(cache, g), None
+    # where no later layer rebuilt the output, the slope is formed here, in a new
+    # array: an eval-mode cache is not walk's to guard, and may be another's
+    dy_dx = cache.dy_dx if isinstance(cache, Slope) else kernels.gelu_slope(cache)[1]
+    return np.multiply(dy_dx, g, out=dy_dx), None
 
 
 def _push_skip(layer, x, run):
@@ -608,16 +610,16 @@ def _rebuilds(layer):
     return op.rebuild is not None and op.rebuilds(layer)
 
 
-def _kept(model, caches, cache, x, source, skips, op):
+def _kept(model, caches, cache, x, source, skips):
     """What a train walk keeps of a layer's cache, given its input x, made by
     layer ``source`` (None for the walk's input), and the open residual
     ``skips``. A cache that is x, or a tuple that starts with x (a norm's),
     becomes a ``Rebuild`` where the maker can ``rebuild`` x. Else x is the
     layer's own unless it is the caller's batch, the maker's cache (an ELU's
-    output), which the maker's step reads later, or an open skip's. Where it
-    is not, such a tuple keeps a copy of x, as its backward writes into it,
-    and a kind with a ``keep`` keeps a read-only view of x, which its keep
-    does not write over."""
+    output), which the maker's step reads later, or an open skip's; one it
+    does not own is kept as a read-only view, alone or at the tuple's head.
+    The one rule of backward: a step writes over a cached array only where
+    that array is writeable."""
     starts = isinstance(cache, tuple) and bool(cache) and cache[0] is x
     if cache is not x and not starts:
         return cache
@@ -625,13 +627,9 @@ def _kept(model, caches, cache, x, source, skips, op):
         return Rebuild(source, rest=cache[1:] if starts else None)
     if source is not None and caches[source] is not x and all(s is not x for s in skips):
         return cache
-    if starts:
-        return (x.copy(), *cache[1:])
-    if op.keep is None:
-        return cache
     view = x.view()
     view.flags.writeable = False
-    return view
+    return (view, *cache[1:]) if starts else view
 
 
 def walk(model, x, run, steps=None, caches=None, record=None):
@@ -652,7 +650,7 @@ def walk(model, x, run, steps=None, caches=None, record=None):
         if op.logits:
             logits = y
         if caches is not None:
-            caches.append(_kept(model, caches, cache, x, source, run.skips, op) if run.train else cache)
+            caches.append(_kept(model, caches, cache, x, source, run.skips) if run.train else cache)
         del cache  # unless kept, a layer's cache must not outlive its step
         if y is not x:
             source = idx
@@ -685,13 +683,15 @@ def backward_graph(model, caches, grad_out):
     is missing.
 
     Consumes ``caches``: each entry is set to None once its layer's step has
-    run, so that its arrays are freed. A train-mode batch norm writes its
-    input gradient into its cached input, an ELU into its cached output and
-    a GELU whose output is rebuilt its dy/dx and then its input gradient into
-    its cached input, where that is its own; an activation list recorded in
-    the same forward pass sees those arrays overwritten. A ``Rebuild`` cache
-    is made from its source's cache at its first reader, which in reverse
-    order comes before the source's own step.
+    run, so that its arrays are freed. A step writes over a cached array only
+    where that array is writeable, which a train walk leaves only the arrays
+    a layer owns (``_kept``): a train-mode batch norm writes its input
+    gradient into its cached input, an ELU into its cached output (always its
+    own), and a GELU whose output is rebuilt its dy/dx and then its input
+    gradient into its cached input. An activation list recorded in the same
+    forward pass sees those arrays overwritten. A ``Rebuild`` cache is made
+    from its source's cache at its first reader, which in reverse order comes
+    before the source's own step.
     """
     if caches is None or len(caches) != len(model.layers):
         raise ShapeError("missing forward cache: run the graph with keep_caches=True")

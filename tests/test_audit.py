@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tinyasc import audit, zoo
+from tinyasc.errors import ConfigError
 from tinyasc.zoo import ModelGraph
 
 FILTER_GRID = [(40, 40), (48, 48), (32, 64), (64, 64)]
@@ -62,6 +63,12 @@ class TestCountParams:
         _, total4 = audit.count_params(model, audit.Convention(bn_params_per_channel=4))
         _, total2 = audit.count_params(model, audit.Convention(bn_params_per_channel=2))
         assert total4 - total2 == 16
+
+    @pytest.mark.parametrize("value", [0, 3])
+    def test_convention_refuses_other_bn_params_as_a_config_error(self, value):
+        with pytest.raises(ConfigError, match=f"must be 2 or 4, got {value}") as exc:
+            audit.Convention(bn_params_per_channel=value)
+        assert isinstance(exc.value, ValueError)
 
     def test_published_reconciliation_target_present(self):
         # the published conv_sep 48-48 figure is a reconciliation target

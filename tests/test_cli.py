@@ -536,6 +536,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "absent.conf" in err
 
+    @pytest.mark.parametrize("value", ["3", "0"])
+    def test_bn_params_outside_2_and_4_in_a_config_file_is_one_error_line(self, value, tmp_path, capsys):
+        # argparse checks choices only on the command line, so the Convention refuses it
+        cfg = tmp_path / "bn.conf"
+        cfg.write_text(f"bn_params={value}\n")
+        assert run_cli(["--config", str(cfg), "audit", "--arch", "conv_sep"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: bn_params_per_channel must be 2 or 4, got {value}\n"
+
     @pytest.mark.parametrize("value", ["true", "x"])
     def test_help_is_not_a_config_key(self, value, tmp_path, capsys):
         cfg = tmp_path / "help.conf"

@@ -294,6 +294,24 @@ class TestBatchNorm:
         assert new <= 5e-7 and new <= old
 
 
+def _gelu_operands(dtype):
+    """40014 GELU inputs, special values among them, and as many gradients."""
+    rng = np.random.default_rng(23)
+    tiny = np.finfo(dtype).tiny
+    special = [0.0, -0.0, tiny, -tiny, tiny / 8, -tiny / 8, 1e-20, -1e-20, 7.0, -7.0, 1e12, -1e12, np.inf, -np.inf]
+    x = np.concatenate([rng.normal(0.0, 3.0, 20000), rng.uniform(-12, 12, 20000), special]).astype(dtype)
+    return x, rng.normal(size=x.shape).astype(dtype)
+
+
+def _gelu_expressions(x, g):
+    """GELU's y and input gradient as fresh-temporary expressions."""
+    c = kernels._SQRT_2_OVER_PI
+    t = np.tanh(c * (x + kernels.GELU_COEF * (x * x * x)))
+    want_y = 0.5 * x * (1.0 + t)
+    want_gx = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * (c * (1.0 + 3.0 * kernels.GELU_COEF * x**2)))
+    return want_y, want_gx
+
+
 class TestActivations:
     def test_zero_fixed_points(self):
         assert kernels.elu(np.array([0.0]))[0] == 0.0
@@ -346,7 +364,7 @@ class TestActivations:
         t = np.tanh(c * (x64 + 0.044715 * x64**3))
         want_y = 0.5 * x64 * (1.0 + t)
         want_gx = g64 * (0.5 * (1.0 + t) + 0.5 * x64 * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x64**2))
-        y, gx = kernels.gelu(x), kernels.gelu_backward(x, g)
+        y, gx = kernels.gelu(x), kernels.gelu_slope(x)[1] * g
         assert y.dtype == gx.dtype == np.float32
         ulp = np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x64))
         assert np.all(np.abs(y - want_y) <= 4 * ulp)
@@ -356,17 +374,10 @@ class TestActivations:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_byte_equal_to_expression_form(self, dtype):
         # the fresh-temporary expressions that the in-place forms replaced
-        rng = np.random.default_rng(23)
-        tiny = np.finfo(dtype).tiny
-        special = [0.0, -0.0, tiny, -tiny, tiny / 8, -tiny / 8, 1e-20, -1e-20, 7.0, -7.0, 1e12, -1e12, np.inf, -np.inf]
-        x = np.concatenate([rng.normal(0.0, 3.0, 20000), rng.uniform(-12, 12, 20000), special]).astype(dtype)
-        g = rng.normal(size=x.shape).astype(dtype)
-        c = kernels._SQRT_2_OVER_PI
+        x, g = _gelu_operands(dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            t = np.tanh(c * (x + kernels.GELU_COEF * (x * x * x)))
-            want_y = 0.5 * x * (1.0 + t)
-            want_gx = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * (c * (1.0 + 3.0 * kernels.GELU_COEF * x**2)))
-            y, gx = kernels.gelu(x), kernels.gelu_backward(x, g)
+            want_y, want_gx = _gelu_expressions(x, g)
+            y, gx = kernels.gelu(x), kernels.gelu_slope(x)[1] * g
         assert y.dtype == gx.dtype == dtype
         assert y.tobytes() == want_y.tobytes()
         assert gx.tobytes() == want_gx.tobytes()
@@ -374,16 +385,12 @@ class TestActivations:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(40014,), (6, 13, 19, 27)], ids=["one-clip", "clip-by-clip"])
     def test_gelu_slope_byte_equal_to_gelu_and_its_backward(self, dtype, shape):
-        # y and dy/dx from one tanh: y is gelu's, and dy/dx * g is gelu_backward's, also
-        # when dy/dx goes over x itself, as the kept rebuild of a GELU's output writes it
-        rng = np.random.default_rng(23)
-        tiny = np.finfo(dtype).tiny
-        special = [0.0, -0.0, tiny, -tiny, tiny / 8, -tiny / 8, 1e-20, -1e-20, 7.0, -7.0, 1e12, -1e12, np.inf, -np.inf]
-        x = np.concatenate([rng.normal(0.0, 3.0, 20000), rng.uniform(-12, 12, 20000), special]).astype(dtype)
-        x = x.reshape(shape)
-        g = rng.normal(size=x.shape).astype(dtype)
+        # y and dy/dx from one tanh: y is gelu's, and dy/dx * g is the expression form
+        # of GELU's input gradient, also clip by clip and when dy/dx goes over x itself,
+        # as the kept rebuild of a GELU's output writes it
+        x, g = (a.reshape(shape) for a in _gelu_operands(dtype))
         with np.errstate(over="ignore", invalid="ignore"):
-            want_y, want_gx = kernels.gelu(x), kernels.gelu_backward(x, g)
+            want_y, want_gx = _gelu_expressions(x, g)
             y, slope = kernels.gelu_slope(x)
             own = x.copy()
             y_over, slope_over = kernels.gelu_slope(own, out=own)

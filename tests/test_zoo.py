@@ -10,6 +10,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyasc import audit, kernels, metrics, quantize, zoo
 from tinyasc.errors import ConfigError, GraphBuildError, QuantizationError, ShapeError, TinyAscError
@@ -393,6 +395,11 @@ def _cache_arrays(cache):
 LINEAR_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "dense")
 
 
+def _read_only_view_of(cached, array):
+    """Whether ``cached`` is a read-only view of ``array``, sharing its memory."""
+    return isinstance(cached, np.ndarray) and not cached.flags.writeable and cached.base is array
+
+
 def _spy_linear_inputs(monkeypatch, model):
     """A copy of the input of each linear kernel call, forward and backward,
     keyed by (layer name, "forward" or "backward"); a layer is known by its kernel."""
@@ -411,8 +418,9 @@ def _spy_linear_inputs(monkeypatch, model):
 
 class TestTrainCaches:
     def test_elu_caches_its_output_and_no_cache_holds_wide_indices(self):
-        # ELU's backward reads its output, which is already the next layer's input;
-        # max pooling keeps a uint8 index and dropout a bool mask
+        # ELU's backward reads its output, which is already the next layer's input, so
+        # that layer keeps a read-only view of it; max pooling keeps a uint8 index and
+        # dropout a bool mask
         model = zoo.init_weights(zoo.build_conv_sep(4, 4, input_shape=(8, 16, 1)), seed=2)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         outputs = []
@@ -424,7 +432,7 @@ class TestTrainCaches:
         for i, kind in enumerate(kinds):
             if kind == "elu":
                 assert caches[i] is outputs[i]
-                assert kinds[i + 1] != "depthwise_conv2d" or caches[i + 1] is outputs[i]
+                assert kinds[i + 1] != "depthwise_conv2d" or _read_only_view_of(caches[i + 1], outputs[i])
 
         for kind, cache in zip(kinds, caches):
             for arr in _cache_arrays(cache):
@@ -641,7 +649,9 @@ class TestTrainCaches:
     @pytest.mark.parametrize("arch, train", [("conv_sep", True), ("conv_sep", False), ("conv_mixer", False)])
     def test_other_linear_layers_cache_their_input_itself(self, arch, train):
         # conv_sep has no linear layer right behind a norm (an ELU sits between); its
-        # only Rebuild is bn1a's of the one-channel conv1. An eval-mode walk rebuilds nothing
+        # only Rebuild is bn1a's of the one-channel conv1. A train walk keeps a read-only
+        # view of an input a layer does not own: conv1's, the caller's batch, and a
+        # depthwise conv's, an ELU's output. An eval-mode walk rebuilds nothing
         model = _with_norm_stats(zoo.init_weights(zoo.build(arch, 4, 4, input_shape=(8, 16, 1)), seed=2), seed=3)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         outputs = []
@@ -653,21 +663,41 @@ class TestTrainCaches:
         assert rebuilt == ({"bn1a": "conv1"} if train else {})
         inputs = [x, *outputs]
         for i, layer in enumerate(model.layers):
-            assert layer.kind not in LINEAR_KINDS or caches[i] is inputs[i], layer.name
+            if layer.kind in LINEAR_KINDS:
+                not_owned = train and (i == 0 or model.layers[i - 1].kind == "elu")
+                assert _read_only_view_of(caches[i], inputs[i]) if not_owned else caches[i] is inputs[i], layer.name
 
 
 def _hand_graph(*layers, input_shape=(4, 5, 2)):
     """A float64 graph of ``layers``, none of which ``build`` makes, then global
-    pooling and a 3-way classifier, with random weights, biases and norm parameters."""
+    pooling and a 3-way classifier, with random weights, biases and norm parameters,
+    every one float64, so that central differences can check each gradient."""
     head = [zoo._simple("global_avg_pool", "gap"), zoo._dense("classifier", 2, 3), zoo._simple("softmax", "softmax")]
     model = zoo.ModelGraph([*layers, *head], "conv_sep", (2, 2), 3, input_shape=input_shape, n_classes=3)
     zoo.infer_shapes(model)
-    return _with_biases(_with_norm_stats(zoo.init_weights(model, seed=5, dtype=np.float64), seed=6), seed=7)
+    model = _with_biases(_with_norm_stats(zoo.init_weights(model, seed=5, dtype=np.float64), seed=6), seed=7)
+    for layer in model.layers:
+        layer.weights = {name: w.astype(np.float64) for name, w in layer.weights.items()}
+    return model
+
+
+# a layer of each kind a hand-built graph takes, by name, each keeping (H, W, 2)
+_LAYERS = {
+    "elu": lambda name: zoo._simple("elu", name),
+    "gelu": lambda name: zoo._simple("gelu", name),
+    "batch_norm": lambda name: zoo._batch_norm(name, 2),
+    "conv2d": lambda name: zoo._conv(name, 3, 2, 2, True),
+    "depthwise_conv2d": lambda name: zoo._depthwise(name, 3, 2, True),
+    "pointwise_conv2d": lambda name: zoo._pointwise(name, 2, 2, True),
+    "max_pool": lambda name: zoo._simple("max_pool", name, pool=(1, 1)),
+    "dropout": lambda name: zoo._simple("dropout", name, rate=0.0),
+}
 
 
 class TestNormOwnsItsInput:
     # a train-mode norm's backward step writes its input gradient into its cached
-    # input, so walk keeps a copy of that input where another reader holds it
+    # input where that is writeable, so walk keeps a read-only view of an input that
+    # another reader holds, and the step forms that gradient in a new array
 
     def test_a_norm_behind_an_elu_leaves_the_elu_its_output(self):
         # the ELU's cache is its output, the norm's input; the ELU's backward step reads
@@ -692,6 +722,35 @@ class TestNormOwnsItsInput:
         probs, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True)
         zoo.backward_graph(model, caches, np.ones_like(probs))
         assert x.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            lambda: [zoo._batch_norm("bn", 2)],
+            lambda: [zoo._conv("conv", 3, 2, 2, True), zoo._simple("elu", "elu"), zoo._batch_norm("bn", 2)],
+            lambda: [
+                zoo._conv("conv", 3, 2, 2, True),
+                zoo._simple("residual_add_begin", "skip"),
+                zoo._batch_norm("bn", 2),
+                zoo._simple("residual_add_end", "add"),
+            ],
+        ],
+        ids=["at-layer-0", "behind-an-elu", "behind-an-open-skip"],
+    )
+    def test_a_norm_keeps_a_read_only_view_of_an_input_it_does_not_own(self, layers):
+        # the caller's batch, an ELU's output and an open skip's array: the norm keeps
+        # no copy of it, but a view sharing its memory, and writes no gradient over it
+        model = _hand_graph(*layers())
+        rng = np.random.default_rng(7)
+        x, r = rng.normal(size=(3, 4, 5, 2)), rng.normal(size=(3, 3))
+        before = x.tobytes()
+        outputs = []
+        _, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True, record_activations=outputs)
+        bn = next(i for i, layer in enumerate(model.layers) if layer.kind == "batch_norm")
+        assert _read_only_view_of(caches[bn][0], [x, *outputs][bn])
+        grads, _ = zoo.backward_graph(model, caches, r)
+        assert x.tobytes() == before
+        _check_weight_grads(model, x, r, grads)
 
     @pytest.mark.parametrize("channels", [1, 2])
     @pytest.mark.parametrize(
@@ -752,26 +811,88 @@ class TestGeluOwnsItsInput:
 
     @pytest.mark.parametrize("own", [True, False])
     def test_a_gelu_steps_by_its_slope_only_where_it_owns_its_input(self, own, monkeypatch):
-        # behind a two-channel conv, which is not rerun, the GELU's input is its own and
-        # its step multiplies by the slope its kept rebuild wrote; behind an open skip it
-        # runs gelu_backward. The conv's weight gradient passes through the GELU either way
+        # the kept rebuild of the GELU's output forms its slope once: behind a two-channel
+        # conv, which is not rerun, over the GELU's own input; behind an open skip, in a
+        # new array, leaving that input as it was. The conv's weight gradient passes
+        # through the GELU either way
         layers = (zoo._conv("conv", 3, 2, 2, True), zoo._simple("gelu", "gelu"), zoo._batch_norm("bn", 2))
         model = _hand_graph(*layers) if own else _gelu_behind_a_skip()
         rng = np.random.default_rng(7)
         x, r = rng.normal(size=(3, 4, 5, 2)), rng.normal(size=(3, 3))
-        calls = []
-        backward = kernels.gelu_backward
-        monkeypatch.setattr(kernels, "gelu_backward", lambda *args: calls.append(1) or backward(*args))
-        _, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True)
+        outs = _spy_gelu_slope_outs(monkeypatch)
+        outputs = []
+        _, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True, record_activations=outputs)
+        before = outputs[0].tobytes()
         grads, _ = zoo.backward_graph(model, caches, r)
-        assert len(calls) == (0 if own else 1)
+        assert outs == [outputs[0] if own else None]
+        assert own or outputs[0].tobytes() == before
+        numeric = _check_weight_grads(model, x, r, grads, ("w",))
+        assert np.abs(numeric[0, "w"]).max() > 1e-2
 
-        def loss():
-            return float((zoo.run_graph(model, x, train=True)[0] * r).sum())
+    @pytest.mark.parametrize(
+        "kinds, train",
+        [(("gelu", "max_pool"), True), (("gelu", "elu"), True), (("elu", "gelu"), True), (("elu", "gelu"), False)],
+        ids=["ahead-of-a-pool", "ahead-of-an-elu", "behind-an-elu", "behind-an-elu-eval"],
+    )
+    def test_a_gelu_no_layer_rebuilds_forms_its_slope_at_its_step(self, kinds, train, monkeypatch):
+        # no later layer keeps the GELU's output, so its step forms the slope by one
+        # gelu_slope, in a new array: behind an ELU the GELU's input is the ELU's output,
+        # which the ELU's step reads next, and an eval-mode walk keeps no view of it
+        model = _hand_graph(zoo._conv("conv", 3, 2, 2, True), *(_LAYERS[kind](kind) for kind in kinds))
+        rng = np.random.default_rng(7)
+        x, r = rng.normal(size=(3, 4, 5, 2)), rng.normal(size=(3, 3))
+        outs = _spy_gelu_slope_outs(monkeypatch)
+        _, _, caches = zoo.run_graph(model, x, train=train, keep_caches=True)
+        assert outs == []
+        grads, _ = zoo.backward_graph(model, caches, r)
+        assert outs == [None]
+        _check_weight_grads(model, x, r, grads, train=train)
 
-        numeric = fd_grad(loss, model.layers[0].weights["w"])
-        assert np.abs(numeric).max() > 1e-2
-        check(grads[0]["w"], numeric)
+
+def _spy_gelu_slope_outs(monkeypatch):
+    """The ``out`` of each ``kernels.gelu_slope`` call, in order."""
+    outs, slope = [], kernels.gelu_slope
+    monkeypatch.setattr(kernels, "gelu_slope", lambda x, out=None: outs.append(out) or slope(x, out=out))
+    return outs
+
+
+def _check_weight_grads(model, x, r, grads, names=None, train=True):
+    """Each of ``grads``' weight gradients (those in ``names`` if given) against float64
+    central differences of sum(probs * r), which it returns by (layer, weight); every
+    trainable layer has its gradients."""
+
+    def loss():
+        return float((zoo.run_graph(model, x, train=train)[0] * r).sum())
+
+    assert set(grads) == {i for i, layer in enumerate(model.layers) if layer.kind in zoo.TRAINABLE_WEIGHTS}
+    numeric = {}
+    for i, per in grads.items():
+        for name, grad in per.items():
+            if names is None or name in names:
+                numeric[i, name] = fd_grad(loss, model.layers[i].weights[name])
+                check(grad, numeric[i, name])
+    return numeric
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_LAYERS)), min_size=1, max_size=4), st.data())
+def test_a_train_step_on_a_drawn_graph_leaves_the_batch_and_gets_every_gradient(kinds, data):
+    # whatever reads a layer's input later (the caller, an ELU's step, an open skip),
+    # one train step's backward writes over no array it does not own
+    layers = [_LAYERS[kind](f"{kind}{i}") for i, kind in enumerate(kinds)]
+    if data.draw(st.booleans(), label="skip"):
+        begin = data.draw(st.integers(0, len(layers)), label="begin")
+        end = data.draw(st.integers(begin, len(layers)), label="end")
+        layers.insert(end, zoo._simple("residual_add_end", "add"))
+        layers.insert(begin, zoo._simple("residual_add_begin", "skip"))
+    model = _hand_graph(*layers)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x, r = rng.normal(size=(2, 4, 5, 2)), rng.normal(size=(2, 3))
+    before = x.tobytes()
+    _, _, caches = zoo.run_graph(model, x, train=True, keep_caches=True)
+    grads, _ = zoo.backward_graph(model, caches, r)
+    assert x.tobytes() == before
+    _check_weight_grads(model, x, r, grads)
 
 
 class TestInitWeights:
@@ -979,7 +1100,7 @@ class TestLayerTable:
         model, specs, x = _tiny(arch)
         qm = quantize.quantize_model(model, specs)
         counts = collections.Counter()
-        for name in ("conv2d", "gelu", "gelu_slope", "gelu_backward", "batch_norm", "batch_norm_backward"):
+        for name in ("conv2d", "gelu", "gelu_slope", "batch_norm", "batch_norm_backward"):
 
             def counted(*args, _name=name, _fn=getattr(kernels, name), **kwargs):
                 counts[_name] += 1
@@ -1003,9 +1124,9 @@ class TestLayerTable:
         read_by_a_conv = sum(isinstance(c, zoo.Rebuild) and model.layers[c.source].kind == "batch_norm" for c in caches)
         _, seen = calls(lambda: zoo.backward_graph(model, caches, np.ones_like(probs)))
         # each of the mixer's norms, all behind a GELU, rebuilds its input at its step by
-        # gelu_slope, which also gives the GELU's step its slope, so no gelu_backward runs;
-        # the conv behind a norm rebuilds the norm's output from one more GELU. The
-        # one-channel first conv is rerun once
+        # gelu_slope, which also gives the GELU's step its slope; the conv behind a norm
+        # rebuilds the norm's output from one more GELU. The one-channel first conv is
+        # rerun once
         rebuilds = {"gelu_slope": want["batch_norm"], "gelu": read_by_a_conv} if arch == "conv_mixer" else {}
         assert seen == {"batch_norm_backward": want["batch_norm"], "conv2d": 1, **rebuilds}
         _, seen = calls(lambda: quantize.quantized_forward(qm, specs[0]))
