@@ -84,23 +84,26 @@ class ComplexityReport:
         return self.macs_budget - self.macs_total
 
 
+def _layer_counts(model, convention=None):
+    """The one analytic pass: a LayerCount for each layer of ``model``."""
+    convention = convention or Convention()
+    rows = []
+    for i, layer in enumerate(model.layers):
+        op = layer_op(layer, i)
+        params, macs = op.params(layer, convention), op.macs(layer, convention)
+        rows.append(LayerCount(layer.name, layer.kind, layer.output_shape, params, macs))
+    return rows
+
+
 def count_params(model, convention=None):
     """Analytic per-layer parameter counts; returns (rows, total)."""
-    convention = convention or Convention()
-    rows = [
-        (layer.name, layer_op(layer, i).params(layer, convention))
-        for i, layer in enumerate(model.layers)
-    ]
+    rows = [(r.name, r.params) for r in _layer_counts(model, convention)]
     return rows, sum(p for _, p in rows)
 
 
 def count_macs(model, convention=None):
     """Analytic per-layer MAC counts for one forward pass; returns (rows, total)."""
-    convention = convention or Convention()
-    rows = [
-        (layer.name, layer_op(layer, i).macs(layer, convention))
-        for i, layer in enumerate(model.layers)
-    ]
+    rows = [(r.name, r.macs) for r in _layer_counts(model, convention)]
     return rows, sum(m for _, m in rows)
 
 
@@ -140,49 +143,33 @@ def check_budget(params_total, macs_total, max_params=MAX_PARAMS_BUDGET, max_mac
 
 def audit_model(model, convention=None, max_params=MAX_PARAMS_BUDGET, max_macs=MAX_MACS_BUDGET):
     """Assemble the full per-layer ComplexityReport for a model."""
-    param_rows, params_total = count_params(model, convention)
-    mac_rows, macs_total = count_macs(model, convention)
-    rows = [
-        LayerCount(layer.name, layer.kind, layer.output_shape, params, macs)
-        for layer, (_, params), (_, macs) in zip(model.layers, param_rows, mac_rows)
-    ]
-    params_pass, macs_pass = check_budget(params_total, macs_total, max_params, max_macs)
-    return ComplexityReport(
-        rows=rows,
-        params_total=params_total,
-        macs_total=macs_total,
-        params_budget=max_params,
-        macs_budget=max_macs,
-        params_pass=params_pass,
-        macs_pass=macs_pass,
-    )
+    rows = _layer_counts(model, convention)
+    totals = sum(r.params for r in rows), sum(r.macs for r in rows)
+    return ComplexityReport(rows, *totals, max_params, max_macs, *check_budget(*totals, max_params, max_macs))
+
+
+def _table(report):
+    """The rows both report writers print: each layer's name, kind, output
+    shape, params and MACs, then the total row."""
+    rows = [(r.name, r.kind, "x".join(map(str, r.output_shape)), r.params, r.macs) for r in report.rows]
+    return [*rows, ("total", "", "", report.params_total, report.macs_total)]
 
 
 def format_report(report: ComplexityReport) -> str:
-    lines = [f"{'layer':<14} {'kind':<20} {'output':<14} {'params':>10} {'macs':>12}"]
-    for r in report.rows:
-        shape = "x".join(str(d) for d in r.output_shape)
-        lines.append(f"{r.name:<14} {r.kind:<20} {shape:<14} {r.params:>10} {r.macs:>12}")
-    lines.append(f"{'total':<14} {'':<20} {'':<14} {report.params_total:>10} {report.macs_total:>12}")
+    rows = [("layer", "kind", "output", "params", "macs"), *_table(report)]
+    lines = ["{:<14} {:<20} {:<14} {:>10} {:>12}".format(*row) for row in rows]
     lines.append("")
-    lines.append(
-        f"params {report.params_total} / {report.params_budget} "
-        f"({'pass' if report.params_pass else 'FAIL'}, headroom {report.params_headroom})"
-    )
-    lines.append(
-        f"macs   {report.macs_total} / {report.macs_budget} "
-        f"({'pass' if report.macs_pass else 'FAIL'}, headroom {report.macs_headroom})"
-    )
+    for name, total, budget, passed in (
+        ("params", report.params_total, report.params_budget, report.params_pass),
+        ("macs", report.macs_total, report.macs_budget, report.macs_pass),
+    ):
+        lines.append(f"{name:<6} {total} / {budget} ({'pass' if passed else 'FAIL'}, headroom {budget - total})")
     return "\n".join(lines) + "\n"
 
 
 def report_to_csv(report: ComplexityReport) -> str:
-    lines = ["layer,kind,out_shape,params,macs"]
-    for r in report.rows:
-        shape = "x".join(str(d) for d in r.output_shape)
-        lines.append(f"{r.name},{r.kind},{shape},{r.params},{r.macs}")
-    lines.append(f"total,,,{report.params_total},{report.macs_total}")
-    return "\n".join(lines) + "\n"
+    rows = [("layer", "kind", "out_shape", "params", "macs"), *_table(report)]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def report_footer(report: ComplexityReport) -> str:
@@ -204,19 +191,18 @@ class SweepCandidate:
     kernel_size: int
     use_bias: bool
     patch_norm: bool
-    bn_params_per_channel: int
-    count_bn_macs: bool
-    count_bias_macs: bool
+    convention: Convention
     params: int
     macs: int
 
     def describe(self):
+        c = self.convention
         return (
             f"kernel={self.kernel_size} bias={'on' if self.use_bias else 'off'} "
             f"patch_norm={'on' if self.patch_norm else 'off'} "
-            f"bn_params={self.bn_params_per_channel} "
-            f"bn_macs={'counted' if self.count_bn_macs else 'folded'} "
-            f"bias_macs={'counted' if self.count_bias_macs else 'excluded'}"
+            f"bn_params={c.bn_params_per_channel} "
+            f"bn_macs={'counted' if c.count_bn_macs else 'folded'} "
+            f"bias_macs={'counted' if c.count_bias_macs else 'excluded'}"
         )
 
 
@@ -244,16 +230,10 @@ def sweep_conventions(arch_tag, filters, kernels=SWEEP_KERNELS):
     patch_options = (True, False) if arch_tag == "conv_mixer" else (True,)
     for kernel, use_bias, patch_norm in itertools.product(kernels, (True, False), patch_options):
         model = build(arch_tag, *filters, kernel_size=kernel, use_bias=use_bias, patch_norm=patch_norm)
-        for bn_pc, bn_macs, bias_macs in itertools.product((4, 2), (False, True), (False, True)):
-            conv = Convention(bn_pc, bn_macs, bias_macs)
-            _, params = count_params(model, conv)
-            _, macs = count_macs(model, conv)
-            candidates.append(
-                SweepCandidate(
-                    kernel, use_bias, patch_norm, bn_pc, bn_macs, bias_macs,
-                    params, macs,
-                )
-            )
+        for values in itertools.product((4, 2), (False, True), (False, True)):
+            convention = Convention(*values)
+            report = audit_model(model, convention)
+            candidates.append(SweepCandidate(kernel, use_bias, patch_norm, convention, report.params_total, report.macs_total))
     return candidates
 
 
@@ -266,14 +246,7 @@ def reconcile(arch_tag, filters, kernels=SWEEP_KERNELS) -> ReconciliationRecord:
     candidates = sweep_conventions(arch_tag, filters, kernels)
     best_params = min(candidates, key=lambda c: (abs(c.params - pub_params), c.kernel_size))
     best_macs = min(candidates, key=lambda c: (abs(c.macs - pub_macs), c.kernel_size))
-    return ReconciliationRecord(
-        arch_tag=arch_tag,
-        filters=tuple(filters),
-        published_params=pub_params,
-        published_macs=pub_macs,
-        best_params=best_params,
-        best_macs=best_macs,
-    )
+    return ReconciliationRecord(arch_tag, tuple(filters), pub_params, pub_macs, best_params, best_macs)
 
 
 def reconcile_all(kernels=SWEEP_KERNELS):

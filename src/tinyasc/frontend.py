@@ -73,6 +73,8 @@ class FrontendConfig:
             raise ConfigError(f"hop_fraction must be in (0, 1), got {self.hop_fraction}")
         if self.n_mels < 1:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
+        if self.fmin < 0.0:
+            raise ConfigError(f"fmin must be >= 0, got {self.fmin}")
         if not self.fmin < self.fmax:
             raise ConfigError(f"need fmin < fmax, got {self.fmin} >= {self.fmax}")
         if self.log_floor <= 0.0:

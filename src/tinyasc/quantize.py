@@ -118,8 +118,8 @@ def calibrate(model, inputs):
     if not inputs:
         raise QuantizationError("calibration needs at least one input")
     ranges = None
-    for spec in inputs:
-        acts = [zoo.stack_inputs(model, [spec], model.dtype)]
+    for x in zoo.stack_inputs(model, inputs, model.dtype):
+        acts = [x[None]]
         zoo.run_graph(model, acts[0], train=False, record_activations=acts)
         seen = [(float(a.min()), float(a.max())) for a in acts]
         if ranges is not None:

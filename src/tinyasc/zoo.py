@@ -737,16 +737,19 @@ def stack_inputs(model, specs, dtype):
     """Stack Spectrograms or (H, W) arrays into an (N, H, W, 1) batch of ``dtype``.
 
     An (H, W, C) array of the model's input shape is taken as it is; any
-    other shape raises ShapeError naming the expected and the actual shape.
+    other shape raises ShapeError naming the example, the expected and the
+    actual shape.
     """
     expected = model.input_shape
     batch = []
-    for spec in specs:
+    for i, spec in enumerate(specs):
         data = np.asarray(spec.data if isinstance(spec, Spectrogram) else spec)
         if data.shape == expected[:2] and expected[2] == 1:
             data = data[..., None]
         elif data.shape != expected:
-            raise ShapeError(f"input shape mismatch: expected {expected[:2]} (x1 channel), got {data.shape}")
+            raise ShapeError(
+                f"example {i}: input shape mismatch: expected {expected[:2]} (x1 channel), got {data.shape}"
+            )
         batch.append(data.astype(dtype))
     return np.stack(batch)
 

@@ -240,8 +240,8 @@ class TestReconciliation:
         candidates = audit.sweep_conventions("conv_sep", (48, 48), kernels=(3,))
         defaults = [
             c for c in candidates
-            if c.use_bias and c.bn_params_per_channel == 4
-            and not c.count_bn_macs and not c.count_bias_macs
+            if c.use_bias and c.convention.bn_params_per_channel == 4
+            and not c.convention.count_bn_macs and not c.convention.count_bias_macs
         ]
         assert len(defaults) == 1
         assert defaults[0].params == audit.count_params(model)[1]

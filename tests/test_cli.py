@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import os
 import struct
 import subprocess
@@ -92,6 +93,36 @@ class TestFeatures:
         assert result.stdout == ""
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# (exit code, sha256 of stdout, sha256 of the --csv file) of `tinyasc audit`
+# at the defaults and with every convention switch flipped
+AUDIT_GOLDEN = {
+    ("conv_sep", ""): (
+        0,
+        "c5ac0f27e848fd83f911ff735d80b081aeb8ad6b27f751a5abeea0ac3d80ad0f",
+        "27351244bbc0972115b018ad1df1102048b003c122367accd56ab475b5c99f5f",
+    ),
+    ("conv_mixer", ""): (
+        0,
+        "9fbc2b71c9586a980510b9a9649e3b76ee68e7d00701ec6afd30ad936d80f16c",
+        "8c7975144f928ec632d60228f8fb28c9055c7b4c3d101571a0c37663fc5f55e0",
+    ),
+    ("conv_sep", "--no-bias --bn-params 2 --count-bn-macs --count-bias-macs --filters 32,64 --kernel 5"): (
+        3,
+        "3de8347ae9f7dac6382646335bad92833e98e3da744d35a78e7668f7f72ede7f",
+        "d012eb3e945555ac177a42c8e89069eaa2beb58d4479b2ffb71d7eadc944daab",
+    ),
+    ("conv_mixer", "--no-bias --bn-params 2 --count-bn-macs --count-bias-macs --filters 32,64 --kernel 5"): (
+        0,
+        "2f43b5994656754ab6ce15801670af4ec0ef015d08d116fc09be92c4455fac69",
+        "25afef4db2deea1baa32dcf3bc22d013b9bae8e39c4496f3fa5d33a71e9de3c4",
+    ),
+}
+
+
 class TestAudit:
     def test_pass_exit_0(self, capsys):
         code = run_cli(["audit", "--arch", "conv_sep", "--filters", "48,48", "--kernel", "3"])
@@ -124,6 +155,15 @@ class TestAudit:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: weight shape (65535, 65535, 65535, 65535) has too many entries\n"
+
+    @pytest.mark.parametrize("arch, flags", list(AUDIT_GOLDEN))
+    def test_stdout_and_csv_bytes_are_pinned(self, arch, flags, tmp_path, capsys):
+        csv = tmp_path / "audit.csv"
+        code = run_cli(["audit", "--arch", arch, *flags.split(), "--csv", str(csv)])
+        want_code, want_stdout, want_csv = AUDIT_GOLDEN[(arch, flags)]
+        assert code == want_code
+        assert _sha256(capsys.readouterr().out.encode()) == want_stdout
+        assert _sha256(csv.read_bytes()) == want_csv
 
     @pytest.mark.parametrize("patch", [["--patch", "3"], ["--patch", "0"]])
     def test_conv_sep_rejects_patch(self, patch, capsys):
@@ -268,6 +308,23 @@ class TestTrainEvalQuantize:
         assert result.stderr == f"error: {ckpt}: {problem}\n"
         assert not (tmp_path / "bad.tasq").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "quantize"])
+    def test_a_short_clip_is_one_error_line_naming_its_example(self, command, artifacts, tmp_path, capsys):
+        _, ckpt, _ = artifacts
+        manifest = tmp_path / "short.tsv"
+        manifest.write_text("filename\tscene_label\na.wav\tbus\nb.wav\tpark\nc.wav\tmetro\n")
+        for name, seconds in (("a", 1.0), ("b", 0.5), ("c", 1.0)):
+            data.write_wav(tmp_path / f"{name}.wav", Waveform(np.zeros(int(44100 * seconds)), 44100), bits=16)
+        args = {
+            "train": ["train", "--epochs", "1", "--filters", "4,4"],
+            "eval": ["eval", "--checkpoint", str(ckpt)],
+            "quantize": ["quantize", "--checkpoint", str(ckpt), "--out", str(tmp_path / "q.tasq")],
+        }[command]
+        assert run_cli([*args, "--manifest", str(manifest), "--audio-root", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: example 1: input shape mismatch: expected (64, 51) (x1 channel), got (64, 26)\n"
+        assert out == ""
+
     def test_conv_mixer_checkpoint_feeds_eval_and_quantize(self, tmp_path, capsys):
         ckpt, qpath = tmp_path / "mixer.tasc", tmp_path / "mixer.tasq"
         assert run_cli([
@@ -371,6 +428,14 @@ class TestReconcile:
         assert out.count("conv_mixer") == 4
         assert len(out_csv.read_text().strip().split("\n")) == 9
 
+    def test_stdout_and_csv_bytes_are_pinned(self, tmp_path, capsys):
+        out_csv = tmp_path / "rec.csv"
+        assert run_cli(["reconcile", "--out", str(out_csv)]) == 0
+        assert _sha256(capsys.readouterr().out.encode()) == (
+            "d0282783748c3241fff91a4d247ee5283fdc0ed26634f941c8387c01fc4f89f1"
+        )
+        assert _sha256(out_csv.read_bytes()) == "4f01ba463a049fd9ac7d48c810ee8fdba69bae49661c186237e94e631bddecd9"
+
     def test_reconcile_output_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["reconcile", "--out", str(a)]) == 0
@@ -443,6 +508,7 @@ class TestOutOfRangeValues:
             (["features", "--log-floor", "inf"], "log_floor must be finite, got inf"),
             (["features", "--window-ms", "nan"], "window_ms must be finite, got nan"),
             (["features", "--window-ms", "inf"], "window_ms must be finite, got inf"),
+            (["features", "--fmin", "-5"], "fmin must be >= 0, got -5.0"),
             (["train", "--synthetic", "8", "--epochs", "1", "--lr", "-1"], "lr must be finite and > 0, got -1.0"),
             (["train", "--synthetic", "8", "--epochs", "1", "--lr", "0"], "lr must be finite and > 0, got 0.0"),
             (["train", "--synthetic", "8", "--epochs", "1", "--lr", "nan"], "lr must be finite and > 0, got nan"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tinyasc.errors import AudioFormatError
+from tinyasc.errors import AudioFormatError, ConfigError
 from tinyasc.frontend import (
     FrontendConfig,
     Waveform,
@@ -123,6 +123,12 @@ class TestMelFilterbank:
     def test_fmax_above_nyquist_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):
             mel_filterbank(FrontendConfig(), 22050)
+
+    @pytest.mark.parametrize("fmin", [-5.0, -1e-9])
+    def test_negative_fmin_rejected(self, fmin):
+        # the first triangle would start below 0 Hz
+        with pytest.raises(ConfigError, match=f"fmin must be >= 0, got {fmin}"):
+            FrontendConfig(fmin=fmin)
 
     def test_cache_follows_config_values(self):
         cfg = FrontendConfig()

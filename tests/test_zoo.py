@@ -183,6 +183,12 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"expected.*\(64, 51\).*got.*\(32, 51\)"):
             zoo.forward(model, _rand_spec(0, shape=(32, 51)))
 
+    def test_shape_mismatch_names_the_example(self):
+        model = zoo.build_conv_sep(8, 8, 3)
+        specs = [_rand_spec(0), _rand_spec(1, shape=(64, 26)), _rand_spec(2)]
+        with pytest.raises(ShapeError, match=r"^example 1: input shape mismatch: .*got \(64, 26\)$"):
+            zoo.stack_inputs(model, specs, np.float32)
+
     def test_inference_never_mutates_weights(self):
         model = zoo.init_weights(zoo.build_conv_mixer(8, 8, 3), seed=9)
         before = zoo.weights_fingerprint(model)
