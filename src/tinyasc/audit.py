@@ -137,7 +137,11 @@ def brute_force_count(model):
 
 
 def check_budget(params_total, macs_total, max_params=MAX_PARAMS_BUDGET, max_macs=MAX_MACS_BUDGET):
-    """Threshold-exact verdicts: totals equal to the budget pass."""
+    """Threshold-exact verdicts: totals equal to the budget pass. A negative
+    budget raises ConfigError naming it."""
+    for name, budget in (("max_params", max_params), ("max_macs", max_macs)):
+        if budget < 0:
+            raise ConfigError(f"{name} must be >= 0, got {budget}")
     return params_total <= max_params, macs_total <= max_macs
 
 

@@ -152,26 +152,23 @@ def power_spectrum(frames: np.ndarray, config: FrontendConfig) -> np.ndarray:
     return (spectrum.real**2 + spectrum.imag**2).T
 
 
+# The Slaney Mel scale: _HZ_PER_MEL below _BREAK_HZ, a log step of _LOG_STEP per Mel above
+_HZ_PER_MEL = 200.0 / 3.0
+_BREAK_HZ = 1000.0
+_LOG_STEP = np.log(6.4) / 27.0
+
+
 def hz_to_mel(freq_hz):
     """Slaney Mel scale: linear below 1 kHz, logarithmic above."""
     freq_hz = np.asarray(freq_hz, dtype=np.float64)
-    f_sp = 200.0 / 3.0
-    min_log_hz = 1000.0
-    logstep = np.log(6.4) / 27.0
-    mel = freq_hz / f_sp
-    above = freq_hz >= min_log_hz
-    mel = np.where(above, min_log_hz / f_sp + np.log(np.maximum(freq_hz, min_log_hz) / min_log_hz) / logstep, mel)
-    return mel
+    logarithmic = _BREAK_HZ / _HZ_PER_MEL + np.log(np.maximum(freq_hz, _BREAK_HZ) / _BREAK_HZ) / _LOG_STEP
+    return np.where(freq_hz >= _BREAK_HZ, logarithmic, freq_hz / _HZ_PER_MEL)
 
 
 def mel_to_hz(mel):
     mel = np.asarray(mel, dtype=np.float64)
-    f_sp = 200.0 / 3.0
-    min_log_mel = 1000.0 / f_sp
-    logstep = np.log(6.4) / 27.0
-    freq = mel * f_sp
-    above = mel >= min_log_mel
-    return np.where(above, 1000.0 * np.exp(logstep * (mel - min_log_mel)), freq)
+    break_mel = _BREAK_HZ / _HZ_PER_MEL
+    return np.where(mel >= break_mel, _BREAK_HZ * np.exp(_LOG_STEP * (mel - break_mel)), mel * _HZ_PER_MEL)
 
 
 def mel_filterbank(config: FrontendConfig, sample_rate: int) -> np.ndarray:

@@ -254,8 +254,6 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
     ``batch_norm_output``; a train-mode call first centres and squares each
     clip in y, its only full-size buffer, for ``np.var``'s arithmetic.
     """
-    if eps <= 0:
-        raise ValueError(f"batch norm eps must be positive, got {eps}")
     axes = tuple(range(x.ndim - 1))
     if train:
         mean = x.mean(axis=axes)
@@ -267,12 +265,20 @@ def batch_norm(x, gamma, beta, moving_mean, moving_var, eps=1e-3, momentum=0.99,
         moving_mean = momentum * moving_mean + (1.0 - momentum) * mean
         moving_var = momentum * moving_var + (1.0 - momentum) * var
     else:
-        if np.any(moving_var < 0):
-            raise ValueError("negative variance estimate in batch norm")
         mean, var, y = moving_mean, moving_var, None
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / norm_denominator(var, eps)
     cache = (x, mean, inv_std, gamma, beta, train, axes)
     return batch_norm_output(cache, out=y), cache, (moving_mean, moving_var)
+
+
+def norm_denominator(var, eps):
+    """sqrt(var + eps), a batch norm's denominator. A non-positive eps or a
+    negative variance raises ValueError."""
+    if eps <= 0:
+        raise ValueError(f"batch norm eps must be positive, got {eps}")
+    if np.any(var < 0):
+        raise ValueError("negative variance estimate in batch norm")
+    return np.sqrt(var + eps)
 
 
 def _x_hat(clip, mean, inv_std, out):

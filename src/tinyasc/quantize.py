@@ -13,16 +13,16 @@ dense layer requantize their input to INT8 codes, sum products of the
 zero-point-shifted activation codes and the INT8 weight codes, add the bias
 rounded to the accumulator unit and rescale once to float. The sums run as
 float GEMMs on integer-valued operands, exact at any summation order and BLAS
-thread count (``FLOAT32_MAX_K``). Pooling, residual adds and nonlinearities
-run in float between these layers, a simplification the float-agreement
+thread count (``FLOAT32_MAX_K``). Every other layer runs the float engine's
+own kernel in float64 between them, a simplification the float-agreement
 check bounds end to end.
 
 A ``predictor`` builds these constants once from a quantized model's fields:
-the integer layers, the float64 norms and, for a one-code layer (one tap of a
-one-channel input, as the mixer's 1x1 patch embedding) and the elementwise
-layers right behind it, per-code tables of their outputs (``_tabulate``): for
-a 48-channel stem, three 257 x 48 float64 tables, the work of about 1/13 of
-one 64 x 51 clip.
+the integer layers, float64 copies of the norms' statistics and, for a
+one-code layer (one tap of a one-channel input, as the mixer's 1x1 patch
+embedding) and the elementwise layers right behind it, per-code tables of
+their outputs (``_tabulate``): for a 48-channel stem, three 257 x 48 float64
+tables, the work of about 1/13 of one 64 x 51 clip.
 
 The graph alone says which weights are INT8 (``int8_weight``: each conv
 and dense kernel); a quantized model's graph gives structure only, and
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import modelfile, zoo
+from . import kernels, modelfile, zoo
 from .errors import QuantizationError, ShapeError
 
 
@@ -75,8 +75,7 @@ def quantize_tensor(t, scheme="symmetric_weight"):
         q = np.clip(np.round(t / scale), -127, 127).astype(np.int8)
         return q, QuantParams(scale=scale, zero_point=0, scheme=scheme)
     if scheme == "affine_activation":
-        lo = min(float(t.min()), 0.0) if t.size else 0.0
-        hi = max(float(t.max()), 0.0) if t.size else 0.0
+        lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
         params = affine_params(lo, hi)
         return quantize_array(t, params), params
     raise QuantizationError(f"unknown scheme {scheme!r}")
@@ -251,25 +250,15 @@ class IntegerLayer:
         return y
 
 
-def _float_norm(qm, i, layer):
-    """Inference batch norm in float64 from the stored float32 parameters."""
-    gamma, beta, mean, var = (_record(qm, i, n)[0].astype(np.float64) for n in layer.weight_names())
-    denom = np.sqrt(var + layer.config["eps"])
-
-    def norm(_, x):
-        # (x - mean) / denom * gamma + beta in one float64 buffer, in that order
-        y = np.subtract(x, mean)
-        y /= denom
-        y *= gamma
-        y += beta
-        return y
-
-    return norm
+def _norm_step(qm, i, layer):
+    """Batch norm ``i`` by ``kernels.batch_norm`` in eval mode, on float64 copies of its statistics."""
+    stats = [_record(qm, i, n)[0].astype(np.float64) for n in layer.weight_names()]
+    return lambda _, x, eps=layer.config["eps"]: kernels.batch_norm(x, *stats, eps=eps)[0]
 
 
 def _steps(qm):
     """``{layer index: step}`` for ``qm``: an IntegerLayer for each conv and dense
-    layer and a float64 norm for each batch norm, built from its fields;
+    layer and a ``_norm_step`` for each batch norm, built from its fields;
     every weight of the graph's layers is read by ``_record``. A one-code layer
     and the elementwise layers behind it then look their outputs up (``_tabulate``)."""
     n_params, n_layers = len(qm.activation_params), len(qm.graph.layers)
@@ -278,7 +267,7 @@ def _steps(qm):
     steps = {}
     for i, layer in enumerate(qm.graph.layers):
         if layer.kind == "batch_norm":
-            steps[i] = _float_norm(qm, i, layer)
+            steps[i] = _norm_step(qm, i, layer)
         elif int8_weight(layer, i, "w"):
             codes, params = _record(qm, i, "w")
             in_params = qm.input_params if i == 0 else qm.activation_params[i - 1]

@@ -29,6 +29,8 @@ from .frontend import Spectrogram
 
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
+# an untrained batch norm's weights, in the order a norm layer holds them
+BN_IDENTITY = {"gamma": 1, "beta": 0, "moving_mean": 0, "moving_var": 1}
 DROPOUT_RATE = 0.3
 
 
@@ -109,8 +111,7 @@ def _pointwise(name, cin, cout, use_bias):
 
 
 def _batch_norm(name, channels):
-    ones, zeros = _placeholder(1, (channels,)), _placeholder(0, (channels,))
-    weights = {"gamma": ones, "beta": zeros, "moving_mean": zeros, "moving_var": ones}
+    weights = {n: _placeholder(v, (channels,)) for n, v in BN_IDENTITY.items()}
     return LayerSpec("batch_norm", name, {"eps": BN_EPS, "momentum": BN_MOMENTUM}, weights)
 
 
@@ -504,7 +505,7 @@ OPS = {
         _norm_backward,
         _norm_shape,
         rebuild=lambda layer, cache: kernels.batch_norm_output(cache),
-        weights=("gamma", "beta", "moving_mean", "moving_var"),
+        weights=tuple(BN_IDENTITY),
         trainable=("gamma", "beta"),
         params=lambda layer, convention: convention.bn_params_per_channel * layer.weights["gamma"].shape[0],
         macs=lambda layer, convention: (
@@ -597,10 +598,8 @@ def init_weights(model, seed, dtype=None):
             if name == "w":
                 limit = np.sqrt(6.0 / sum(glorot_fans(layer)))
                 layer.weights[name] = rng.uniform(-limit, limit, shape).astype(dt)
-            elif name in ("gamma", "moving_var"):
-                layer.weights[name] = np.ones(shape, dtype=dt)
             else:
-                layer.weights[name] = np.zeros(shape, dtype=dt)
+                layer.weights[name] = np.full(shape, BN_IDENTITY.get(name, 0), dtype=dt)
     return model
 
 
@@ -791,13 +790,8 @@ def fold_norms(model):
     """
 
     def fold(conv, norm):
-        eps = norm.config["eps"]
         gamma, beta, mean, var = (norm.weights[n].astype(np.float64) for n in norm.weight_names())
-        if eps <= 0:
-            raise ValueError(f"batch norm eps must be positive, got {eps}")
-        if np.any(var < 0):
-            raise ValueError("negative variance estimate in batch norm")
-        factor = gamma / np.sqrt(var + eps)
+        factor = gamma / kernels.norm_denominator(var, norm.config["eps"])
         b = conv.weights.get("b", 0.0)
         # float32 operands widen to float64 exactly, so no float64 copy is made first
         return {

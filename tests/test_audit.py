@@ -202,6 +202,18 @@ class TestBudget:
         assert audit.check_budget(128_001, 30_000_000) == (False, True)
         assert audit.check_budget(128_000, 30_000_001) == (True, False)
 
+    @pytest.mark.parametrize("budgets, name", [((-1, 30_000_000), "max_params"), ((128_000, -5), "max_macs")])
+    def test_negative_budget_raises_naming_it(self, budgets, name):
+        # a negative budget once read as a model over budget
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 0, got {min(budgets)}$"):
+            audit.check_budget(0, 0, *budgets)
+        with pytest.raises(ConfigError, match=name):
+            audit.audit_model(zoo.build_conv_sep(8, 8, 3), max_params=budgets[0], max_macs=budgets[1])
+
+    def test_zero_budget_is_a_budget(self):
+        assert audit.check_budget(0, 0, 0, 0) == (True, True)
+        assert audit.check_budget(1, 1, 0, 0) == (False, False)
+
     def test_zero_layer_model_full_headroom(self):
         model = ModelGraph(layers=[], arch_tag="conv_sep", filters=(1, 1), kernel_size=3,
                            input_shape=(1, 1, 1), n_classes=1)

@@ -165,6 +165,14 @@ class TestAudit:
         assert _sha256(capsys.readouterr().out.encode()) == want_stdout
         assert _sha256(csv.read_bytes()) == want_csv
 
+    @pytest.mark.parametrize("flag, value", [("--max-params", "-1"), ("--max-macs", "-1")])
+    def test_negative_budget_is_one_error_line(self, flag, value, capsys):
+        # it once printed "params 28090 / -1 (FAIL, headroom -28091)" and exited 3
+        code = run_cli(["audit", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and captured.err == f"error: {flag[2:].replace('-', '_')} must be >= 0, got {value}\n"
+
     @pytest.mark.parametrize("patch", [["--patch", "3"], ["--patch", "0"]])
     def test_conv_sep_rejects_patch(self, patch, capsys):
         code = run_cli(["audit", "--arch", "conv_sep", *patch])
@@ -610,6 +618,15 @@ class TestConfigFile:
         assert run_cli(["--config", str(cfg), "audit", "--arch", "conv_sep"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: bn_params_per_channel must be 2 or 4, got {value}\n"
+
+    @pytest.mark.parametrize("line, message", [("max_params=-1", "max_params must be >= 0, got -1"),
+                                               ("max_macs=-5", "max_macs must be >= 0, got -5")])
+    def test_negative_budget_in_a_config_file_is_one_error_line(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "budget.conf"
+        cfg.write_text(f"{line}\n")
+        assert run_cli(["--config", str(cfg), "audit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", ["true", "x"])
     def test_help_is_not_a_config_key(self, value, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Quantization roundtrips, calibration, batch-norm folding, integer inference."""
 
+import json
 import os
 import re
 import struct
@@ -277,8 +278,8 @@ class TestQuantizedForward:
         assert report == quantize.agreement_report(model, qm_specs, specs)
         assert report["n_inputs"] == 4
 
-    def test_float_norm_byte_equal_to_the_expression(self):
-        # the norm step runs (x - mean) / denom * gamma + beta in one buffer, same order
+    def test_norm_step_byte_equal_to_the_float_kernel_in_eval_mode(self):
+        # the norm step is the float engine's own norm on float64 copies of the statistics
         model = _small_model(arch="conv_mixer")
         qm = quantize.quantize_model(model, [_rand_spec(i + 80) for i in range(2)])
         i = next(i for i, layer in enumerate(qm.graph.layers) if layer.kind == "batch_norm")
@@ -289,8 +290,8 @@ class TestQuantizedForward:
         specials = [0.0, -0.0, 5e-324, -2.2e-310, np.inf, -np.inf, np.nan]
         x.reshape(-1)[rng.choice(x.size, 40, replace=False)] = rng.choice(specials, 40)
         x_before = x.copy()
-        got = quantize._float_norm(qm, i, layer)(None, x)
-        want = (x - mean) / np.sqrt(var + layer.config["eps"]) * gamma + beta
+        got = quantize._norm_step(qm, i, layer)(None, x)
+        want = kernels.batch_norm(x, gamma, beta, mean, var, eps=layer.config["eps"], train=False)[0]
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert x.tobytes() == x_before.tobytes()
 
@@ -623,6 +624,49 @@ class TestIntegerExactness:
         assert outputs[0].count("\n") == 8
         assert outputs[0] == outputs[1]
 
+    def test_logits_identical_at_every_numpy_dispatch_level(self, tmp_path):
+        # numpy picks SIMD loops for the CPU, and some give other float64 bits at another
+        # level; requantizing absorbs last-bit differences unless a code flips
+        specs = [s for s, _ in data.synth_examples(32, seed=12)]
+        for arch in ("conv_sep", "conv_mixer"):
+            model = _random_norms(zoo.init_weights(zoo.build(arch, 48, 48), seed=3), 3)
+            quantize.save_quantized(quantize.quantize_model(model, specs[:4]), tmp_path / f"{arch}.tasq")
+        np.save(tmp_path / "clips.npy", np.stack([s.data for s in specs]))
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from tinyasc import quantize, zoo\n"
+            "root, out = sys.argv[1:]\n"
+            "clips = list(np.load(f'{root}/clips.npy'))\n"
+            "for arch in ('conv_sep', 'conv_mixer'):\n"
+            "    qm = quantize.load_quantized(f'{root}/{arch}.tasq')\n"
+            "    _, logits = quantize.predictor(qm)(zoo.stack_inputs(qm.graph, clips, np.float64))\n"
+            "    np.save(f'{out}-{arch}.npy', logits)\n"
+            "print(json.dumps(sorted(name for name, on in __cpu_features__.items() if on)))\n"
+        )
+        # all features, then the AVX-512 groups off, then numpy's x86-64-v2 baseline alone
+        levels = ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+        baseline = set(np._core._multiarray_umath.__cpu_baseline__)
+        runs = []
+        for k, level in enumerate(levels):
+            if baseline & set(level.split()):
+                continue  # numpy refuses to disable a baseline feature
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "NPY_DISABLE_CPU_FEATURES": level}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            out = tmp_path / f"level{k}"
+            result = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(out)], env=env,
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            features = json.loads(result.stdout)
+            if not runs or features != runs[-1][0]:  # a CPU without a level's features runs the one before
+                runs.append((features, [np.load(f"{out}-{arch}.npy") for arch in ("conv_sep", "conv_mixer")]))
+        if len(runs) < 2:
+            pytest.skip("numpy dispatches to one level on this CPU")
+        for _, logits in runs[1:]:
+            for got, want in zip(logits, runs[0][1]):
+                assert got.shape == (32, 10) and got.tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("zero_point", [-128, 127])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -721,13 +765,13 @@ def _every_code_input(qm, shape=(64, 51)):
 
 def _stem_steps(qm, patch_norm):
     """``quantize._steps(qm)`` with the mixer's patch stem back on its plain steps:
-    the IntegerLayer, GELU through its op and the float64 norm."""
+    the IntegerLayer, GELU through its op and the norm step."""
     steps = quantize._steps(qm)
     codes, params = qm.weight_payloads[(0, "w")], qm.weight_params[(0, "w")]
     steps[0] = quantize.IntegerLayer.build(codes, params.scale, qm.input_params, qm.float_weights.get((0, "b")))
     del steps[1]
     if patch_norm:
-        steps[2] = quantize._float_norm(qm, 2, qm.graph.layers[2])
+        steps[2] = quantize._norm_step(qm, 2, qm.graph.layers[2])
     return steps
 
 
