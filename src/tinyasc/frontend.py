@@ -21,7 +21,7 @@ All functions are pure; identical inputs give bit-identical outputs.
 
 import functools
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,9 +48,10 @@ class Waveform:
         return self.samples.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrontendConfig:
-    """Analysis parameters for the log-Mel pipeline.
+    """Analysis parameters for the log-Mel pipeline, checked once when built
+    and frozen after, so a config is its own filterbank cache key.
 
     ``hop_fraction`` is the fraction of the window advanced per frame;
     0.5 means 50% overlap. ``fft_size`` must be a power of two at least
@@ -69,6 +70,8 @@ class FrontendConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.fft_size < 1 or (self.fft_size & (self.fft_size - 1)) != 0:
+            raise ConfigError(f"fft_size must be a power of two, got {self.fft_size}")
         if not 0.0 < self.hop_fraction < 1.0:
             raise ConfigError(f"hop_fraction must be in (0, 1), got {self.hop_fraction}")
         if self.n_mels < 1:
@@ -83,7 +86,12 @@ class FrontendConfig:
             raise ConfigError(f"window_ms must be positive, got {self.window_ms}")
 
     def window_length(self, sample_rate: int) -> int:
-        return int(round(self.window_ms / 1000.0 * sample_rate))
+        """The window in samples; one that rounds to more than ``fft_size``
+        raises ConfigError, compared in float so that no length overflows."""
+        length = round(self.window_ms / 1000.0 * sample_rate, 0)
+        if length > self.fft_size:
+            raise ConfigError(f"window of {self.window_ms} ms at {sample_rate} Hz is longer than fft_size {self.fft_size}")
+        return int(length)
 
     def hop_length(self, sample_rate: int) -> int:
         hop = int(round(self.window_length(sample_rate) * self.hop_fraction))
@@ -143,8 +151,6 @@ def power_spectrum(frames: np.ndarray, config: FrontendConfig) -> np.ndarray:
     (fft_size // 2 + 1, n_frames): frequency-major like the spectrogram.
     """
     n_fft = config.fft_size
-    if n_fft < 1 or (n_fft & (n_fft - 1)) != 0:
-        raise ConfigError(f"fft_size must be a power of two, got {n_fft}")
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.shape[1] > n_fft:
         raise ConfigError(f"fft_size {n_fft} smaller than frame length {frames.shape[1]}")
@@ -171,22 +177,16 @@ def mel_to_hz(mel):
     return np.where(mel >= break_mel, _BREAK_HZ * np.exp(_LOG_STEP * (mel - break_mel)), mel * _HZ_PER_MEL)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(config: FrontendConfig, sample_rate: int) -> np.ndarray:
     """Triangular Mel filterbank, shape (n_mels, fft_size // 2 + 1).
 
     Filters are triangles on the Mel-warped axis between fmin and fmax,
     area-normalized (each filter scaled by 2 / bandwidth in Hz). Raises if
     the FFT resolution leaves any band without a positive weight. The bank
-    is built once per set of config values and sample rate, and the
-    returned array is read-only.
+    is built once per config and sample rate, and the returned array is
+    read-only.
     """
-    return _mel_filterbank(astuple(config), sample_rate)
-
-
-@functools.lru_cache(maxsize=16)
-def _mel_filterbank(values, sample_rate):
-    # keyed by the field values: a FrontendConfig is mutable, so it cannot be the key
-    config = FrontendConfig(*values)
     if config.fmax > sample_rate / 2:
         raise ConfigError(f"fmax {config.fmax} exceeds Nyquist {sample_rate / 2}")
     n_bins = config.fft_size // 2 + 1

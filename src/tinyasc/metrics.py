@@ -1,4 +1,5 @@
-"""Accuracy and multiclass log loss, plus batch evaluation."""
+"""Accuracy and multiclass log loss, the one statement of each score, plus
+batch evaluation; training's loss is ``log_loss`` too, at its clamp."""
 
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ def accuracy(preds, labels):
 
 
 def log_loss(preds, labels):
-    """Mean -ln of the probability assigned to the true class, clamped at 1e-15. Inputs as ``_checked``."""
+    """Mean -ln of the probability assigned to the true class, clamped at ``LOG_LOSS_CLAMP``. Inputs as ``_checked``."""
     preds, labels = _checked(preds, labels)
     p = np.clip(preds[np.arange(len(labels)), labels], LOG_LOSS_CLAMP, 1.0)
     return float(-np.log(p).mean())
@@ -51,7 +52,6 @@ def evaluate(model, examples) -> EvalResult:
         raise TinyAscError("empty dataset")
     xs, ys = zoo.stack_examples(model, examples)
     probs, _ = zoo.predictor(model)(xs)
-    probs = probs.astype(np.float64)
     n = model.n_classes
     confusion = np.zeros((n, n), dtype=np.int64)
     top = probs.argmax(axis=1)

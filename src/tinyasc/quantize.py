@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels, modelfile, zoo
+from . import kernels, metrics, modelfile, zoo
 from .errors import QuantizationError, ShapeError
 
 
@@ -362,8 +362,8 @@ def _report(model, qm, inputs, shown=()):
     probs, logits, qprobs, qlogits = map(np.concatenate, zip(*outs))
     agreement = {
         "n_inputs": len(logits),
-        "top1_agreement": int(np.count_nonzero(probs.argmax(axis=1) == qprobs.argmax(axis=1))) / len(logits),
-        "max_logit_diff": max([0.0] + [float(np.max(np.abs(d))) for d in logits - qlogits]),
+        "top1_agreement": metrics.accuracy(qprobs, probs.argmax(axis=1)),
+        "max_logit_diff": float(np.max(np.abs(logits - qlogits))),
     }
     return agreement, errors
 

@@ -10,8 +10,9 @@ Best weights (by the monitor) are restored when training ends.
 
 Validation is a seeded 90/10 split of the provided examples. Per-epoch
 ``train_loss`` is the mean train-mode batch loss; ``train_acc`` and the
-validation metrics come from a dropout-free inference pass at epoch end, by
-one ``zoo.predictor`` built there.
+validation metrics are ``metrics.accuracy`` and ``metrics.log_loss`` of a
+dropout-free inference pass at epoch end, by one ``zoo.predictor`` built
+there. The batch loss is ``metrics.log_loss`` too, at its clamp.
 """
 
 import math
@@ -20,10 +21,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import zoo
+from . import metrics, zoo
 from .errors import ConfigError, TinyAscError, TrainingDivergedError
-
-PROB_CLAMP = 1e-12
 
 
 @dataclass
@@ -157,20 +156,13 @@ class PlateauMonitor:
 
 
 def _loss_grad(probs, labels):
-    """Mean cross-entropy over the batch and its gradient w.r.t. the probabilities."""
+    """``metrics.log_loss`` of the batch and its gradient w.r.t. the probabilities,
+    the true class's probability clamped as there."""
     n = probs.shape[0]
-    p_true = np.clip(probs[np.arange(n), labels], PROB_CLAMP, 1.0)
-    loss = float(-np.log(p_true).mean())
+    p_true = np.clip(probs[np.arange(n), labels], metrics.LOG_LOSS_CLAMP, 1.0)
     grad = np.zeros_like(probs)
     grad[np.arange(n), labels] = -1.0 / (n * p_true)
-    return loss, grad
-
-
-def _infer_metrics(predict, xs, ys):
-    probs, _ = predict(xs)
-    loss, _ = _loss_grad(probs.astype(np.float64), ys)
-    acc = float((probs.argmax(axis=1) == ys).mean())
-    return loss, acc
+    return metrics.log_loss(probs, labels), grad
 
 
 def train(model, examples, cfg: TrainingConfig = None):
@@ -237,8 +229,9 @@ def train(model, examples, cfg: TrainingConfig = None):
         last_good = zoo.copy_weights(model)
         train_loss = float(np.mean(epoch_losses))
         predict = zoo.predictor(model)
-        _, train_acc = _infer_metrics(predict, xs_tr, ys_tr)
-        val_loss, val_acc = _infer_metrics(predict, xs_va, ys_va)
+        train_acc = metrics.accuracy(predict(xs_tr)[0], ys_tr)
+        val_probs, _ = predict(xs_va)
+        val_loss, val_acc = metrics.log_loss(val_probs, ys_va), metrics.accuracy(val_probs, ys_va)
         records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc, monitor.lr))
 
         improved, _, stop = monitor.update(val_acc)

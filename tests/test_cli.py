@@ -517,6 +517,10 @@ class TestOutOfRangeValues:
             (["features", "--window-ms", "nan"], "window_ms must be finite, got nan"),
             (["features", "--window-ms", "inf"], "window_ms must be finite, got inf"),
             (["features", "--fmin", "-5"], "fmin must be >= 0, got -5.0"),
+            (["features", "--window-ms", "1e5"], "window of 100000.0 ms at 44100 Hz is longer than fft_size 2048"),
+            (["features", "--window-ms", "1e9"], "window of 1000000000.0 ms at 44100 Hz is longer than fft_size 2048"),
+            (["features", "--window-ms", "1e30"], "window of 1e+30 ms at 44100 Hz is longer than fft_size 2048"),
+            (["features", "--window-ms", "1e308"], "window of 1e+308 ms at 44100 Hz is longer than fft_size 2048"),
             (["train", "--synthetic", "8", "--epochs", "1", "--lr", "-1"], "lr must be finite and > 0, got -1.0"),
             (["train", "--synthetic", "8", "--epochs", "1", "--lr", "0"], "lr must be finite and > 0, got 0.0"),
             (["train", "--synthetic", "8", "--epochs", "1", "--lr", "nan"], "lr must be finite and > 0, got nan"),

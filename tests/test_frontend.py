@@ -1,5 +1,8 @@
 """Frontend tests: framing shape law, FFT power, filterbank, log-Mel pipeline."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,20 @@ class TestFraming:
     def test_empty_input_rejected(self):
         with pytest.raises(AudioFormatError, match="empty input"):
             frame_signal(_wave(0), FrontendConfig())
+
+    @pytest.mark.parametrize("window_ms", [1e5, 1e9, 1e30, 1e308])
+    def test_window_longer_than_fft_size_refused_before_framing(self, window_ms):
+        # 1e9 ms once asked np.pad for 329 GiB, 1e30 overflowed its pad width
+        # and 1e308 the window's length
+        message = f"window of {window_ms} ms at 44100 Hz is longer than fft_size 2048"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            log_mel(_wave(SR), FrontendConfig(window_ms=window_ms))
+
+    def test_window_of_exactly_fft_size_frames(self):
+        # 46.44 ms is 2048.004 samples, 2049 / 44.1 ms rounds to 2049
+        assert frame_signal(_wave(SR), FrontendConfig(window_ms=46.44)).shape[1] == 2048
+        with pytest.raises(ConfigError, match="longer than fft_size 2048"):
+            frame_signal(_wave(SR), FrontendConfig(window_ms=2049 / 44.1))
 
     def test_hann_window_applied(self):
         w = Waveform(samples=np.ones(SR), sample_rate=SR)
@@ -132,11 +149,11 @@ class TestMelFilterbank:
 
     def test_cache_follows_config_values(self):
         cfg = FrontendConfig()
-        assert mel_filterbank(cfg, SR).shape == (64, 1025)
-        cfg.n_mels = 32  # a mutated config must not hit the 64-band entry
         bank = mel_filterbank(cfg, SR)
-        assert bank.shape == (32, 1025)
-        np.testing.assert_array_equal(bank, mel_filterbank(FrontendConfig(n_mels=32), SR))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_mels = 32  # a config changed after its checks could skip them
+        assert mel_filterbank(FrontendConfig(n_mels=32), SR).shape == (32, 1025)
+        assert mel_filterbank(FrontendConfig(), SR) is bank
 
     def test_cached_bank_is_read_only(self):
         bank = mel_filterbank(FrontendConfig(), SR)

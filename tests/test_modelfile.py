@@ -1,7 +1,9 @@
 """The two model files' bytes: pinned digests of both codecs, headers whose
 fields name other graphs, refused before any weight is allocated, ``.tasq``
-tag bytes that disagree with the graph, refused at their byte, and files cut
-short at any byte, refused by the format's error."""
+tag bytes that disagree with the graph, refused at their byte, files cut
+short at any byte, refused by the format's error, and record bytes
+overwritten, inserted or cut, each file refused by that error or loaded and
+run."""
 
 import contextlib
 import hashlib
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_byte_mutations import mutations
 from tinyasc import cli, modelfile, quantize, zoo
-from tinyasc.errors import GraphBuildError, QuantizationError, ShapeError
+from tinyasc.errors import GraphBuildError, QuantizationError, ShapeError, TinyAscError
 
 # header fields after the magic, as ``modelfile.HEADER`` packs them
 FIELDS = ("version", "arch id", "f1", "f2", "kernel", "patch", "bias", "patch norm", "classes", "h", "w", "c")
@@ -229,6 +232,34 @@ def test_any_other_tag_byte_is_refused_at_its_byte(tasq_files, arch, use_bias, d
     problem = f"layer {i} weight {name}: tag {value}, expected {tag}, at byte {at}"
     assert type(outcome) is QuantizationError and str(outcome) == f"{path}: {problem}", repr(outcome)
     assert peak < MIB
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["conv_sep", "conv_mixer"]), st.sampled_from([".tasc", ".tasq", ".tasq pairs"]), st.data())
+def test_mutated_record_bytes_are_refused_or_load_and_predict(good_files, arch, part, data):
+    # the bytes after the header: the .tasq layer count, each layer's tensor count,
+    # tags, pairs, ndim and shape words and array data, or a .tasq's trailing
+    # pairs (the input's, their count and one per layer output) alone
+    files, root = good_files
+    suffix = part[:5]
+    good, load, error, start = files[(arch, suffix)]
+    at = start + len(modelfile.MAGIC) + struct.calcsize(modelfile.HEADER)
+    if part == ".tasq pairs":
+        n_layers = len(quantize.fold_batch_norm(_model(arch)).layers)
+        at = len(good) - struct.calcsize(modelfile.PAIR) * (n_layers + 1) - struct.calcsize("<H")
+    path = root / f"records{suffix}"
+    path.write_bytes(good[:at] + data.draw(mutations(good[at:]), label="records"))
+    try:
+        loaded = load(path)
+    except error:
+        return
+    graph = loaded.graph if suffix == ".tasq" else loaded
+    clip = np.random.default_rng(0).normal(size=(1, *graph.input_shape))
+    with np.errstate(all="ignore"):
+        try:
+            (quantize.predictor(loaded) if suffix == ".tasq" else zoo.predictor(loaded))(clip)
+        except TinyAscError:
+            pass
 
 
 def _assert_cut_refused(good_files, arch, suffix, cut):

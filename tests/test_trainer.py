@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from tinyasc import data, zoo
+from tinyasc import data, kernels, metrics, zoo
 from tinyasc.errors import ConfigError, TinyAscError, TrainingDivergedError
 from tinyasc.trainer import (
     AdamConfig,
@@ -73,7 +73,21 @@ class TestCrossEntropy:
         pred = one_hot(1)  # zero probability on the true class
         loss = crossentropy(pred, 2)
         assert math.isfinite(loss)
-        np.testing.assert_allclose(loss, -math.log(1e-12), rtol=1e-12)
+        np.testing.assert_allclose(loss, -math.log(metrics.LOG_LOSS_CLAMP), rtol=1e-12)
+
+    @pytest.mark.parametrize("gap", [30.0, 33.0])
+    def test_true_logit_gradient_exact_below_1e_12(self, gap):
+        # a wrong class ``gap`` logits ahead leaves about exp(-gap) on the true
+        # class, 9.4e-14 and 4.7e-15, still above the clamp: back through the
+        # softmax as training runs it, the true logit's gradient is -1 and the
+        # loss is the gap
+        z = np.zeros((1, 10), dtype=np.float32)
+        z[0, 1] = gap
+        probs = kernels.softmax(z)
+        loss, grad_p = _loss_grad(probs.astype(np.float64), np.array([0]))
+        grad_z = kernels.softmax_backward(probs, grad_p.astype(probs.dtype))
+        np.testing.assert_allclose(grad_z[0, 0], -1.0, rtol=1e-6)
+        np.testing.assert_allclose(loss, gap, rtol=1e-6)
 
 
 class TestAdam:
@@ -355,6 +369,19 @@ def test_training_drives_a_fixed_batch_loss_down():
         assert len(run.epochs) == 25
         losses.append(run.epochs[-1].train_loss)
     assert np.mean(losses) < 0.85, losses
+
+
+def test_history_scores_are_the_metrics_of_the_epoch_end_predictor():
+    # after one epoch the model holds that epoch's weights, so a predictor built
+    # now scores the validation clips as the history did
+    examples = _toy_examples()
+    cfg = TrainingConfig(max_epochs=1, batch_size=8, seed=1)
+    model, run = train(_toy_model(seed=6), examples, cfg)
+    order = np.random.default_rng(cfg.seed).permutation(len(examples))
+    xs, ys = zoo.stack_examples(model, [examples[i] for i in order[: round(cfg.val_fraction * len(examples))]])
+    probs, _ = zoo.predictor(model)(xs)
+    assert run.epochs[0].val_loss == metrics.log_loss(probs, ys)
+    assert run.epochs[0].val_acc == metrics.accuracy(probs, ys)
 
 
 def test_one_fold_per_epoch_end(monkeypatch):
