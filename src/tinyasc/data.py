@@ -64,8 +64,9 @@ def read_wav(path) -> Waveform:
     16-bit samples divide by 32768 (so -32768 maps to exactly -1.0);
     24-bit frames are decoded from their 3-byte little-endian layout and
     divide by 2**23. A rate other than ``SAMPLE_RATE`` (44100 Hz) is
-    rejected. A ``data`` chunk that declares more bytes than the file holds
-    is rejected, not decoded from what is there.
+    rejected, and so is a ``fmt`` chunk whose block_align is not the
+    sample's byte count. A ``data`` chunk that declares more bytes than the
+    file holds is rejected, not decoded from what is there.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -95,7 +96,7 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: missing fmt chunk")
     if data is None:
         raise AudioFormatError(f"{path}: missing data chunk")
-    audio_format, channels, rate, _, _, bits = fmt
+    audio_format, channels, rate, _, block_align, bits = fmt
     if audio_format != _WAVE_FORMAT_PCM:
         raise AudioFormatError(
             f"{path}: compressed or non-PCM audio (format tag {audio_format}); only PCM is supported"
@@ -106,6 +107,8 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: sample rate {rate} Hz, expected {SAMPLE_RATE} Hz (no resampling)")
     if bits not in (16, 24):
         raise AudioFormatError(f"{path}: {bits}-bit samples; only 16- and 24-bit PCM are supported")
+    if block_align != bits // 8:
+        raise AudioFormatError(f"{path}: fmt block_align {block_align}, expected {bits // 8} for mono {bits}-bit PCM")
     if len(data) == 0:
         raise AudioFormatError(f"{path}: zero-length waveform (empty data chunk)")
 

@@ -8,6 +8,8 @@ serves float32 training and float64 gradient checks.
 Convolutions are cross-correlations with zero "same" padding at stride 1;
 "valid" padding with stride = kernel size covers patch embedding. Max
 pooling is non-overlapping and drops trailing remainder rows/columns.
+One window rule, ``_taps``, and one zero-bordered clip copy, ``_bordered_clip``,
+serve conv2d, depthwise, max pool and their gradients.
 """
 
 import math
@@ -68,6 +70,23 @@ def _conv_geometry(x_shape, kh, kw, stride, padding):
     return ph, pw, hout, wout
 
 
+def _taps(a, kernel, stride, out):
+    """The cells an ``out`` = (H', W') grid of ``kernel`` = (kh, kw) windows at
+    ``stride`` = (sh, sw) reads from an (..., H, W, C) array: one strided
+    (..., H', W', C) view per window cell, in row-major (dh, dw) order."""
+    (kh, kw), (sh, sw), (hout, wout) = kernel, stride, out
+    return [a[..., dh : dh + sh * hout : sh, dw : dw + sw * wout : sw, :] for dh in range(kh) for dw in range(kw)]
+
+
+def _bordered_clip(x, kernel, stride, border, out):
+    """(interior, taps) of one reused clip-sized copy of (N, H, W, C) ``x`` with
+    a zero border of ``border`` = (ph, pw): each clip is copied into the interior."""
+    _, h, w, c = x.shape
+    ph, pw = border
+    padded = np.zeros((h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    return padded[ph : ph + h, pw : pw + w], _taps(padded, kernel, stride, out)
+
+
 def _clip_rows(x, kh, kw, stride, ph, pw, hout, wout):
     """Yield each clip's kh*kw taps, zero-padded by (ph, pw), gathered into one
     reused (H' * W', kh * kw * Cin) row buffer in (dh, dw, cin) column order.
@@ -75,16 +94,13 @@ def _clip_rows(x, kh, kw, stride, ph, pw, hout, wout):
     One clip at a time keeps the padded copy and the rows in cache, where a
     whole-batch im2col gained little over a GEMM per tap.
     """
-    n, h, wd, cin = x.shape
-    padded = np.zeros((h + 2 * ph, wd + 2 * pw, cin), dtype=x.dtype)
-    interior = padded[ph : ph + h, pw : pw + wd]
-    rows = np.empty((hout, wout, kh, kw, cin), dtype=x.dtype)
+    interior, taps = _bordered_clip(x, (kh, kw), (stride, stride), (ph, pw), (hout, wout))
+    rows = np.empty((hout, wout, kh * kw, x.shape[3]), dtype=x.dtype)
     for clip in x:
         interior[...] = clip
-        for dh in range(kh):
-            for dw in range(kw):
-                rows[:, :, dh, dw] = padded[dh : dh + stride * hout : stride, dw : dw + stride * wout : stride]
-        yield rows.reshape(hout * wout, kh * kw * cin)
+        for k, tap in enumerate(taps):
+            rows[:, :, k] = tap
+        yield rows.reshape(hout * wout, -1)
 
 
 def _correlate(x, w, stride, ph, pw, hout, wout):
@@ -108,7 +124,7 @@ def conv2d(x, w, b=None, stride=1, padding="same"):
         # one tap of one channel: one GEMM with K = 1 over the whole batch. Per clip
         # it ran 2.5 times slower at N = 64; a broadcast product x * w, 3 times
         # slower at N = 1 (where requests run) and 14% faster at N = 64
-        tap = x[:, : stride * hout : stride, : stride * wout : stride]
+        (tap,) = _taps(x, (1, 1), (stride, stride), (hout, wout))
         y = np.dot(tap.reshape(-1, 1), w.reshape(1, cout)).reshape(x.shape[0], hout, wout, cout)
     else:
         y = _correlate(x, w, stride, ph, pw, hout, wout)
@@ -131,8 +147,8 @@ def conv2d_backward(x, w, grad_y, stride=1, padding="same", with_bias=True, with
     ph, pw, hout, wout = _conv_geometry(x.shape, kh, kw, stride, padding)
     n = x.shape[0]
     if kh * kw * cin == 1:
-        tap = x[:, : stride * hout : stride, : stride * wout : stride, 0]
-        gw = np.einsum("nhw,nhwc->c", tap, grad_y).reshape(w.shape)
+        (tap,) = _taps(x, (1, 1), (stride, stride), (hout, wout))
+        gw = np.einsum("nhw,nhwc->c", tap[..., 0], grad_y).reshape(w.shape)
     else:
         gw = np.zeros((kh * kw * cin, cout), dtype=np.result_type(x, grad_y))
         part = np.empty_like(gw)
@@ -144,42 +160,35 @@ def conv2d_backward(x, w, grad_y, stride=1, padding="same", with_bias=True, with
     if with_input and padding == "same":
         gx = _correlate(grad_y, w[::-1, ::-1].transpose(0, 1, 3, 2), 1, ph, pw, hout, wout)
     elif with_input:
-        row_grads = (grad_y.reshape(-1, cout) @ w.reshape(-1, cout).T).reshape(n, hout, wout, kh, kw, cin)
+        row_grads = (grad_y.reshape(-1, cout) @ w.reshape(-1, cout).T).reshape(n, hout, wout, kh * kw, cin)
         gx = np.zeros(x.shape, dtype=row_grads.dtype)
-        for dh in range(kh):
-            for dw in range(kw):
-                tap = gx[:, dh : dh + stride * hout : stride, dw : dw + stride * wout : stride]
-                tap += row_grads[:, :, :, dh, dw]
+        for k, tap in enumerate(_taps(gx, (kh, kw), (stride, stride), (hout, wout))):
+            tap += row_grads[:, :, :, k]
     gb = grad_y.sum(axis=(0, 1, 2)) if with_bias else None
     return gx, gw.astype(w.dtype, copy=False), gb
 
 
 def _depthwise_rows(x, w):
-    """Same-padded per-channel correlation of (N, H, W, C) with (Kh, Kw, C),
-    returned as (N, H, W * C) rows.
+    """Same-padded per-channel correlation of (N, H, W, C) with (Kh, Kw, C).
 
-    Each clip is copied into one zero-bordered row buffer of (W + 2pw) * C
-    values, and the kernel is tiled along W, so each tap is one long
-    multiply-add, with the sums in tap order. One clip at a time keeps the
-    buffers in cache, and copying a tap into the reused product buffer
-    before multiplying in place ran faster than multiplying out of the
-    strided view.
+    Each clip is copied into one reused zero-bordered buffer, and the kernel
+    is tiled along W, so each tap is one long multiply-add over W * C values,
+    with the sums in tap order. One clip at a time keeps the buffers in
+    cache, and copying a tap into the reused product buffer before
+    multiplying in place ran faster than multiplying out of the strided view.
     """
     kh, kw, c = w.shape
-    n, h, wd, _ = x.shape
-    ph, pw = kh // 2, kw // 2
-    padded = np.zeros((h + 2 * ph, (wd + 2 * pw) * c), dtype=x.dtype)
-    interior = padded[ph : ph + h, pw * c : (pw + wd) * c]
-    w_rows = np.tile(w, (1, 1, wd))
-    y = np.zeros((n, h, wd * c), dtype=x.dtype)
-    product = np.empty((h, wd * c), dtype=np.result_type(x, w))
-    for clip, out in zip(x.reshape(n, h, wd * c), y):
+    _, h, wd, _ = x.shape
+    interior, taps = _bordered_clip(x, (kh, kw), (1, 1), (kh // 2, kw // 2), (h, wd))
+    w_rows = np.tile(w, (1, 1, wd)).reshape(kh * kw, wd, c)
+    y = np.zeros(x.shape, dtype=x.dtype)
+    product = np.empty((h, wd, c), dtype=np.result_type(x, w))
+    for clip, out in zip(x, y):
         interior[...] = clip
-        for dh in range(kh):
-            for dw in range(kw):
-                np.copyto(product, padded[dh : dh + h, dw * c : (dw + wd) * c])
-                product *= w_rows[dh, dw]
-                out += product
+        for tap, w_row in zip(taps, w_rows):
+            np.copyto(product, tap)
+            product *= w_row
+            out += product
     return y
 
 
@@ -189,7 +198,7 @@ def depthwise_conv2d(x, w, b=None):
     if x.shape[3] != c:
         raise ShapeError(f"depthwise input has {x.shape[3]} channels, weights expect {c}")
     _conv_geometry(x.shape, kh, kw, 1, "same")
-    y = _depthwise_rows(x, w).reshape(x.shape)
+    y = _depthwise_rows(x, w)
     if b is not None:
         y += b
     return y
@@ -198,20 +207,17 @@ def depthwise_conv2d(x, w, b=None):
 def depthwise_conv2d_backward(x, w, grad_y, with_bias=True):
     """Gradients of depthwise_conv2d. The input gradient is the same correlation
     of grad_y with the kernel flipped; the weight gradient sums each tap's
-    products over the row layout, one clip at a time."""
+    products over H, one clip at a time, then over W."""
     kh, kw, c = w.shape
     ph, pw, hout, wout = _conv_geometry(x.shape, kh, kw, 1, "same")
-    gx = _depthwise_rows(grad_y, w[::-1, ::-1]).reshape(x.shape)
-    n = x.shape[0]
-    padded = np.zeros((hout + 2 * ph, (wout + 2 * pw) * c), dtype=x.dtype)
-    interior = padded[ph : ph + hout, pw * c : (pw + wout) * c]
-    gw_rows = np.zeros((kh, kw, wout * c), dtype=np.result_type(x, grad_y))
-    for clip, g in zip(x.reshape(n, hout, wout * c), grad_y.reshape(n, hout, wout * c)):
+    gx = _depthwise_rows(grad_y, w[::-1, ::-1])
+    interior, taps = _bordered_clip(x, (kh, kw), (1, 1), (ph, pw), (hout, wout))
+    gw_rows = np.zeros((kh * kw, wout, c), dtype=np.result_type(x, grad_y))
+    for clip, g in zip(x, grad_y):
         interior[...] = clip
-        for dh in range(kh):
-            for dw in range(kw):
-                gw_rows[dh, dw] += np.einsum("ij,ij->j", padded[dh : dh + hout, dw * c : (dw + wout) * c], g)
-    gw = gw_rows.reshape(kh, kw, wout, c).sum(axis=2).astype(w.dtype, copy=False)
+        for tap, part in zip(taps, gw_rows):
+            part += np.einsum("ijk,ijk->jk", tap, g)
+    gw = gw_rows.sum(axis=1).reshape(w.shape).astype(w.dtype, copy=False)
     gb = grad_y.sum(axis=(0, 1, 2)) if with_bias else None
     return gx, gw, gb
 
@@ -426,14 +432,6 @@ def gelu_slope(x, out=None):
     return y, slope
 
 
-def _pool_cells(clip, pool):
-    """Strided views of one (H, W, C) clip, one per window cell in row-major
-    (dh, dw) order, each (H', W', C); remainder rows and columns are left out."""
-    ph, pw = pool
-    hout, wout = clip.shape[0] // ph, clip.shape[1] // pw
-    return [clip[dh : hout * ph : ph, dw : wout * pw : pw] for dh in range(ph) for dw in range(pw)]
-
-
 def max_pool(x, pool, keep_cache=True):
     """Non-overlapping max pooling; trailing remainder rows/columns dropped.
 
@@ -453,7 +451,7 @@ def max_pool(x, pool, keep_cache=True):
     y = np.empty((n, hout, wout, c), dtype=x.dtype)
     idx = np.empty(y.shape, dtype=np.min_scalar_type(ph * pw - 1)) if keep_cache else None
     for i, (out, clip, before, differs) in enumerate(_clips(y, x, scratch=(bool, bool))):
-        cells = _pool_cells(clip, pool)
+        cells = _taps(clip, pool, pool, (hout, wout))
         # a running maximum over the cells: the bits of a max over each window, NaN included
         np.maximum(cells[0], cells[-1], out=out)
         for cell in cells[1:-1]:
@@ -474,7 +472,7 @@ def max_pool_backward(cache, grad_y):
     x_shape, pool, idx = cache
     gx = np.zeros(x_shape, dtype=grad_y.dtype)
     for g, counts, clip, routed in _clips(grad_y, idx, gx, scratch=(bool,)):
-        for k, cell in enumerate(_pool_cells(clip, pool)):
+        for k, cell in enumerate(_taps(clip, pool, pool, g.shape[:2])):
             np.multiply(g, np.equal(counts, k, out=routed), out=cell)
             cell += 0.0  # a negative gradient times False is -0.0; unrouted cells stay +0.0
     return gx

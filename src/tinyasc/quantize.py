@@ -59,26 +59,19 @@ class QuantParams:
             raise QuantizationError(f"zero_point {self.zero_point} outside INT8 range")
 
 
-def quantize_tensor(t, scheme="symmetric_weight"):
-    """Quantize a float tensor to INT8 codes plus its QuantParams.
-
-    Symmetric: scale = max|t| / 127, codes clamped to [-127, 127].
-    Affine: scale spans the zero-extended [min, max] over 255 codes.
-    An all-zero (or empty-range) tensor degenerates to scale 1.
+def quantize_tensor(t):
+    """Quantize a float weight tensor to INT8 codes plus its symmetric
+    QuantParams: scale = max|t| / 127, codes clamped to [-127, 127]. An
+    all-zero tensor degenerates to scale 1. Activations take their params
+    from ``affine_params`` of calibrated ranges instead.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.size and not np.all(np.isfinite(t)):
         raise QuantizationError("cannot quantize non-finite values")
-    if scheme == "symmetric_weight":
-        peak = float(np.max(np.abs(t))) if t.size else 0.0
-        scale = peak / 127.0 if peak > 0 else 1.0
-        q = np.clip(np.round(t / scale), -127, 127).astype(np.int8)
-        return q, QuantParams(scale=scale, zero_point=0, scheme=scheme)
-    if scheme == "affine_activation":
-        lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
-        params = affine_params(lo, hi)
-        return quantize_array(t, params), params
-    raise QuantizationError(f"unknown scheme {scheme!r}")
+    peak = float(np.max(np.abs(t))) if t.size else 0.0
+    scale = peak / 127.0 if peak > 0 else 1.0
+    q = np.clip(np.round(t / scale), -127, 127).astype(np.int8)
+    return q, QuantParams(scale=scale, zero_point=0, scheme="symmetric_weight")
 
 
 def affine_params(lo, hi):

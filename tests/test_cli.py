@@ -92,6 +92,17 @@ class TestFeatures:
         assert result.stderr.startswith(f"error: {wav_path}: data chunk declares 2000 bytes, only 1990 present")
         assert result.stdout == ""
 
+    def test_inconsistent_block_align_is_one_error_line(self, tmp_path):
+        wav_path = tmp_path / "align.wav"
+        data.write_wav(wav_path, Waveform(np.zeros(1000), 44100), bits=16)
+        raw = bytearray(wav_path.read_bytes())
+        raw[32:34] = struct.pack("<H", 4)  # the fmt chunk's block_align
+        wav_path.write_bytes(bytes(raw))
+        result = run_cli_subprocess(["features", "--wav", str(wav_path)])
+        assert result.returncode == 1
+        assert result.stderr == f"error: {wav_path}: fmt block_align 4, expected 2 for mono 16-bit PCM\n"
+        assert result.stdout == ""
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()

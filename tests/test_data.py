@@ -10,14 +10,15 @@ from tinyasc.errors import AudioFormatError, ConfigError, ManifestError, TinyAsc
 from tinyasc.frontend import Waveform
 
 
-def _write_raw_wav(path, audio_format=1, channels=1, rate=44100, bits=16, payload=b"\x00\x00"):
+def _write_raw_wav(path, audio_format=1, channels=1, rate=44100, bits=16, payload=b"\x00\x00", block_align=None):
     byte_rate = rate * channels * bits // 8
+    block_align = bits // 8 if block_align is None else block_align
     with open(path, "wb") as fh:
         fh.write(b"RIFF")
         fh.write(struct.pack("<I", 36 + len(payload)))
         fh.write(b"WAVE")
         fh.write(b"fmt ")
-        fh.write(struct.pack("<IHHIIHH", 16, audio_format, channels, rate, byte_rate, bits // 8, bits))
+        fh.write(struct.pack("<IHHIIHH", 16, audio_format, channels, rate, byte_rate, block_align, bits))
         fh.write(b"data")
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
@@ -99,6 +100,13 @@ class TestWavErrors:
         path = tmp_path / "bits.wav"
         _write_raw_wav(path, bits=8, payload=b"\x00" * 4)
         with pytest.raises(AudioFormatError, match="16- and 24-bit"):
+            data.read_wav(path)
+
+    def test_inconsistent_block_align_rejected(self, tmp_path):
+        # a mono 16-bit file that declares 4-byte frames was once decoded as 2-byte ones
+        path = tmp_path / "align.wav"
+        _write_raw_wav(path, payload=struct.pack("<4h", 1000, 0, -1000, 0), block_align=4)
+        with pytest.raises(AudioFormatError, match=r"align\.wav: fmt block_align 4, expected 2 for mono 16-bit PCM$"):
             data.read_wav(path)
 
     def test_data_chunk_longer_than_file_rejected(self, tmp_path):

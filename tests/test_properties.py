@@ -32,7 +32,7 @@ from tinyasc.reference import (
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 DTYPES = st.sampled_from([np.float32, np.float64])
 SEEDS = st.integers(0, 2**32 - 1)
-POOLS = st.sampled_from([(1, 4), (1, 2), (2, 2)])
+POOLS = st.sampled_from([(1, 4), (1, 2), (2, 2), (3, 2)])
 KERNELS = st.sampled_from([1, 3, 5])
 H = 1e-6
 # directional derivative agreement, relative to sum |grad_i * v_i|: float64
@@ -103,9 +103,10 @@ def test_depthwise_matches_reference_and_differences(data, k, dtype, seed):
 @given(st.data(), KERNELS, st.integers(1, 4), st.booleans(), DTYPES, SEEDS)
 def test_conv2d_matches_reference_and_differences(data, k, cout, patch, dtype, seed):
     # the per-clip row GEMM, or for one tap of one channel one GEMM with K = 1;
-    # the input gradient is the flipped-kernel correlation (same) or the row scatter (patch)
+    # the input gradient is the flipped-kernel correlation (same) or the row scatter
+    # (valid, where a stride below k makes windows overlap)
     n, h, w, cin = data.draw(batches(min_h=k, min_w=k, max_hw=k + 4))
-    stride, padding = (k, "valid") if patch else (1, "same")
+    stride, padding = (data.draw(st.integers(1, k)), "valid") if patch else (1, "same")
     rng, (x, wt, b) = _draw_arrays(seed, dtype, (n, h, w, cin), (k, k, cin, cout), (cout,))
     y = kernels.conv2d(x, wt, b, stride=stride, padding=padding)
     x64, w64, b64 = (a.astype(np.float64) for a in (x, wt, b))

@@ -45,7 +45,7 @@ def _random_norms(model, seed):
 class TestQuantizeTensor:
     def test_symmetric_scale_formula(self):
         t = np.array([0.1, -0.5, 0.3])
-        _, params = quantize.quantize_tensor(t, "symmetric_weight")
+        _, params = quantize.quantize_tensor(t)
         np.testing.assert_allclose(params.scale, 0.5 / 127.0, rtol=1e-12)
         assert params.zero_point == 0
 
@@ -54,12 +54,16 @@ class TestQuantizeTensor:
     def test_roundtrip_error_within_half_scale(self, scheme, seed):
         rng = np.random.default_rng(seed)
         t = rng.normal(0, rng.uniform(0.01, 10), size=200)
-        q, params = quantize.quantize_tensor(t, scheme)
+        if scheme == "symmetric_weight":
+            q, params = quantize.quantize_tensor(t)
+        else:
+            params = quantize.affine_params(t.min(), t.max())
+            q = quantize.quantize_array(t, params)
         back = quantize.dequantize(q, params)
         assert np.max(np.abs(back - t)) <= params.scale / 2 + 1e-12
 
     def test_zero_tensor_degenerates_to_scale_one(self):
-        q, params = quantize.quantize_tensor(np.zeros(10), "symmetric_weight")
+        q, params = quantize.quantize_tensor(np.zeros(10))
         assert params.scale == 1.0
         assert np.all(q == 0)
 
