@@ -75,14 +75,6 @@ class ComplexityReport:
     def ok(self):
         return self.params_pass and self.macs_pass
 
-    @property
-    def params_headroom(self):
-        return self.params_budget - self.params_total
-
-    @property
-    def macs_headroom(self):
-        return self.macs_budget - self.macs_total
-
 
 def _layer_counts(model, convention=None):
     """The one analytic pass: a LayerCount for each layer of ``model``."""

@@ -39,7 +39,6 @@ SAMPLE_RATE = 44100
 class AudioClip:
     waveform: Waveform
     label: int
-    clip_id: str
     device_id: str = None
 
 
@@ -54,9 +53,6 @@ class ManifestEntry:
 class DatasetManifest:
     entries: list
 
-    def label_index(self, entry: ManifestEntry) -> int:
-        return SCENE_LABELS.index(entry.label)
-
 
 def read_wav(path) -> Waveform:
     """Decode a RIFF PCM WAV file into a normalized Waveform.
@@ -65,8 +61,9 @@ def read_wav(path) -> Waveform:
     24-bit frames are decoded from their 3-byte little-endian layout and
     divide by 2**23. A rate other than ``SAMPLE_RATE`` (44100 Hz) is
     rejected, and so is a ``fmt`` chunk whose block_align is not the
-    sample's byte count. A ``data`` chunk that declares more bytes than the
-    file holds is rejected, not decoded from what is there.
+    sample's byte count or whose byte_rate is not rate x block_align. A
+    ``data`` chunk that declares more bytes than the file holds is rejected,
+    not decoded from what is there.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -96,7 +93,7 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: missing fmt chunk")
     if data is None:
         raise AudioFormatError(f"{path}: missing data chunk")
-    audio_format, channels, rate, _, block_align, bits = fmt
+    audio_format, channels, rate, byte_rate, block_align, bits = fmt
     if audio_format != _WAVE_FORMAT_PCM:
         raise AudioFormatError(
             f"{path}: compressed or non-PCM audio (format tag {audio_format}); only PCM is supported"
@@ -109,6 +106,8 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: {bits}-bit samples; only 16- and 24-bit PCM are supported")
     if block_align != bits // 8:
         raise AudioFormatError(f"{path}: fmt block_align {block_align}, expected {bits // 8} for mono {bits}-bit PCM")
+    if byte_rate != rate * block_align:
+        raise AudioFormatError(f"{path}: fmt byte_rate {byte_rate}, expected {rate * block_align} (rate x block_align)")
     if len(data) == 0:
         raise AudioFormatError(f"{path}: zero-length waveform (empty data chunk)")
 
@@ -190,14 +189,6 @@ def parse_manifest(path) -> DatasetManifest:
     return DatasetManifest(entries=entries)
 
 
-def write_manifest(manifest: DatasetManifest, path):
-    lines = ["filename\tscene_label\tsource_label"]
-    for e in manifest.entries:
-        lines.append(f"{e.path}\t{e.label}\t{e.device_id or ''}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_clips(manifest: DatasetManifest, audio_root):
     """Read every manifest entry into an AudioClip."""
     import os
@@ -205,14 +196,7 @@ def load_clips(manifest: DatasetManifest, audio_root):
     clips = []
     for e in manifest.entries:
         wav = read_wav(os.path.join(audio_root, e.path))
-        clips.append(
-            AudioClip(
-                waveform=wav,
-                label=manifest.label_index(e),
-                clip_id=e.path,
-                device_id=e.device_id,
-            )
-        )
+        clips.append(AudioClip(waveform=wav, label=SCENE_LABELS.index(e.label), device_id=e.device_id))
     return clips
 
 

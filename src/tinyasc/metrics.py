@@ -66,7 +66,8 @@ def evaluate(model, examples) -> EvalResult:
 
 
 def format_report(result: EvalResult, class_names=None) -> str:
-    """Aligned text report of the evaluation result."""
+    """Aligned text report of the evaluation result; fewer ``class_names``
+    than the result has classes raises TinyAscError."""
     lines = [
         f"examples   {result.n_examples}",
         f"accuracy   {result.accuracy:.4f}",
@@ -76,6 +77,8 @@ def format_report(result: EvalResult, class_names=None) -> str:
     ]
     n = result.confusion.shape[0]
     names = class_names or [str(i) for i in range(n)]
+    if len(names) < n:
+        raise TinyAscError(f"{len(names)} class names for a result of {n} classes")
     width = max(len(str(x)) for x in result.confusion.flat) if result.confusion.size else 1
     width = max(width, 2)
     for i in range(n):

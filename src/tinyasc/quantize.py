@@ -84,25 +84,15 @@ def affine_params(lo, hi):
     return QuantParams(scale=scale, zero_point=zero_point, scheme="affine_activation")
 
 
-def dequantize(q, params: QuantParams):
-    return (q.astype(np.float64) - params.zero_point) * params.scale
-
-
 def quantize_array(x, params: QuantParams):
     """Apply existing params to a float array, returning INT8 codes."""
     return (centered_codes(x, params, np.float64) + params.zero_point).astype(np.int8)
 
 
-@dataclass
-class Calibration:
-    """Observed activation ranges: input plus one (lo, hi) per layer output."""
-
-    input_range: tuple
-    layer_ranges: list
-
-
 def calibrate(model, inputs):
-    """Aggregate per-layer activation min/max over calibration inputs.
+    """Aggregate activation min/max over calibration inputs: a list of
+    ``(lo, hi)``, the input's first, then one per layer output, the order a
+    ``.tasq`` stores its params in.
 
     ``inputs`` is a sequence of Spectrograms (or raw 2-D arrays). At least
     one input is required; additional inputs only widen the ranges.
@@ -117,7 +107,7 @@ def calibrate(model, inputs):
         if ranges is not None:
             seen = [(min(r[0], s[0]), max(r[1], s[1])) for r, s in zip(ranges, seen)]
         ranges = seen
-    return Calibration(input_range=ranges[0], layer_ranges=ranges[1:])
+    return ranges
 
 
 def fold_batch_norm(model):
@@ -165,7 +155,7 @@ class QuantizedModel:
 def quantize_model(model, calibration_inputs):
     """Fold, calibrate, and quantize a trained float model."""
     folded = fold_batch_norm(model)
-    cal = calibrate(folded, calibration_inputs)
+    input_params, *act_params = [affine_params(lo, hi) for lo, hi in calibrate(folded, calibration_inputs)]
     payloads, wparams, floats = {}, {}, {}
     for i, layer in enumerate(folded.layers):
         for name in layer.weight_names():
@@ -173,8 +163,7 @@ def quantize_model(model, calibration_inputs):
                 payloads[(i, name)], wparams[(i, name)] = quantize_tensor(layer.weights[name])
             else:
                 floats[(i, name)] = layer.weights[name].astype(np.float32)
-    act_params = [affine_params(lo, hi) for lo, hi in cal.layer_ranges]
-    return QuantizedModel(folded, payloads, wparams, floats, act_params, affine_params(*cal.input_range))
+    return QuantizedModel(folded, payloads, wparams, floats, act_params, input_params)
 
 
 # Every partial sum of a conv or dense layer adds K products of a zero-point-

@@ -863,17 +863,6 @@ def restore_weights(model, snapshot):
         model.layers[i].weights[name] = arr.copy()
 
 
-def weights_fingerprint(model):
-    """Stable digest of every weight byte, for immutability checks."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for layer in model.layers:
-        for name in layer.weight_names():
-            h.update(np.ascontiguousarray(layer.weights[name]).tobytes())
-    return h.hexdigest()
-
-
 # --- serialization: ``modelfile`` holds the byte layout ---------------------
 
 

@@ -220,8 +220,9 @@ class TestBudget:
         # bypass shape inference: an empty graph trivially has no rows
         report = audit.audit_model(model)
         assert report.ok
-        assert report.params_headroom == audit.MAX_PARAMS_BUDGET
-        assert report.macs_headroom == audit.MAX_MACS_BUDGET
+        text = audit.format_report(report)
+        assert f"params 0 / {audit.MAX_PARAMS_BUDGET} (pass, headroom {audit.MAX_PARAMS_BUDGET})" in text
+        assert f"macs   0 / {audit.MAX_MACS_BUDGET} (pass, headroom {audit.MAX_MACS_BUDGET})" in text
 
     def test_report_totals_equal_row_sums(self):
         report = audit.audit_model(zoo.build_conv_sep(48, 48, 3))

@@ -103,6 +103,17 @@ class TestFeatures:
         assert result.stderr == f"error: {wav_path}: fmt block_align 4, expected 2 for mono 16-bit PCM\n"
         assert result.stdout == ""
 
+    def test_inconsistent_byte_rate_is_one_error_line(self, tmp_path):
+        wav_path = tmp_path / "rate0.wav"
+        data.write_wav(wav_path, Waveform(np.zeros(1000), 44100), bits=16)
+        raw = bytearray(wav_path.read_bytes())
+        raw[28:32] = bytes(4)  # the fmt chunk's byte_rate
+        wav_path.write_bytes(bytes(raw))
+        result = run_cli_subprocess(["features", "--wav", str(wav_path)])
+        assert result.returncode == 1
+        assert result.stderr == f"error: {wav_path}: fmt byte_rate 0, expected 88200 (rate x block_align)\n"
+        assert result.stdout == ""
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -235,6 +246,19 @@ class TestTrainEvalQuantize:
         assert code == 0
         assert "accuracy" in out and "confusion" in out
         assert csv_path.read_text().startswith("metric,value")
+
+    def test_eval_refuses_more_classes_than_scene_names(self, tmp_path, capsys):
+        # a 12-class checkpoint once ended in an IndexError traceback
+        ckpt = tmp_path / "c12.tasc"
+        zoo.save_model(zoo.init_weights(zoo.build("conv_sep", 4, 4, n_classes=12), 1), ckpt)
+        outs = {flag: tmp_path / f"out{flag}" for flag in ("--report", "--csv", "--confusion")}
+        flags = [arg for flag, path in outs.items() for arg in (flag, str(path))]
+        code = run_cli(["eval", "--checkpoint", str(ckpt), "--synthetic", "8", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: 10 class names for a result of 12 classes\n"
+        assert captured.out == ""
+        assert not any(p.exists() for p in outs.values())
 
     def test_quantize_writes_model_and_report(self, artifacts, capsys):
         root, ckpt, _ = artifacts

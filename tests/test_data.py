@@ -10,8 +10,10 @@ from tinyasc.errors import AudioFormatError, ConfigError, ManifestError, TinyAsc
 from tinyasc.frontend import Waveform
 
 
-def _write_raw_wav(path, audio_format=1, channels=1, rate=44100, bits=16, payload=b"\x00\x00", block_align=None):
-    byte_rate = rate * channels * bits // 8
+def _write_raw_wav(
+    path, audio_format=1, channels=1, rate=44100, bits=16, payload=b"\x00\x00", block_align=None, byte_rate=None
+):
+    byte_rate = rate * channels * bits // 8 if byte_rate is None else byte_rate
     block_align = bits // 8 if block_align is None else block_align
     with open(path, "wb") as fh:
         fh.write(b"RIFF")
@@ -109,6 +111,14 @@ class TestWavErrors:
         with pytest.raises(AudioFormatError, match=r"align\.wav: fmt block_align 4, expected 2 for mono 16-bit PCM$"):
             data.read_wav(path)
 
+    def test_inconsistent_byte_rate_rejected(self, tmp_path):
+        # a mono 16-bit 44.1 kHz file declaring 0 bytes per second was once decoded
+        path = tmp_path / "rate0.wav"
+        _write_raw_wav(path, payload=struct.pack("<2h", 1000, -1000), byte_rate=0)
+        problem = r"rate0\.wav: fmt byte_rate 0, expected 88200 \(rate x block_align\)$"
+        with pytest.raises(AudioFormatError, match=problem):
+            data.read_wav(path)
+
     def test_data_chunk_longer_than_file_rejected(self, tmp_path):
         path = tmp_path / "cut.wav"
         _write_raw_wav(path, payload=b"\x01\x00" * 100)
@@ -130,7 +140,11 @@ class TestManifest:
         manifest = data.parse_manifest(path)
         assert len(manifest.entries) == 2
         assert manifest.entries[0].label == "park"
-        assert manifest.label_index(manifest.entries[1]) == data.SCENE_LABELS.index("airport")
+        (tmp_path / "audio").mkdir()
+        for e in manifest.entries:
+            data.write_wav(tmp_path / e.path, Waveform(np.zeros(100), 44100))
+        clips = data.load_clips(manifest, tmp_path)
+        assert [c.label for c in clips] == [data.SCENE_LABELS.index("park"), data.SCENE_LABELS.index("airport")]
 
     def test_unknown_label_names_row(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -157,13 +171,9 @@ class TestManifest:
             data.parse_manifest(path)
 
     def test_round_trip(self, tmp_path):
-        entries = [
-            data.ManifestEntry("x/a.wav", "park", "dev-a"),
-            data.ManifestEntry("x/b.wav", "tram", None),
-        ]
-        manifest = data.DatasetManifest(entries=entries)
+        # the three-column text a manifest writer gives, an empty device column read as None
         path = tmp_path / "out.tsv"
-        data.write_manifest(manifest, path)
+        path.write_text("filename\tscene_label\tsource_label\nx/a.wav\tpark\tdev-a\nx/b.wav\ttram\t\n")
         back = data.parse_manifest(path)
         assert [(e.path, e.label, e.device_id) for e in back.entries] == [
             ("x/a.wav", "park", "dev-a"),

@@ -149,3 +149,10 @@ class TestEvaluate:
         assert "accuracy" in text and "confusion" in text
         csv = metrics.confusion_to_csv(result)
         assert len(csv.strip().split("\n")) == 10
+
+    def test_report_refuses_fewer_names_than_classes(self):
+        # a 12-class result once raised IndexError at the eleventh row's name
+        result = metrics.EvalResult(0.5, 1.0, 3, np.zeros((12, 12), dtype=np.int64))
+        with pytest.raises(TinyAscError, match="^10 class names for a result of 12 classes$"):
+            metrics.format_report(result, class_names=data.SCENE_LABELS)
+        assert metrics.format_report(result).count("\n") == 5 + 12

@@ -246,14 +246,14 @@ def _random_norm_stats(model, rng):
     st.integers(8, 12),
     SEEDS,
 )
-def test_folded_per_clip_inference_matches_the_unfolded_batch(source, batch, f1, f2, k, h, w, seed):
+def test_folded_per_clip_inference_matches_the_unfolded_batch(weight_bytes, source, batch, f1, f2, k, h, w, seed):
     rng = np.random.default_rng(seed)
     if source == "random":
         model = _random_small_graph(rng)
     else:
         model = zoo.build(source, f1, f2, kernel_size=k, input_shape=(h, w, 1))
     model = _random_norm_stats(zoo.init_weights(model, seed), rng)
-    before = zoo.weights_fingerprint(model)
+    before = weight_bytes(model)
     x = rng.normal(size=(batch, *model.input_shape)).astype(np.float32)
     # each clip gets the bits forward_batch gives it alone; its row of one
     # batched call can differ, as BLAS may round a one-row product otherwise
@@ -266,7 +266,7 @@ def test_folded_per_clip_inference_matches_the_unfolded_batch(source, batch, f1,
     atol = 1e-5 * np.abs(want_logits).max()
     np.testing.assert_allclose(logits, want_logits, rtol=1e-5, atol=atol)
     np.testing.assert_allclose(probs, want_probs, rtol=1e-5, atol=atol)
-    assert zoo.weights_fingerprint(model) == before
+    assert weight_bytes(model) == before
 
 
 @PROPERTY

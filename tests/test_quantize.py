@@ -59,7 +59,7 @@ class TestQuantizeTensor:
         else:
             params = quantize.affine_params(t.min(), t.max())
             q = quantize.quantize_array(t, params)
-        back = quantize.dequantize(q, params)
+        back = (q.astype(np.float64) - params.zero_point) * params.scale
         assert np.max(np.abs(back - t)) <= params.scale / 2 + 1e-12
 
     def test_zero_tensor_degenerates_to_scale_one(self):
@@ -73,7 +73,7 @@ class TestQuantizeTensor:
             lo, hi = sorted(rng.uniform(-4, 4, size=2))
             params = quantize.affine_params(lo, hi)
             q0 = quantize.quantize_array(np.array([0.0]), params)
-            assert quantize.dequantize(q0, params)[0] == 0.0
+            assert ((q0.astype(np.float64) - params.zero_point) * params.scale)[0] == 0.0
 
     def test_affine_range_not_shrunk_by_zero_extension(self):
         params = quantize.affine_params(0.5, 2.0)  # widened to [0, 2]
@@ -95,20 +95,24 @@ class TestCalibrate:
     def test_single_input_ranges_match_that_input(self):
         model = _small_model()
         spec = _rand_spec(1)
-        cal = quantize.calibrate(model, [spec])
+        ranges = quantize.calibrate(model, [spec])
         acts = []
         x = spec.data[None, ..., None].astype(np.float32)
         zoo.run_graph(model, x, record_activations=acts)
-        assert cal.input_range == (float(x.min()), float(x.max()))
-        for (lo, hi), act in zip(cal.layer_ranges, acts):
+        assert ranges[0] == (float(x.min()), float(x.max()))
+        for (lo, hi), act in zip(ranges[1:], acts):
             assert lo == float(act.min()) and hi == float(act.max())
+        # quantize_model's params: the input's from ranges[0], layer i's from ranges[i + 1]
+        qm = quantize.quantize_model(model, [spec])
+        folded = quantize.calibrate(quantize.fold_batch_norm(model), [spec])
+        assert [qm.input_params, *qm.activation_params] == [quantize.affine_params(lo, hi) for lo, hi in folded]
 
     def test_adding_inputs_never_shrinks_ranges(self):
         model = _small_model()
         specs = [_rand_spec(i) for i in range(5)]
         cal1 = quantize.calibrate(model, specs[:1])
         cal5 = quantize.calibrate(model, specs)
-        for (lo1, hi1), (lo5, hi5) in zip(cal1.layer_ranges, cal5.layer_ranges):
+        for (lo1, hi1), (lo5, hi5) in zip(cal1[1:], cal5[1:]):
             assert lo5 <= lo1 and hi5 >= hi1
 
     def test_empty_calibration_rejected(self):
@@ -151,11 +155,11 @@ class TestFoldBatchNorm:
         same = zoo.forward(folded, _rand_spec(30))
         np.testing.assert_allclose(same.probabilities, base.probabilities, rtol=1e-6)
 
-    def test_original_model_untouched(self):
+    def test_original_model_untouched(self, weight_bytes):
         model = _small_model()
-        before = zoo.weights_fingerprint(model)
+        before = weight_bytes(model)
         quantize.fold_batch_norm(model)
-        assert zoo.weights_fingerprint(model) == before
+        assert weight_bytes(model) == before
 
 
 @pytest.fixture(scope="module")

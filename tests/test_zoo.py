@@ -189,11 +189,11 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"^example 1: input shape mismatch: .*got \(64, 26\)$"):
             zoo.stack_inputs(model, specs, np.float32)
 
-    def test_inference_never_mutates_weights(self):
+    def test_inference_never_mutates_weights(self, weight_bytes):
         model = zoo.init_weights(zoo.build_conv_mixer(8, 8, 3), seed=9)
-        before = zoo.weights_fingerprint(model)
+        before = weight_bytes(model)
         zoo.forward(model, _rand_spec(10))
-        assert zoo.weights_fingerprint(model) == before
+        assert weight_bytes(model) == before
 
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
     @pytest.mark.parametrize("chunk", [1, 4])
@@ -248,13 +248,13 @@ class TestFoldedInference:
         pred = zoo.forward(model, Spectrogram(x[1, ..., 0], 64, 51))
         assert pred.logits.tobytes() == logits[1].tobytes()
 
-    def test_fold_norms_drops_conv_sep_norms_and_leaves_the_model(self):
+    def test_fold_norms_drops_conv_sep_norms_and_leaves_the_model(self, weight_bytes):
         model = _with_norm_stats(zoo.init_weights(zoo.build_conv_sep(8, 6), seed=34), 35)
-        before = zoo.weights_fingerprint(model)
+        before = weight_bytes(model)
         folded = zoo.fold_norms(model)
         assert [layer.kind for layer in folded.layers] == [k for k in CONV_SEP_GOLDEN if k != "batch_norm"]
         assert [layer.output_shape for layer in folded.layers] == zoo.infer_shapes(quantize.fold_batch_norm(model))
-        assert zoo.weights_fingerprint(model) == before
+        assert weight_bytes(model) == before
         assert len(model.layers) == len(CONV_SEP_GOLDEN)
 
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
@@ -902,15 +902,15 @@ def test_a_train_step_on_a_drawn_graph_leaves_the_batch_and_gets_every_gradient(
 
 
 class TestInitWeights:
-    def test_same_seed_identical(self):
+    def test_same_seed_identical(self, weight_bytes):
         a = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=11)
         b = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=11)
-        assert zoo.weights_fingerprint(a) == zoo.weights_fingerprint(b)
+        assert weight_bytes(a) == weight_bytes(b)
 
-    def test_different_seed_differs(self):
+    def test_different_seed_differs(self, weight_bytes):
         a = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=11)
         b = zoo.init_weights(zoo.build_conv_sep(8, 8, 3), seed=12)
-        assert zoo.weights_fingerprint(a) != zoo.weights_fingerprint(b)
+        assert weight_bytes(a) != weight_bytes(b)
 
     def test_glorot_bounds_per_layer(self):
         model = zoo.init_weights(zoo.build_conv_mixer(16, 24, 5), seed=13)
@@ -927,13 +927,13 @@ class TestInitWeights:
         np.testing.assert_array_equal(bn.weights["gamma"], 1.0)
         np.testing.assert_array_equal(bn.weights["moving_var"], 1.0)
 
-    def test_negative_seed_is_a_config_error(self):
+    def test_negative_seed_is_a_config_error(self, weight_bytes):
         # not numpy's "expected non-negative integer"; the weights are left as they were
         model = zoo.build_conv_sep(4, 4, 3)
-        before = zoo.weights_fingerprint(model)
+        before = weight_bytes(model)
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             zoo.init_weights(model, seed=-1)
-        assert zoo.weights_fingerprint(model) == before
+        assert weight_bytes(model) == before
 
 
 class TestSerialization:
