@@ -269,8 +269,9 @@ class Rebuild:
     """Kept in place of a train-mode cache that holds the layer's input, when
     that input is the output of layer ``source`` and the source's op can
     ``rebuild`` it from the source's cache: a train-mode batch norm its y from
-    its input and statistics, a GELU its output from its input, a one-channel
-    conv its output from its input.
+    its input and statistics, a GELU its output from its input, and a
+    one-channel conv or a pointwise conv its output by its own forward call
+    on its input, the pointwise only where it keeps that input as an array.
 
     Without ``rest`` the cache is that input itself; with ``rest``, it is the
     tuple ``(input, *rest)``, as a batch norm keeps. Backward makes the cache
@@ -300,7 +301,8 @@ class Op:
     backward(layer, cache, grad, run) -> (input grad, {weight: grad} or None)
     shape(layer, shape, skips, where) -> output shape, or GraphBuildError
     rebuild(layer, cache) -> the train-mode output again, bit for bit, from its
-        cache, for the layers ``rebuilds(layer)`` admits
+        cache, for the layers ``rebuilds(layer, cache)`` admits given the cache
+        a train walk keeps for them
     keep(layer, cache) -> (output, the layer's cache for its own step): the
         rebuild that backward keeps, when the kind has a cheaper cache to give
         its step; like a backward step, it writes over a cached array only
@@ -314,7 +316,7 @@ class Op:
     backward: object = _kernel_backward  # kernels.<kind>_backward(cache, grad)
     shape: object = lambda layer, shape, skips, where: shape
     rebuild: object = None
-    rebuilds: object = lambda layer: True
+    rebuilds: object = lambda layer, cache: True
     keep: object = None
     weights: tuple = ()  # storage order: init, Adam state, serialization
     trainable: tuple = ()
@@ -379,12 +381,16 @@ def _conv_args(layer):
     return {"stride": layer.config.get("stride", 1), "padding": layer.config.get("padding", "same")}
 
 
-def _linear_op(linear, backward, fans, shape=_conv_shape, **flags):
+def _linear_op(linear, backward, fans, shape=_conv_shape, rebuilds=None, **flags):
     """A conv or dense kind: ``linear(layer, x, w, b)`` is its kernel and
-    ``backward(layer, x, w, grad, with_bias, run)`` returns (gx, gw, gb)."""
+    ``backward(layer, x, w, grad, with_bias, run)`` returns (gx, gw, gb). With
+    ``rebuilds``, its rebuild is its own forward call on its cached input."""
 
     def forward(layer, x, run):
         return linear(layer, x, layer.weights["w"], layer.weights.get("b")), x
+
+    if rebuilds is not None:
+        flags.update(rebuild=lambda layer, x: forward(layer, x, None)[0], rebuilds=rebuilds)
 
     def grads(layer, x, g, run):
         gx, gw, gb = backward(layer, x, layer.weights["w"], g, "b" in layer.weights, run)
@@ -464,13 +470,9 @@ def _add_skip(layer, x, run):
     return x + run.skips.pop(), None
 
 
-def _conv2d(layer, x, w, b):
-    return kernels.conv2d(x, w, b, **_conv_args(layer))
-
-
 OPS = {
     "conv2d": _linear_op(
-        _conv2d,
+        lambda layer, x, w, b: kernels.conv2d(x, w, b, **_conv_args(layer)),
         lambda layer, x, w, g, bias, run: kernels.conv2d_backward(
             x, w, g, with_bias=bias, with_input=run.input_grad, **_conv_args(layer)
         ),
@@ -478,8 +480,7 @@ OPS = {
         folds_norm=True,
         # with one input channel an output costs kh * kw MACs, less than a GELU, so it
         # is rerun on the cached input; a wider conv's rerun costs more than it saves
-        rebuild=lambda layer, x: _conv2d(layer, x, layer.weights["w"], layer.weights.get("b")),
-        rebuilds=lambda layer: layer.weights["w"].shape[2] == 1,
+        rebuilds=lambda layer, x: layer.weights["w"].shape[2] == 1,
     ),
     "depthwise_conv2d": _linear_op(
         lambda layer, x, w, b: kernels.depthwise_conv2d(x, w, b),
@@ -492,6 +493,10 @@ OPS = {
         lambda layer, x, w, g, bias, run: kernels.pointwise_conv2d_backward(x, w, g, with_bias=bias),
         fans=lambda kh, kw, cin, cout: (cin, cout),
         folds_norm=True,
+        # rerun on the input it keeps as an array (conv_sep's, a depthwise conv's
+        # output); where that input is itself a Rebuild (the mixer's, behind a norm),
+        # a rerun would make it early and hold it until this layer's step
+        rebuilds=lambda layer, x: isinstance(x, np.ndarray),
     ),
     "dense": _linear_op(
         lambda layer, x, w, b: kernels.dense(x, w, b),
@@ -603,26 +608,30 @@ def init_weights(model, seed, dtype=None):
     return model
 
 
-def _rebuilds(layer):
-    """Whether backward can rebuild ``layer``'s train-mode output from its cache."""
+def _rebuilds(layer, cache):
+    """Whether backward can rebuild ``layer``'s train-mode output from ``cache``,
+    the one a train walk keeps for it."""
     op = OPS[layer.kind]
-    return op.rebuild is not None and op.rebuilds(layer)
+    return op.rebuild is not None and op.rebuilds(layer, cache)
 
 
 def _kept(model, caches, cache, x, source, skips):
     """What a train walk keeps of a layer's cache, given its input x, made by
     layer ``source`` (None for the walk's input), and the open residual
     ``skips``. A cache that is x, or a tuple that starts with x (a norm's),
-    becomes a ``Rebuild`` where the maker can ``rebuild`` x. Else x is the
-    layer's own unless it is the caller's batch, the maker's cache (an ELU's
-    output), which the maker's step reads later, or an open skip's; one it
-    does not own is kept as a read-only view, alone or at the tuple's head.
+    becomes a ``Rebuild`` where the maker can ``rebuild`` x from the cache it
+    keeps (``_rebuilds``): a norm, a GELU, a one-channel conv, and a
+    pointwise conv whose kept input is an array (conv_sep's, not the
+    mixer's). Else x is the layer's own unless it is the caller's batch, the
+    maker's cache (an ELU's output), which the maker's step reads later, or
+    an open skip's; one it does not own is kept as a read-only view, alone or
+    at the tuple's head.
     The one rule of backward: a step writes over a cached array only where
     that array is writeable."""
     starts = isinstance(cache, tuple) and bool(cache) and cache[0] is x
     if cache is not x and not starts:
         return cache
-    if source is not None and _rebuilds(model.layers[source]):
+    if source is not None and _rebuilds(model.layers[source], caches[source]):
         return Rebuild(source, rest=cache[1:] if starts else None)
     if source is not None and caches[source] is not x and all(s is not x for s in skips):
         return cache

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -618,8 +619,9 @@ class TestTrainCaches:
         assert len(outputs) == 2 and outputs[1][1] == outputs[0][1]
 
     def test_a_norm_behind_a_one_channel_conv_rebuilds_its_input_with_its_bits(self, monkeypatch):
-        # bn1a's input is conv1's rerun output at its backward step, and the x_hat formed
-        # from it is that of the forward's input; conv1's bias is not zero
+        # bn1a's input is conv1's rerun output at its backward step, bn1b's and bn2b's
+        # that of sep1_pw and sep2_pw, and the x_hat formed from each is that of the
+        # forward's input; the convs' biases are not zero
         build = zoo.build("conv_sep", 4, 6, input_shape=(8, 16, 1))
         model = _with_biases(_with_norm_stats(zoo.init_weights(build, seed=2), seed=3), seed=4)
         forward, backward = _spy_norm_x_hats(monkeypatch, model)
@@ -630,6 +632,40 @@ class TestTrainCaches:
         zoo.backward_graph(model, caches, np.ones_like(probs))
         assert set(forward) == {"bn1a", "bn1b", "bn2a", "bn2b"}
         _assert_same_x_hats(forward, backward)
+
+    def test_a_pointwise_conv_that_keeps_its_input_rebuilds_its_output(self, monkeypatch):
+        # sep1_pw and sep2_pw keep their input, a depthwise conv's output, as an array, so
+        # bn1b and bn2b keep a Rebuild of them and no array of their output's size, and at
+        # the end of the forward pass nothing holds that output. Backward reruns each once,
+        # at its norm's step, and gets the forward's bytes; biases and norm statistics are
+        # not zero
+        build = zoo.build("conv_sep", 4, 6, input_shape=(8, 16, 1))
+        model = _with_biases(_with_norm_stats(zoo.init_weights(build, seed=2), seed=3), seed=4)
+        names = [layer.name for layer in model.layers]
+        pointwise = {id(layer.weights["w"]): layer.name for layer in model.layers if layer.kind == "pointwise_conv2d"}
+        outputs, kernel = collections.defaultdict(list), kernels.pointwise_conv2d
+
+        def spy(x, w, *args, **kwargs):
+            y = kernel(x, w, *args, **kwargs)
+            outputs[pointwise[id(w)]].append((weakref.ref(y), y.tobytes()))
+            return y
+
+        monkeypatch.setattr(kernels, "pointwise_conv2d", spy)
+        x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
+        probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(4), keep_caches=True)
+        for m in (1, 2):
+            norm = names.index(f"bn{m}b")
+            assert isinstance(caches[norm], zoo.Rebuild) and names[caches[norm].source] == f"sep{m}_pw"
+            size = len(x) * int(np.prod(model.layers[norm].output_shape))
+            assert all(a.size < size for a in _cache_arrays(caches[norm]))
+        assert {name: [ref() for ref, _ in calls] for name, calls in outputs.items()} == {
+            "sep1_pw": [None],
+            "sep2_pw": [None],
+        }
+
+        zoo.backward_graph(model, caches, np.ones_like(probs))
+        for name, calls in outputs.items():
+            assert len(calls) == 2 and calls[1][1] == calls[0][1], name
 
     @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
     @pytest.mark.parametrize("channels", [1, 2])
@@ -655,9 +691,11 @@ class TestTrainCaches:
     @pytest.mark.parametrize("arch, train", [("conv_sep", True), ("conv_sep", False), ("conv_mixer", False)])
     def test_other_linear_layers_cache_their_input_itself(self, arch, train):
         # conv_sep has no linear layer right behind a norm (an ELU sits between); its
-        # only Rebuild is bn1a's of the one-channel conv1. A train walk keeps a read-only
-        # view of an input a layer does not own: conv1's, the caller's batch, and a
-        # depthwise conv's, an ELU's output. An eval-mode walk rebuilds nothing
+        # Rebuilds are bn1a's of the one-channel conv1 and bn1b's and bn2b's of sep1_pw
+        # and sep2_pw, which keep their input, a depthwise conv's output, themselves. A
+        # train walk keeps a read-only view of an input a layer does not own: conv1's,
+        # the caller's batch, and a depthwise conv's, an ELU's output. An eval-mode walk
+        # rebuilds nothing
         model = _with_norm_stats(zoo.init_weights(zoo.build(arch, 4, 4, input_shape=(8, 16, 1)), seed=2), seed=3)
         x = np.random.default_rng(3).normal(size=(5, 8, 16, 1)).astype(np.float32)
         outputs = []
@@ -666,12 +704,60 @@ class TestTrainCaches:
         )
         names = [layer.name for layer in model.layers]
         rebuilt = {names[i]: names[c.source] for i, c in enumerate(caches) if isinstance(c, zoo.Rebuild)}
-        assert rebuilt == ({"bn1a": "conv1"} if train else {})
+        assert rebuilt == ({"bn1a": "conv1", "bn1b": "sep1_pw", "bn2b": "sep2_pw"} if train else {})
         inputs = [x, *outputs]
         for i, layer in enumerate(model.layers):
             if layer.kind in LINEAR_KINDS:
                 not_owned = train and (i == 0 or model.layers[i - 1].kind == "elu")
                 assert _read_only_view_of(caches[i], inputs[i]) if not_owned else caches[i] is inputs[i], layer.name
+
+
+# the layers whose outputs a train walk keeps at the end of the forward pass, as float
+# arrays: each ELU's output (its own cache; the depthwise conv behind it keeps a view),
+# and the input of each GELU, linear layer or norm whose maker cannot rebuild it
+# (mix2_dw's, drop1's output, a view of what its residual skip held). Every other float
+# cache is a Rebuild or freed; each pool keeps a uint8 index and each dropout a bool
+# mask, one byte per output entry
+KEPT_OUTPUTS = {
+    "conv_sep": ("elu1a", "sep1_dw", "elu1b", "drop1", "conv2", "elu2a", "sep2_dw", "elu2b"),
+    "conv_mixer": ("mix1_add", "mix1_pw", "drop1", "mix2_add", "mix2_pw"),
+}
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("arch", ["conv_sep", "conv_mixer"])
+    def test_a_train_step_holds_what_the_cache_rules_keep(self, arch):
+        # one 8-8 batch-8 step on 64x51 clips under tracemalloc, in activations of
+        # N * 64 * 51 * F * 4 bytes: at the end of the forward pass the traced bytes are
+        # the arrays KEPT_OUTPUTS names, 4.35 activations for conv_sep and 2.88 for
+        # conv_mixer (so bn1b and bn2b keep no input), and the step's peak is within two
+        # activations of them, room for one backward step's gradients and rebuilds (no
+        # cache outlives its step). Traced: 4.36 and 4.73 for conv_sep, 2.89 and 4.33 for
+        # conv_mixer, the peak at pool2's and mix1_dw's backward step
+        model = zoo.init_weights(zoo.build(arch, 8, 8), seed=1)
+        x = np.random.default_rng(2).normal(size=(8, 64, 51, 1)).astype(np.float32)
+        entries = {layer.name: len(x) * int(np.prod(layer.output_shape)) for layer in model.layers}
+        activation = 4 * entries[model.layers[0].name]
+        kept = 4 * sum(entries[name] for name in KEPT_OUTPUTS[arch])
+        kept += sum(entries[layer.name] for layer in model.layers if layer.kind in ("max_pool", "dropout"))
+
+        def step():
+            probs, _, caches = zoo.run_graph(model, x, train=True, rng=np.random.default_rng(3), keep_caches=True)
+            live = tracemalloc.get_traced_memory()[0]
+            zoo.backward_graph(model, caches, np.ones_like(probs))
+            return live
+
+        step()  # a first step's one-off allocations stay out of the figures
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            live = step() - base
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert kept <= live <= kept + 0.05 * activation, (live / activation, kept / activation)
+        assert peak <= kept + 2 * activation, (peak / activation, kept / activation)
 
 
 def _hand_graph(*layers, input_shape=(4, 5, 2)):
@@ -1106,7 +1192,7 @@ class TestLayerTable:
         model, specs, x = _tiny(arch)
         qm = quantize.quantize_model(model, specs)
         counts = collections.Counter()
-        for name in ("conv2d", "gelu", "gelu_slope", "batch_norm", "batch_norm_backward"):
+        for name in ("conv2d", "pointwise_conv2d", "gelu", "gelu_slope", "batch_norm", "batch_norm_backward"):
 
             def counted(*args, _name=name, _fn=getattr(kernels, name), **kwargs):
                 counts[_name] += 1
@@ -1125,18 +1211,25 @@ class TestLayerTable:
         (probs, _, caches), seen = calls(
             lambda: zoo.run_graph(model, x, train=True, rng=np.random.default_rng(0), keep_caches=True)
         )
-        want = kinds(model, "conv2d", "gelu", "batch_norm")
+        want = kinds(model, "conv2d", "pointwise_conv2d", "gelu", "batch_norm")
         assert seen == {k: n for k, n in want.items() if n}
+        assert want["pointwise_conv2d"] == 2
         read_by_a_conv = sum(isinstance(c, zoo.Rebuild) and model.layers[c.source].kind == "batch_norm" for c in caches)
         _, seen = calls(lambda: zoo.backward_graph(model, caches, np.ones_like(probs)))
         # each of the mixer's norms, all behind a GELU, rebuilds its input at its step by
         # gelu_slope, which also gives the GELU's step its slope; the conv behind a norm
         # rebuilds the norm's output from one more GELU. The one-channel first conv is
-        # rerun once
-        rebuilds = {"gelu_slope": want["batch_norm"], "gelu": read_by_a_conv} if arch == "conv_mixer" else {}
+        # rerun once, and so is each of conv_sep's pointwise convs, whose input is an
+        # array; the mixer's, whose input is a Rebuild of a norm, is not
+        rebuilds = (
+            {"gelu_slope": want["batch_norm"], "gelu": read_by_a_conv}
+            if arch == "conv_mixer"
+            else {"pointwise_conv2d": want["pointwise_conv2d"]}
+        )
         assert seen == {"batch_norm_backward": want["batch_norm"], "conv2d": 1, **rebuilds}
         # a tabled layer's kernel runs once, on the table's codes
         _, seen = calls(lambda: quantize.quantized_forward(qm, specs[0]))
-        assert seen == {k: n for k, n in kinds(qm.graph, "conv2d", "gelu", "batch_norm").items() if n}
+        int8_kinds = kinds(qm.graph, "conv2d", "pointwise_conv2d", "gelu", "batch_norm")
+        assert seen == {k: n for k, n in int8_kinds.items() if n}
         assert seen["conv2d"] >= 1
 
