@@ -1,17 +1,21 @@
 """Model graphs for the two competing architectures.
 
 Both networks share one skeleton, written once in ``build``: a stem, two
-convolutional modules each followed by time-axis max pooling and dropout,
-then global average pooling and a 10-way dense classifier with softmax.
-An architecture is one ``ARCHS`` entry, which returns its stem and modules.
+convolutional modules each holding a time-axis max pool and followed by
+dropout, then global average pooling and a 10-way dense classifier with
+softmax. An architecture is one ``ARCHS`` entry, which returns its stem and
+modules.
 
 * ``conv_sep``: no stem; each module is a full convolution and a separable
   convolution (depthwise + pointwise, bias on the pointwise stage only),
-  each followed by batch norm and ELU.
+  each followed by batch norm and ELU. The module's max pool sits before
+  its last ELU: max pooling commutes with a non-decreasing function, so
+  that ELU runs on a quarter (then a half) of the values, with the outputs
+  of ELU then pool.
 * ``conv_mixer``: a 1x1 patch embedding (GELU + batch norm) feeds two
   mixer modules; each module adds a residual skip around its depthwise
   convolution, then applies GELU + batch norm, a pointwise convolution,
-  and GELU + batch norm again.
+  and GELU + batch norm again, then its max pool (GELU is not monotone).
 
 Pool tuples are (frequency, time): (1, 4) downsamples the 51-frame time
 axis to 12. A graph is an ordered list of LayerSpec nodes; the same
@@ -123,10 +127,15 @@ def _simple(kind, name, **cfg):
     return LayerSpec(kind, name, cfg)
 
 
+def _pool(m):
+    """Module m's time-axis max pool: (1, 4) after module 1, (1, 2) after module 2."""
+    return _simple("max_pool", f"pool{m}", pool=((1, 4), (1, 2))[m - 1])
+
+
 def _conv_sep(cin, f1, f2, kernel_size, patch_size, use_bias, patch_norm):
     """No stem; each module is a full convolution and a separable convolution
     with the same filter count, the depthwise stage never biased (its bias
-    lives on the pointwise stage)."""
+    lives on the pointwise stage), and its max pool before the last ELU."""
     if patch_size != 1 or not patch_norm:
         raise GraphBuildError(
             f"conv_sep has no patch embedding: patch size must be 1 and patch norm on, "
@@ -140,6 +149,7 @@ def _conv_sep(cin, f1, f2, kernel_size, patch_size, use_bias, patch_norm):
             _depthwise(f"sep{m}_dw", kernel_size, f, use_bias=False),
             _pointwise(f"sep{m}_pw", f, f, use_bias),
             _batch_norm(f"bn{m}b", f),
+            _pool(m),
             _simple("elu", f"elu{m}b"),
         ]
         for m, (c, f) in ((1, (cin, f1)), (2, (f1, f2)))
@@ -167,6 +177,7 @@ def _conv_mixer(cin, f1, f2, kernel_size, patch_size, use_bias, patch_norm):
             _pointwise(f"mix{m}_pw", f1, f, use_bias),
             _simple("gelu", f"mix{m}_gelu_b"),
             _batch_norm(f"mix{m}_bn_b", f),
+            _pool(m),
         ]
         for m, f in ((1, f1), (2, f2))
     ]
@@ -191,7 +202,7 @@ def build(
     patch_norm=True,
 ):
     """The shared skeleton around ``ARCHS[arch_tag]``: its stem, then each module
-    followed by time-axis max pooling and dropout, then global average pooling,
+    (which holds its ``_pool``) followed by dropout, then global average pooling,
     the dense classifier and softmax, with shapes inferred. Its weights are
     read-only placeholders holding no bytes, for ``init_weights`` or a loader."""
     if arch_tag not in ARCHS:
@@ -203,9 +214,8 @@ def build(
     if patch_size < 1:
         raise GraphBuildError(f"patch size must be >= 1, got {patch_size}")
     layers, modules = ARCHS[arch_tag](input_shape[2], f1, f2, kernel_size, patch_size, use_bias, patch_norm)
-    for m, (module, pool) in enumerate(zip(modules, ((1, 4), (1, 2))), start=1):
-        layers += module
-        layers += [_simple("max_pool", f"pool{m}", pool=pool), _simple("dropout", f"drop{m}", rate=DROPOUT_RATE)]
+    for m, module in enumerate(modules, start=1):
+        layers += [*module, _simple("dropout", f"drop{m}", rate=DROPOUT_RATE)]
     layers += [
         _simple("global_avg_pool", "gap"),
         _dense("classifier", f2, n_classes),

@@ -96,6 +96,20 @@ def test_golden_bytes(tmp_path, arch, use_bias, suffix):
     load(path)
 
 
+def test_a_48_48_conv_sep_checkpoint_keeps_the_bytes_of_elu_before_pool(tmp_path):
+    # pinned while each module ran its last ELU before its pool: neither layer holds
+    # a weight, so pooling first moves no record; norm statistics and biases are random
+    model = zoo.init_weights(zoo.build_conv_sep(48, 48), seed=43)
+    rng = np.random.default_rng(44)
+    for layer in model.layers:
+        for name in layer.weight_names():
+            if name != "w":
+                layer.weights[name] = rng.uniform(0.5, 1.5, layer.weights[name].shape).astype(np.float32)
+    path = tmp_path / "m.tasc"
+    zoo.save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "81079aae490bdfc576cd1ce31d51534bfec0b547415a3ec4c1ebd49e8dad26e6"
+
+
 @pytest.mark.parametrize("suffix", [".tasc", ".tasq"])
 def test_a_header_kernel_of_1001_is_refused_before_allocating(tmp_path, suffix):
     # the stored conv1 kernel is 3x3; a graph of kernel 1001 held 107 MiB of zero

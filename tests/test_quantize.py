@@ -364,6 +364,22 @@ class TestQuantizedSerialization:
         b = quantize.quantized_forward(back, cal[0])
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
 
+    def test_conv_sep_pool_and_elu_params_read_in_either_order(self, setup):
+        # a .tasq written while each conv_sep module ran its last ELU before its pool
+        # holds those two layers' params the other way round; no integer layer reads
+        # either (conv2 and the classifier read drop{m}'s), so it gives these INT8 outputs
+        model, qm, cal = setup
+        names = [layer.name for layer in qm.graph.layers]
+        params = list(qm.activation_params)
+        for m in (1, 2):
+            i = names.index(f"pool{m}")
+            assert names[i + 1] == f"elu{m}b" and params[i] != params[i + 1]
+            params[i], params[i + 1] = params[i + 1], params[i]
+        old = quantize.QuantizedModel(**{**vars(qm), "activation_params": params})
+        x = zoo.stack_inputs(qm.graph, cal, np.float64)
+        assert quantize.predictor(old)(x)[1].tobytes() == quantize.predictor(qm)(x)[1].tobytes()
+        assert quantize.quantization_report(model, old, cal) == quantize.quantization_report(model, qm, cal)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tasq"
         path.write_bytes(b"WRONG" + b"\x00" * 30)
